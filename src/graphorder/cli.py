@@ -45,7 +45,11 @@ def read_config(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = CONFIG_KEYS[key](val)
+        try:
+            values[key] = CONFIG_KEYS[key](val)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: cannot read {val!r} as "
+                             f"{CONFIG_KEYS[key].__name__} for {key}") from None
     return values
 
 
@@ -89,12 +93,6 @@ def cmd_generate(args, config) -> int:
     Path(args.out).write_text(graph.format_edge_list(g))
     print(f"n={g.n} arcs={g.arc_count}")
     return 0
-
-
-def _order_with_merge(g: graph.Graph, w: int, seed: int, algo, **kw):
-    merged, groups = merge = graph.merge_degree_one(g)
-    perm_merged = algo(merged, w, **kw)
-    return graph.expand_permutation(perm_merged, groups, seed), merge
 
 
 def cmd_order(args, config) -> int:
@@ -257,21 +255,18 @@ def render_pgm(g: graph.Graph, order, fmt: str = "p2",
                block: int | None = None) -> bytes:
     """Permuted adjacency as a portable graymap; set cells are black.
 
-    With ``block`` the image is the block-nonempty map, one pixel per
-    ceil(n/b)-sized block row/column.
+    With ``block`` = b the image is the block-nonempty map: one pixel per
+    b-by-b block, ceil(n/b) pixels a side.
     """
+    b = 1 if block is None else block
+    if b < 1:
+        raise ValueError("block width must be positive")
     perm = locality.check_permutation(order, g.n)
     pos = np.empty(g.n, dtype=np.int64)
     pos[perm] = np.arange(g.n)
-    if block:
-        size = math.ceil(g.n / block)
-        img = np.full((size, size), 255, dtype=np.uint8)
-        if g.arc_count:
-            img[pos[g.arcs[:, 0]] // block, pos[g.arcs[:, 1]] // block] = 0
-    else:
-        img = np.full((g.n, g.n), 255, dtype=np.uint8)
-        if g.arc_count:
-            img[pos[g.arcs[:, 0]], pos[g.arcs[:, 1]]] = 0
+    size = math.ceil(g.n / b)
+    img = np.full((size, size), 255, dtype=np.uint8)
+    img[pos[g.arcs[:, 0]] // b, pos[g.arcs[:, 1]] // b] = 0
     h, wdt = img.shape
     if fmt == "p5":
         return f"P5\n{wdt} {h}\n255\n".encode() + img.tobytes()
@@ -381,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = read_config(args.config) if args.config else {}
     try:
+        config = read_config(args.config) if args.config else {}
         return args.func(args, config)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

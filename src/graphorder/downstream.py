@@ -45,37 +45,40 @@ def compression_cost(g: Graph, order, b: int) -> tuple[int, float]:
     return nonzero, nonzero / (nb * nb)
 
 
-@dataclass
+@dataclass(eq=False)
 class EdgePartition:
-    """Assignment of every undirected edge to one of k parts."""
+    """Assignment of every undirected edge to one of k parts: ``parts[i]`` is
+    the part of ``edges[i]``.  The partitioners use ``g.undirected_edges()``
+    as ``edges``; both arrays are stored read-only."""
 
-    assignment: dict[tuple[int, int], int]
+    edges: np.ndarray
+    parts: np.ndarray
     k: int
 
     def __post_init__(self):
-        for (u, v), pid in self.assignment.items():
-            if not 0 <= pid < self.k:
-                raise ValueError(f"part id {pid} out of range [0, {self.k})")
-            if u >= v:
-                raise ValueError(f"edge key {(u, v)} must satisfy u < v")
+        self.edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.parts = np.array(self.parts, dtype=np.int64)
+        if self.parts.shape != (self.edges.shape[0],):
+            raise ValueError("need exactly one part id per edge")
+        out_of_range = self.parts[(self.parts < 0) | (self.parts >= self.k)]
+        if out_of_range.size:
+            raise ValueError(f"part id {out_of_range[0]} out of range [0, {self.k})")
+        flipped = self.edges[self.edges[:, 0] >= self.edges[:, 1]]
+        if flipped.size:
+            raise ValueError(f"edge {tuple(flipped[0].tolist())} must satisfy u < v")
+        self.edges.flags.writeable = False
+        self.parts.flags.writeable = False
 
     def sizes(self) -> list[int]:
-        out = [0] * self.k
-        for pid in self.assignment.values():
-            out[pid] += 1
-        return out
+        return np.bincount(self.parts, minlength=self.k).tolist()
 
 
 def replication_factor(g: Graph, part: EdgePartition) -> float:
-    """Average number of parts each vertex appears in: the summed count of
-    distinct endpoint vertices per part, divided by the vertex count."""
+    """Average number of parts each vertex appears in: the count of distinct
+    (part, endpoint) pairs, divided by the vertex count."""
     if g.n == 0:
         return 0.0
-    endpoint_sets: list[set[int]] = [set() for _ in range(part.k)]
-    for (u, v), pid in part.assignment.items():
-        endpoint_sets[pid].add(u)
-        endpoint_sets[pid].add(v)
-    return sum(len(s) for s in endpoint_sets) / g.n
+    return np.unique(part.parts[:, None] * g.n + part.edges).size / g.n
 
 
 def partition_from_order(g: Graph, order, k: int) -> EdgePartition:
@@ -100,12 +103,9 @@ def partition_from_order(g: Graph, order, k: int) -> EdgePartition:
     sweep = np.lexsort((late, early))
     base, extra = divmod(m, k)
     sizes = [base + 1 if i < extra else base for i in range(k)]
-    pids = np.repeat(np.arange(k), sizes)
-    assignment = {
-        (int(edges[e, 0]), int(edges[e, 1])): int(pid)
-        for e, pid in zip(sweep, pids)
-    }
-    return EdgePartition(assignment, k)
+    parts = np.empty(m, dtype=np.int64)
+    parts[sweep] = np.repeat(np.arange(k), sizes)
+    return EdgePartition(edges, parts, k)
 
 
 def random_partition(g: Graph, k: int, seed: int) -> EdgePartition:
@@ -114,9 +114,7 @@ def random_partition(g: Graph, k: int, seed: int) -> EdgePartition:
         raise ValueError("partition count must be positive")
     edges = g.undirected_edges()
     rng = np.random.default_rng(seed)
-    pids = rng.integers(0, k, size=edges.shape[0])
-    assignment = {(int(u), int(v)): int(pid) for (u, v), pid in zip(edges, pids)}
-    return EdgePartition(assignment, k)
+    return EdgePartition(edges, rng.integers(0, k, size=edges.shape[0]), k)
 
 
 def greedy_partition(g: Graph, k: int, slack: float = 0.1) -> EdgePartition:
@@ -129,15 +127,12 @@ def greedy_partition(g: Graph, k: int, slack: float = 0.1) -> EdgePartition:
         raise ValueError("partition count must be positive")
     edges = g.undirected_edges()
     m = edges.shape[0]
-    if m == 0:
-        return EdgePartition({}, k)
+    parts = np.zeros(m, dtype=np.int64)
     capacity = math.ceil(m / k)
     hard_cap = math.ceil(capacity * (1.0 + slack))
     held: list[set[int]] = [set() for _ in range(k)]
     sizes = [0] * k
-    assignment: dict[tuple[int, int], int] = {}
-    for u, v in edges:
-        u, v = int(u), int(v)
+    for e, (u, v) in enumerate(edges.tolist()):
         best_pid, best_key = None, None
         for pid in range(k):
             if sizes[pid] >= hard_cap:
@@ -148,13 +143,12 @@ def greedy_partition(g: Graph, k: int, slack: float = 0.1) -> EdgePartition:
                 best_key, best_pid = key, pid
         if best_pid is None:  # all parts at the cap; take the least loaded
             best_pid = int(np.argmin(sizes))
-        assignment[(u, v)] = best_pid
+        parts[e] = best_pid
         sizes[best_pid] += 1
         held[best_pid].update((u, v))
-    return EdgePartition(assignment, k)
+    return EdgePartition(edges, parts, k)
 
 
 def format_partition_csv(part: EdgePartition) -> str:
-    lines = ["u,v,part"]
-    lines.extend(f"{u},{v},{pid}" for (u, v), pid in sorted(part.assignment.items()))
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([part.edges, part.parts]).tolist()
+    return "\n".join(["u,v,part", *(f"{u},{v},{pid}" for u, v, pid in rows)]) + "\n"

@@ -83,9 +83,7 @@ class SimilaritySource:
 
     def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:
         """Accumulate ``sign * S(x, v)`` into ``acc[v]`` for every v != x."""
-        for v in range(self.n):
-            if v != x:
-                acc[v] += sign * self.score(x, v)
+        raise NotImplementedError
 
     def scores_against(self, members: Sequence[int]) -> np.ndarray:
         """Vector of summed similarities of every vertex against a set."""
@@ -129,17 +127,17 @@ class MatrixSimilarity(SimilaritySource):
 
 
 class GraphSimilarity(SimilaritySource):
-    """On-demand similarity over a graph, with an optional memo table.
+    """On-demand similarity over a graph, with a memo table of scored pairs.
 
     Used when the graph is too large to materialize densely.  The memo is a
     plain dict keyed by the unordered pair; pre-populate it or guard it with
     a lock if several threads will write concurrently.
     """
 
-    def __init__(self, g: Graph, memo: bool = True):
+    def __init__(self, g: Graph):
         self.graph = g
         self.n = g.n
-        self._memo: dict[tuple[int, int], int] | None = {} if memo else None
+        self._memo: dict[tuple[int, int], int] = {}
         self._in_sets: dict[int, set[int]] = {}
 
     def _in_set(self, v: int) -> set[int]:
@@ -153,18 +151,16 @@ class GraphSimilarity(SimilaritySource):
         if u == v:
             raise ValueError("similarity is undefined for a vertex with itself")
         key = (u, v) if u < v else (v, u)
-        if self._memo is not None:
-            cached = self._memo.get(key)
-            if cached is not None:
-                return cached
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
         a, b = self._in_set(u), self._in_set(v)
         if len(b) < len(a):
             a, b = b, a
         value = sum(1 for z in a if z in b)
         g = self.graph
         value += int(g.has_arc(u, v)) + int(g.has_arc(v, u))
-        if self._memo is not None:
-            self._memo[key] = value
+        self._memo[key] = value
         return value
 
     def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:

@@ -10,13 +10,14 @@ the windowed locality score of each one-vertex extension.
 from __future__ import annotations
 
 import time
+import zipfile
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graph import Graph
-from .locality import SimilarityLike, as_similarity
+from .locality import SimilarityLike, as_similarity, window_set_score
 from .optim import AdamState
 
 __all__ = [
@@ -157,10 +158,7 @@ def soft_label(source: SimilarityLike, members: Sequence[int] | np.ndarray,
     src = as_similarity(source)
     n = src.n if n is None else n
     members = np.asarray(members, dtype=np.int64)
-    pair_base = 0
-    for i in range(members.size):
-        for j in range(i + 1, members.size):
-            pair_base += src.score(int(members[i]), int(members[j]))
+    pair_base = window_set_score(src, members)
     raw = src.scores_against(members).astype(np.float64)
     raw += pair_base
     raw[members] = 0.0
@@ -224,25 +222,18 @@ def cross_entropy(pred: np.ndarray, label: np.ndarray) -> float:
     return float(-(label * np.log(np.maximum(pred, LOG_FLOOR))).sum(axis=-1).mean())
 
 
-def train_step(model: SetScorer, batch: Sequence[TrainingExample],
-               opt: AdamState, lr: float) -> float:
-    """One full backprop + Adam update on a batch; returns the mean loss.
-
-    Gradients flow through rho, the sum pooling, and phi; they are averaged
-    over the batch.
-    """
-    sets, labels = stack_batch(batch)
+def _loss_and_grads(model: SetScorer, sets: np.ndarray,
+                    labels: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy loss of a (B, m) batch and its gradient for every
+    parameter.  Gradients flow through rho, the sum pooling, and phi; they
+    are averaged over the batch."""
     z1, h1, pooled, z2, h2, probs = _forward_cache(model, sets)
     loss = cross_entropy(probs, labels)
-    if not np.isfinite(loss):
-        raise TrainingDiverged(f"non-finite loss {loss!r}; check inputs and learning rate")
-
     bsz = sets.shape[0]
     d_logits = (probs - labels) / bsz        # softmax + cross entropy
     d_V2 = h2.T @ d_logits
     d_c2 = d_logits.sum(axis=0)
-    d_h2 = d_logits @ model.V2.T
-    d_z2 = d_h2 * (z2 > 0)
+    d_z2 = (d_logits @ model.V2.T) * (z2 > 0)
     d_V1 = pooled.T @ d_z2
     d_c1 = d_z2.sum(axis=0)
     d_pooled = d_z2 @ model.V1.T             # (B, repr_dim)
@@ -251,14 +242,21 @@ def train_step(model: SetScorer, batch: Sequence[TrainingExample],
     flat_dphi = d_phi.reshape(-1, d_phi.shape[2])
     d_W2 = flat_h1.T @ flat_dphi
     d_b2 = flat_dphi.sum(axis=0)
-    d_h1 = d_phi @ model.W2.T
-    d_z1 = d_h1 * (z1 > 0)
+    d_z1 = (d_phi @ model.W2.T) * (z1 > 0)
     d_b1 = d_z1.sum(axis=(0, 1))
     d_W1 = np.zeros_like(model.W1)
     np.add.at(d_W1, sets.ravel(), d_z1.reshape(-1, d_z1.shape[2]))
+    return loss, {"W1": d_W1, "b1": d_b1, "W2": d_W2, "b2": d_b2,
+                  "V1": d_V1, "c1": d_c1, "V2": d_V2, "c2": d_c2}
 
-    grads = {"W1": d_W1, "b1": d_b1, "W2": d_W2, "b2": d_b2,
-             "V1": d_V1, "c1": d_c1, "V2": d_V2, "c2": d_c2}
+
+def train_step(model: SetScorer, batch: Sequence[TrainingExample],
+               opt: AdamState, lr: float) -> float:
+    """One full backprop + Adam update on a batch; returns the mean loss."""
+    sets, labels = stack_batch(batch)
+    loss, grads = _loss_and_grads(model, sets, labels)
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"non-finite loss {loss!r}; check inputs and learning rate")
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in {name}")
@@ -315,14 +313,37 @@ def save_scorer(model: SetScorer, path: str) -> None:
              n=model.n, seed=model.seed, **model.params())
 
 
-def load_scorer(path: str) -> SetScorer:
-    with np.load(path) as data:
-        if str(data["kind"]) != "set_scorer":
-            raise ValueError(f"not a set-scorer checkpoint: {path}")
-        if int(data["format_version"]) != CHECKPOINT_VERSION:
+def _read_checkpoint(path: str, kind: str, version: int,
+                     names: Sequence[str]) -> tuple[int, int, list[np.ndarray]]:
+    """Vertex count, seed and parameter arrays of a checkpoint archive.
+    ``names`` are weight/bias pairs of dense layers that must chain from width
+    n back to width n; any other archive raises ValueError."""
+    try:
+        data = np.load(path)
+    except (EOFError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"not an npz archive: {path}")
+    with data:
+        if "kind" not in data.files or str(data["kind"]) != kind:
+            raise ValueError(f"not a {kind} checkpoint: {path}")
+        missing = [key for key in ("format_version", "n", "seed", *names)
+                   if key not in data.files]
+        if missing:
+            raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
+        if int(data["format_version"]) != version:
             raise ValueError("unsupported checkpoint version")
-        arrays = [data[name] for name in PARAM_NAMES]
-        return SetScorer(int(data["n"]), *arrays, seed=int(data["seed"]))
+        n, seed, arrays = int(data["n"]), int(data["seed"]), [data[k] for k in names]
+    weights, biases = arrays[::2], arrays[1::2]
+    if (any(w.ndim != 2 or b.shape != w.shape[1:] for w, b in zip(weights, biases))
+            or [n] + [w.shape[1] for w in weights] != [w.shape[0] for w in weights] + [n]):
+        raise ValueError(f"{path}: parameter shapes do not fit a model with n={n}")
+    return n, seed, arrays
+
+
+def load_scorer(path: str) -> SetScorer:
+    n, seed, arrays = _read_checkpoint(path, "set_scorer", CHECKPOINT_VERSION, PARAM_NAMES)
+    return SetScorer(n, *arrays, seed=seed)
 
 
 @dataclass

@@ -21,8 +21,9 @@ from scipy.special import expit
 from .graph import Graph
 from .locality import SimilarityLike, as_similarity
 from .optim import AdamState, RmspropState
-from .scorer import (ScorerConfig, SetScorer, TrainingExample, init_scorer,
-                     rmse, sample_training_batch, soft_label, train_step)
+from .scorer import (ScorerConfig, SetScorer, TrainingExample, _glorot,
+                     _read_checkpoint, init_scorer, rmse, sample_training_batch,
+                     soft_label, train_step)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -114,21 +115,20 @@ def init_policy(n: int, hidden: int = 64, seed: int = 0) -> TuningPolicy:
     if n < 1 or hidden < 1:
         raise ValueError("sizes must be positive")
     rng = np.random.default_rng(seed)
-    scale1 = np.sqrt(6.0 / (n + hidden))
-    scale2 = np.sqrt(6.0 / (hidden + n))
-    return TuningPolicy(
-        n,
-        rng.uniform(-scale1, scale1, size=(n, hidden)), np.zeros(hidden),
-        rng.uniform(-scale2, scale2, size=(hidden, n)), np.zeros(n),
-        seed=seed,
-    )
+    return TuningPolicy(n, _glorot(rng, n, hidden), np.zeros(hidden),
+                        _glorot(rng, hidden, n), np.zeros(n), seed=seed)
+
+
+def _policy_cache(policy: TuningPolicy, state: np.ndarray):
+    z1 = state @ policy.W1 + policy.b1
+    h = np.maximum(z1, 0.0)
+    q = expit(h @ policy.W2 + policy.b2)
+    return z1, h, q
 
 
 def policy_forward(policy: TuningPolicy, state: np.ndarray) -> np.ndarray:
     """Per-vertex probability of the decrease action, strictly inside (0, 1)."""
-    z1 = state @ policy.W1 + policy.b1
-    h = np.maximum(z1, 0.0)
-    return expit(h @ policy.W2 + policy.b2)
+    return _policy_cache(policy, state)[2]
 
 
 def sample_action(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -147,33 +147,25 @@ def apply_action(state: np.ndarray, action: np.ndarray, rate: float,
     return _project_to_floor(raw, floor)
 
 
-def _policy_cache(policy: TuningPolicy, state: np.ndarray):
-    z1 = state @ policy.W1 + policy.b1
-    h = np.maximum(z1, 0.0)
-    q = expit(h @ policy.W2 + policy.b2)
-    return z1, h, q
+def _bernoulli_log_likelihood(q: np.ndarray, action: np.ndarray) -> float:
+    qc = np.clip(q, 1e-12, 1.0 - 1e-12)
+    return float((action * np.log(qc) + (1 - action) * np.log(1.0 - qc)).sum())
 
 
 def log_prob(policy: TuningPolicy, state: np.ndarray, action: np.ndarray) -> float:
     """Log-likelihood of an action vector under independent Bernoulli outputs."""
-    q = np.clip(policy_forward(policy, state), 1e-12, 1.0 - 1e-12)
-    return float((action * np.log(q) + (1 - action) * np.log(1.0 - q)).sum())
+    return _bernoulli_log_likelihood(policy_forward(policy, state), action)
 
 
 def log_prob_grad(policy: TuningPolicy, state: np.ndarray,
                   action: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """Log-likelihood and its gradient with respect to the policy parameters."""
     z1, h, q = _policy_cache(policy, state)
-    qc = np.clip(q, 1e-12, 1.0 - 1e-12)
-    logp = float((action * np.log(qc) + (1 - action) * np.log(1.0 - qc)).sum())
+    logp = _bernoulli_log_likelihood(q, action)
     d_z2 = action - q                 # d logp / d pre-sigmoid
-    d_W2 = np.outer(h, d_z2)
-    d_b2 = d_z2
-    d_h = policy.W2 @ d_z2
-    d_z1 = d_h * (z1 > 0)
-    d_W1 = np.outer(state, d_z1)
-    d_b1 = d_z1
-    return logp, {"W1": d_W1, "b1": d_b1, "W2": d_W2, "b2": d_b2}
+    d_z1 = (policy.W2 @ d_z2) * (z1 > 0)
+    return logp, {"W1": np.outer(state, d_z1), "b1": d_z1,
+                  "W2": np.outer(h, d_z2), "b2": d_z2}
 
 
 @dataclass
@@ -422,10 +414,6 @@ def save_policy(policy: TuningPolicy, path: str) -> None:
 
 
 def load_policy(path: str) -> TuningPolicy:
-    with np.load(path) as data:
-        if str(data["kind"]) != "tuning_policy":
-            raise ValueError(f"not a tuning-policy checkpoint: {path}")
-        if int(data["format_version"]) != POLICY_CHECKPOINT_VERSION:
-            raise ValueError("unsupported checkpoint version")
-        arrays = [data[name] for name in POLICY_PARAMS]
-        return TuningPolicy(int(data["n"]), *arrays, seed=int(data["seed"]))
+    n, seed, arrays = _read_checkpoint(path, "tuning_policy",
+                                       POLICY_CHECKPOINT_VERSION, POLICY_PARAMS)
+    return TuningPolicy(n, *arrays, seed=seed)

@@ -36,13 +36,6 @@ def naive_locality_score(source, order, w: int) -> int:
     return total
 
 
-def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
-    """Direct O(n^2) Bernoulli sampling over unordered pairs, bidirected."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph.from_undirected(n, pairs)
-
-
 def random_digraph(rng: np.random.Generator, n: int, p: float) -> Graph:
     """Directed variant: each ordered pair independently."""
     arcs = [(u, v) for u in range(n) for v in range(n)
@@ -58,53 +51,19 @@ def two_cliques_graph(size: int = 6) -> Graph:
     return Graph.from_undirected(2 * size, pairs)
 
 
-SCORER_PARAM_NAMES = ("W1", "b1", "W2", "b2", "V1", "c1", "V2", "c2")
-
-
-def scorer_batch_loss(model, batch):
-    from graphorder.scorer import cross_entropy, forward_batch, stack_batch
-    sets, labels = stack_batch(batch)
-    return cross_entropy(forward_batch(model, sets), labels)
-
-
-def scorer_numeric_gradient(model, batch, step=1e-4):
-    """Central finite differences of the mean batch loss, all parameters."""
-    grads = []
-    for name in SCORER_PARAM_NAMES:
-        arr = getattr(model, name)
-        g = np.zeros_like(arr)
-        flat, gf = arr.ravel(), g.ravel()
+def numeric_gradient(loss, params: dict[str, np.ndarray], step: float = 1e-4):
+    """Central finite differences of ``loss()`` for every entry of every
+    parameter array, each perturbed in place and restored."""
+    grads = {}
+    for name, arr in params.items():
+        flat, g = arr.ravel(), np.zeros(arr.size)
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            up = scorer_batch_loss(model, batch)
+            up = loss()
             flat[i] = keep - step
-            down = scorer_batch_loss(model, batch)
+            down = loss()
             flat[i] = keep
-            gf[i] = (up - down) / (2 * step)
-        grads.append(g.ravel())
-    return np.concatenate(grads)
-
-
-def scorer_analytic_gradient(model, batch):
-    """The same gradients train_step applies, without the optimizer update."""
-    from graphorder.scorer import _forward_cache, stack_batch
-    sets, labels = stack_batch(batch)
-    z1, h1, pooled, z2, h2, probs = _forward_cache(model, sets)
-    bsz = sets.shape[0]
-    d_logits = (probs - labels) / bsz
-    d_V2 = h2.T @ d_logits
-    d_c2 = d_logits.sum(axis=0)
-    d_z2 = (d_logits @ model.V2.T) * (z2 > 0)
-    d_V1 = pooled.T @ d_z2
-    d_c1 = d_z2.sum(axis=0)
-    d_pooled = d_z2 @ model.V1.T
-    d_phi = np.broadcast_to(d_pooled[:, None, :], h1.shape[:2] + (d_pooled.shape[1],))
-    d_W2 = h1.reshape(-1, h1.shape[2]).T @ d_phi.reshape(-1, d_phi.shape[2])
-    d_b2 = d_phi.reshape(-1, d_phi.shape[2]).sum(axis=0)
-    d_z1 = (d_phi @ model.W2.T) * (z1 > 0)
-    d_b1 = d_z1.sum(axis=(0, 1))
-    d_W1 = np.zeros_like(model.W1)
-    np.add.at(d_W1, sets.ravel(), d_z1.reshape(-1, d_z1.shape[2]))
-    return np.concatenate([g.ravel() for g in
-                           (d_W1, d_b1, d_W2, d_b2, d_V1, d_c1, d_V2, d_c2)])
+            g[i] = (up - down) / (2 * step)
+        grads[name] = g.reshape(arr.shape)
+    return grads

@@ -10,7 +10,7 @@ from graphorder.baselines import (brute_force_order, degree_order, greedy_order)
 from graphorder.graph import Graph, gen_erdos_renyi
 from graphorder.locality import (as_similarity, candidate_gain, locality_score)
 
-from conftest import FIVE_VERTEX_SIM, random_digraph
+from conftest import random_digraph
 
 
 def naive_best_order(source, w):

@@ -6,6 +6,7 @@ import pytest
 from graphorder.cli import main, read_config, render_pgm
 from graphorder.graph import Graph, format_edge_list, load_edge_list
 from graphorder.locality import format_similarity_matrix, load_permutation
+from graphorder.scorer import init_scorer
 
 from conftest import FIVE_VERTEX_SIM
 
@@ -209,6 +210,25 @@ class TestRenderMatrix:
         img = np.frombuffer(data[len(b"P5\n3 3\n255\n"):], dtype=np.uint8)
         assert img.reshape(3, 3)[0, 2] == 0
         assert img.sum() == 255 * 8
+
+
+@pytest.mark.parametrize("argv", [
+    "eval {graph} --perm {dir}/p.txt --config {dir}/bad.cfg",
+    "eval {graph} --perm {dir}/p.txt --config {dir}/missing.cfg",
+    "order {graph} --algo don --model {dir}/nokind.npz",
+    "order {graph} --algo don --model {dir}/short.npz",
+    "render-matrix {graph} --block 0 --out {dir}/m.pgm",
+    "render-matrix {graph} --block -2 --out {dir}/m.pgm",
+], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg"])
+def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text("w = five\n")
+    params = init_scorer(6, 4, 4, 4, seed=0).params()
+    np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=0, **params)
+    np.savez(tmp_path / "short.npz", kind="set_scorer", format_version=1, n=6, seed=0,
+             **{**params, "W1": params["W1"][:4]})
+    assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestUsageErrors:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from graphorder.graph import Graph, gen_power_law
 from graphorder.locality import as_similarity
 from graphorder.optim import RmspropState
-from graphorder.scorer import ScorerConfig, forward_batch, init_scorer, stack_batch
+from graphorder.scorer import ScorerConfig, forward_batch, init_scorer
 from graphorder.tuner import (RewardBaseline, RlConfig, TrajectoryStep,
                               apply_action, build_eval_set, check_prob,
                               default_floor, discounted_returns,
@@ -18,7 +18,7 @@ from graphorder.tuner import (RewardBaseline, RlConfig, TrajectoryStep,
                               reward_from_eval, sample_action, save_policy,
                               train_scorer_rl)
 
-from conftest import FIVE_VERTEX_SIM, random_digraph
+from conftest import numeric_gradient, random_digraph
 
 
 class TestInitialProb:
@@ -114,19 +114,10 @@ class TestLogProbGradient:
         state = np.array([0.2, 0.3, 0.5])
         action = np.array([1, 0, 1])
         _, grads = log_prob_grad(policy, state, action)
-        step = 1e-4
+        numeric = numeric_gradient(lambda: log_prob(policy, state, action), policy.params())
         for name, g in grads.items():
-            arr = getattr(policy, name)
-            flat, gf = arr.ravel(), g.ravel()
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + step
-                up = log_prob(policy, state, action)
-                flat[i] = keep - step
-                down = log_prob(policy, state, action)
-                flat[i] = keep
-                numeric = (up - down) / (2 * step)
-                assert abs(gf[i] - numeric) / max(abs(numeric), 1e-6) < 1e-4
+            err = np.abs(g - numeric[name]) / np.maximum(np.abs(numeric[name]), 1e-6)
+            assert err.max() < 1e-4, name
 
 
 class TestReturnsAndBaseline:
@@ -281,3 +272,13 @@ def test_policy_checkpoint_round_trip(tmp_path):
     again = load_policy(path)
     for name, arr in policy.params().items():
         assert np.array_equal(arr, again.params()[name])
+
+
+def test_policy_checkpoint_rejects_missing_key_and_bad_shape(tmp_path):
+    params = init_policy(6, hidden=8, seed=3).params()
+    np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=3, **params)
+    np.savez(tmp_path / "narrow.npz", kind="tuning_policy", format_version=1, n=6,
+             seed=3, **{**params, "W2": params["W2"][:, :5]})
+    for name in ("nokind.npz", "narrow.npz"):
+        with pytest.raises(ValueError):
+            load_policy(str(tmp_path / name))
