@@ -8,7 +8,7 @@ from itertools import permutations
 import numpy as np
 
 from .graph import Graph
-from .locality import SimilarityLike, MatrixSimilarity, as_similarity
+from .locality import SimilarityLike, as_similarity
 
 __all__ = ["greedy_order", "degree_order", "brute_force_order", "BRUTE_FORCE_CAP"]
 
@@ -71,13 +71,7 @@ def brute_force_order(source: SimilarityLike, w: int,
         return np.empty(0, dtype=np.int64), 0
     if n == 1:
         return np.zeros(1, dtype=np.int64), 0
-    if isinstance(src, MatrixSimilarity):
-        mat = src.matrix.astype(np.int64)
-    else:
-        mat = np.zeros((n, n), dtype=np.int64)
-        for u in range(n):
-            for v in range(u + 1, n):
-                mat[u, v] = mat[v, u] = src.score(u, v)
+    mat = np.stack([src.scores_against([u]) for u in range(n)])
 
     perms = _all_permutations(n)
     best_score = -1

@@ -42,8 +42,7 @@ def sibling_count(g: Graph, u: int, v: int) -> int:
     """Number of common in-neighbors of two distinct vertices."""
     if u == v:
         raise ValueError("sibling count is undefined for a vertex with itself")
-    return int(np.intersect1d(g.in_neighbors(u), g.in_neighbors(v),
-                              assume_unique=True).size)
+    return len(set(g.in_neighbors(u).tolist()).intersection(g.in_neighbors(v).tolist()))
 
 
 def neighbor_count(g: Graph, u: int, v: int) -> int:
@@ -121,59 +120,37 @@ class MatrixSimilarity(SimilaritySource):
         else:
             acc -= self.matrix[x]
 
-    def scores_against(self, members: Sequence[int]) -> np.ndarray:
-        members = np.asarray(members, dtype=np.int64)
-        return self.matrix[members].sum(axis=0)
-
 
 class GraphSimilarity(SimilaritySource):
-    """On-demand similarity over a graph, with a memo table of scored pairs.
+    """On-demand similarity over a graph, for graphs too large to materialize
+    densely.
 
-    Used when the graph is too large to materialize densely.  The memo is a
-    plain dict keyed by the unordered pair; pre-populate it or guard it with
-    a lock if several threads will write concurrently.
+    A row S(x, .) is one bincount over the out-list of x, the in-list of x
+    and the out-lists of x's in-neighbors: each in-neighbor z of x adds one
+    common in-neighbor to every v it points at.  Pair scores come from
+    ``similarity`` and are kept in a memo table keyed by the unordered pair.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self.n = g.n
         self._memo: dict[tuple[int, int], int] = {}
-        self._in_sets: dict[int, set[int]] = {}
-
-    def _in_set(self, v: int) -> set[int]:
-        s = self._in_sets.get(v)
-        if s is None:
-            s = set(self.graph.in_neighbors(v).tolist())
-            self._in_sets[v] = s
-        return s
 
     def score(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("similarity is undefined for a vertex with itself")
         key = (u, v) if u < v else (v, u)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        a, b = self._in_set(u), self._in_set(v)
-        if len(b) < len(a):
-            a, b = b, a
-        value = sum(1 for z in a if z in b)
-        g = self.graph
-        value += int(g.has_arc(u, v)) + int(g.has_arc(v, u))
-        self._memo[key] = value
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = similarity(self.graph, u, v)
         return value
 
     def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:
-        # Nonzero S(x, v) needs v adjacent to x or sharing an in-neighbor.
         g = self.graph
-        for u in g.out_neighbors(x):
-            acc[u] += sign
-        for u in g.in_neighbors(x):
-            acc[u] += sign
-        for z in g.in_neighbors(x):
-            for v in g.out_neighbors(z):
-                if v != x:
-                    acc[v] += sign
+        preds = g.in_neighbors(x)
+        row = np.bincount(np.concatenate([g.out_neighbors(x), preds,
+                                          *map(g.out_neighbors, preds)]),
+                          minlength=self.n)
+        row[x] = 0
+        acc += sign * row
 
 
 SimilarityLike = Union[Graph, SimilaritySource, np.ndarray, Sequence[Sequence[int]]]
@@ -184,7 +161,7 @@ def as_similarity(source: SimilarityLike,
     """Coerce a Graph, matrix, or existing source into a SimilaritySource.
 
     Graphs at or below ``dense_cap`` vertices are materialized densely; larger
-    ones are evaluated on demand with a memo table.
+    ones are evaluated on demand, one gathered row at a time.
     """
     if isinstance(source, SimilaritySource):
         return source

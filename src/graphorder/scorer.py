@@ -147,8 +147,7 @@ class TrainingExample:
     soft_label: np.ndarray
 
 
-def soft_label(source: SimilarityLike, members: Sequence[int] | np.ndarray,
-               n: int | None = None) -> np.ndarray:
+def soft_label(source: SimilarityLike, members: Sequence[int] | np.ndarray) -> np.ndarray:
     """Target distribution over next vertices for a window set.
 
     Each candidate's raw weight is the full pair-sum locality of the set plus
@@ -156,16 +155,17 @@ def soft_label(source: SimilarityLike, members: Sequence[int] | np.ndarray,
     falling back to uniform over non-members when every weight is zero.
     """
     src = as_similarity(source)
-    n = src.n if n is None else n
     members = np.asarray(members, dtype=np.int64)
+    if members.size >= src.n:
+        raise ValueError(f"a window set of {members.size} vertices leaves no "
+                         f"candidate among {src.n}")
     pair_base = window_set_score(src, members)
     raw = src.scores_against(members).astype(np.float64)
     raw += pair_base
     raw[members] = 0.0
     total = raw.sum()
     if total <= 0.0:
-        label = np.zeros(n)
-        label[:] = 1.0 / (n - members.size)
+        label = np.full(src.n, 1.0 / (src.n - members.size))
         label[members] = 0.0
         return label
     return raw / total
@@ -204,7 +204,7 @@ def sample_training_batch(g: Graph, prob: np.ndarray, w: int, batch: int,
     examples = []
     for _ in range(batch):
         members = _weighted_draw_without_replacement(rng, prob, w - 1)
-        examples.append(TrainingExample(members, soft_label(src, members, g.n)))
+        examples.append(TrainingExample(members, soft_label(src, members)))
     return examples
 
 

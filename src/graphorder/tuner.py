@@ -263,7 +263,7 @@ def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
         start = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
         start = min(start, g.n - 1)
         members = grow_best_neighbor(src, start, w - 1)
-        examples.append(TrainingExample(members, soft_label(src, members, g.n)))
+        examples.append(TrainingExample(members, soft_label(src, members)))
     return examples
 
 

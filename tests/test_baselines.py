@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import time
 from itertools import permutations
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from graphorder.baselines import (brute_force_order, degree_order, greedy_order)
-from graphorder.graph import Graph, gen_erdos_renyi
-from graphorder.locality import (as_similarity, candidate_gain, locality_score)
+from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
+from graphorder.locality import (DENSE_SIMILARITY_CAP, as_similarity, candidate_gain,
+                                 locality_score)
 
 from conftest import random_digraph
 
@@ -67,15 +69,26 @@ class TestGreedyOrder:
                 assert got * 2 * w >= best
 
     def test_runtime_scales_quadratically(self):
-        # doubling n should cost no more than ~4x plus generous slack
-        times = {}
-        for n in (500, 1000, 2000):
-            g = gen_erdos_renyi(n, 8.0 / n, seed=1)
-            t0 = time.perf_counter()
-            greedy_order(g, 5)
-            times[n] = time.perf_counter() - t0
-        print(f"greedy runtimes: {times}")
-        assert times[2000] / max(times[500], 1e-3) < 40
+        # doubling n should cost no more than ~4x plus generous slack, with
+        # the dense matrix and with the on-demand row gather alike
+        for dense_cap in (DENSE_SIMILARITY_CAP, 0):
+            times = {}
+            for n in (500, 1000, 2000):
+                g = gen_erdos_renyi(n, 8.0 / n, seed=1)
+                t0 = time.perf_counter()
+                greedy_order(as_similarity(g, dense_cap=dense_cap), 5)
+                times[n] = time.perf_counter() - t0
+            print(f"greedy runtimes (dense_cap={dense_cap}): {times}")
+            assert times[2000] / max(times[500], 1e-3) < 40
+
+    def test_pinned_above_dense_cap(self):
+        # n > DENSE_SIMILARITY_CAP, so the default source is the on-demand one.
+        g = gen_power_law(2500, 1.6, seed=7)
+        assert g.n > DENSE_SIMILARITY_CAP
+        order = greedy_order(g, 5)
+        assert hashlib.sha256(order.tobytes()).hexdigest() == (
+            "4f30dd87b1c7540e1d33f26359b2cf0468fd4627e10a0ea1439f935db278c96c")
+        assert locality_score(g, order, 5) == 57662
 
 
 class TestBruteForce:

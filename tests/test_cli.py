@@ -219,7 +219,9 @@ class TestRenderMatrix:
     "order {graph} --algo don --model {dir}/short.npz",
     "render-matrix {graph} --block 0 --out {dir}/m.pgm",
     "render-matrix {graph} --block -2 --out {dir}/m.pgm",
-], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg"])
+    "train {graph} --w 7 --out {dir}/m.npz",
+], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg",
+        "w-covers-graph"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     params = init_scorer(6, 4, 4, 4, seed=0).params()

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphorder.baselines import brute_force_order, greedy_order
 from graphorder.graph import Graph
 from graphorder.locality import (GraphSimilarity, MatrixSimilarity,
                                  as_similarity, candidate_gain,
@@ -11,6 +14,7 @@ from graphorder.locality import (GraphSimilarity, MatrixSimilarity,
                                  load_similarity_matrix, locality_score,
                                  neighbor_count, sibling_count, similarity,
                                  window_set_score)
+from graphorder.scorer import soft_label
 
 from conftest import FIVE_VERTEX_SIM, naive_locality_score, random_digraph
 
@@ -86,6 +90,15 @@ class TestMatrixSource:
         assert np.array_equal(again.matrix, five_sim)
 
 
+@st.composite
+def digraphs(draw, max_n: int = 30) -> Graph:
+    """Digraphs on 1..max_n vertices with at most 2n distinct arcs."""
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda uv: uv[0] != uv[1])
+    return Graph(n, draw(st.lists(pairs, max_size=2 * n, unique=True)) if n > 1 else [])
+
+
 class TestGraphSource:
     def test_memo_agrees_with_direct(self):
         rng = np.random.default_rng(8)
@@ -97,16 +110,34 @@ class TestGraphSource:
                     assert src.score(u, v) == similarity(g, u, v)
                     assert src.score(u, v) == src.score(u, v)  # memo hit
 
-    def test_add_scores_matches_row(self):
-        rng = np.random.default_rng(9)
-        g = random_digraph(rng, 12, 0.3)
-        src = GraphSimilarity(g)
-        mat = dense_similarity(g)
-        for x in range(g.n):
-            acc = np.zeros(g.n, dtype=np.int64)
-            src.add_scores_of(acc, x, 1)
-            acc[x] = 0
-            assert np.array_equal(acc, mat[x])
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(), st.data())
+    def test_backends_agree(self, g, data):
+        # Sparse random arcs leave isolated vertices, sources and sinks.
+        lazy, dense = GraphSimilarity(g), MatrixSimilarity(dense_similarity(g))
+        n = g.n
+        start = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        for x in range(n):
+            for sign in (1, -1):
+                acc_lazy = np.array(start, dtype=np.int64)
+                acc_dense = acc_lazy.copy()
+                lazy.add_scores_of(acc_lazy, x, sign)
+                dense.add_scores_of(acc_dense, x, sign)
+                assert np.array_equal(acc_lazy, acc_dense)
+            for v in range(n):
+                if v != x:
+                    assert lazy.score(x, v) == dense.score(x, v)
+        members = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n - 1,
+                                              unique=True)), dtype=np.int64)
+        assert np.array_equal(lazy.scores_against(members), dense.scores_against(members))
+        assert np.array_equal(soft_label(lazy, members), soft_label(dense, members))
+        w = data.draw(st.integers(1, n + 1))
+        assert np.array_equal(greedy_order(lazy, w), greedy_order(dense, w))
+        if n <= 7:
+            lazy_perm, lazy_best = brute_force_order(lazy, w)
+            dense_perm, dense_best = brute_force_order(dense, w)
+            assert lazy_best == dense_best
+            assert np.array_equal(lazy_perm, dense_perm)
 
     def test_as_similarity_densifies_small_graphs(self):
         g = Graph(3, [(0, 1)])
