@@ -63,7 +63,7 @@ def _setting(args, config: dict, name: str, fallback):
 
 
 def _load_graph(path: str) -> graph.Graph:
-    result = graph.load_edge_list(Path(path).read_text().splitlines())
+    result = graph.load_edge_list(Path(path).read_text())
     if result.self_loops_dropped or result.duplicates_dropped:
         print(f"dropped {result.self_loops_dropped} self-loops, "
               f"{result.duplicates_dropped} duplicate arcs", file=sys.stderr)
@@ -136,7 +136,8 @@ def cmd_order(args, config) -> int:
 def cmd_eval(args, config) -> int:
     w = _setting(args, config, "w", 5)
     source = _load_source(args.input, args.matrix)
-    perm = locality.load_permutation(Path(args.perm).read_text())
+    perm = locality.check_permutation(
+        locality.load_permutation(Path(args.perm).read_text()), source.n)
     print(f"F={locality.locality_score(source, perm, w)}")
     return 0
 

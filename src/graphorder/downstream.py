@@ -150,5 +150,5 @@ def greedy_partition(g: Graph, k: int, slack: float = 0.1) -> EdgePartition:
 
 
 def format_partition_csv(part: EdgePartition) -> str:
-    rows = np.column_stack([part.edges, part.parts]).tolist()
-    return "\n".join(["u,v,part", *(f"{u},{v},{pid}" for u, v, pid in rows)]) + "\n"
+    rows = np.column_stack([part.edges, part.parts])
+    return "u,v,part\n" + ("%d,%d,%d\n" * rows.shape[0]) % tuple(rows.ravel().tolist())

@@ -239,12 +239,16 @@ def window_set_score(source: SimilarityLike, members: Sequence[int] | np.ndarray
 def load_permutation(source: str | Iterable[str]) -> np.ndarray:
     """Read a permutation file: one vertex id per line, position order."""
     lines = source.splitlines() if isinstance(source, str) else source
-    ids = [int(line.strip()) for line in lines if line.strip()]
-    return check_permutation(ids, len(ids))
+    tokens = [line for line in map(str.strip, lines) if line]
+    try:
+        ids = np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"not a permutation of [0, {len(tokens)})") from None
+    return check_permutation(ids, len(tokens))
 
 
 def format_permutation(order: Sequence[int] | np.ndarray) -> str:
-    return "\n".join(str(int(v)) for v in order) + "\n"
+    return "\n".join(map(str, np.asarray(order, dtype=np.int64).tolist())) + "\n"
 
 
 def load_similarity_matrix(source: str | Iterable[str]) -> MatrixSimilarity:

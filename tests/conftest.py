@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from graphorder.graph import Graph
 from graphorder.locality import as_similarity
@@ -41,6 +42,15 @@ def random_digraph(rng: np.random.Generator, n: int, p: float) -> Graph:
     arcs = [(u, v) for u in range(n) for v in range(n)
             if u != v and rng.random() < p]
     return Graph(n, arcs)
+
+
+@st.composite
+def digraphs(draw, max_n: int = 30) -> Graph:
+    """Digraphs on 1..max_n vertices with at most 2n distinct arcs."""
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda uv: uv[0] != uv[1])
+    return Graph(n, draw(st.lists(pairs, max_size=2 * n, unique=True)) if n > 1 else [])
 
 
 def two_cliques_graph(size: int = 6) -> Graph:

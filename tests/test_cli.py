@@ -220,10 +220,19 @@ class TestRenderMatrix:
     "render-matrix {graph} --block 0 --out {dir}/m.pgm",
     "render-matrix {graph} --block -2 --out {dir}/m.pgm",
     "train {graph} --w 7 --out {dir}/m.npz",
+    "compress-cost {dir}/huge-id.txt",
+    "eval {graph} --perm {dir}/short.txt",
+    "eval {dir}/sim.txt --matrix --perm {dir}/short.txt",
+    "eval {graph} --perm {dir}/huge-perm.txt",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg",
-        "w-covers-graph"])
+        "w-covers-graph", "int64-overflow", "short-perm", "short-perm-matrix",
+        "perm-overflow"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
+    (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
+    (tmp_path / "short.txt").write_text("0\n")
+    (tmp_path / "huge-perm.txt").write_text("99999999999999999999\n")
+    (tmp_path / "sim.txt").write_text(format_similarity_matrix(FIVE_VERTEX_SIM))
     params = init_scorer(6, 4, 4, 4, seed=0).params()
     np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=0, **params)
     np.savez(tmp_path / "short.npz", kind="set_scorer", format_version=1, n=6, seed=0,

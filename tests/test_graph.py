@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphorder.graph import (EdgeListError, Graph, VertexGroups,
@@ -11,7 +13,7 @@ from graphorder.graph import (EdgeListError, Graph, VertexGroups,
                               merge_degree_one)
 from graphorder.locality import locality_score
 
-from conftest import random_digraph
+from conftest import digraphs, random_digraph
 
 
 class TestGraph:
@@ -61,6 +63,9 @@ class TestLoadEdgeList:
         assert res.graph.n == 2
         assert [tuple(a) for a in res.graph.arcs] == [(0, 1)]
         assert res.self_loops_dropped == 1
+        # A self-loop's ids do not count toward the inferred vertex count.
+        res = load_edge_list("7 7\n0 1")
+        assert res.graph.n == 2 and res.self_loops_dropped == 1
 
     def test_comment_skipped(self):
         res = load_edge_list("# c\n2 0")
@@ -95,6 +100,70 @@ class TestLoadEdgeList:
         again = load_edge_list(format_edge_list(g)).graph
         assert again.n == g.n
         assert np.array_equal(again.arcs, g.arcs)
+
+    # Messages recorded from the per-line parser the array parse replaced,
+    # except int64-overflow, which raised OverflowError there.
+    @pytest.mark.parametrize("text, message", [
+        ("n x\n0 1\n", "line 1: bad vertex count 'x'"),
+        ("# c\n\nn -3\n0 1\n", "line 3: negative vertex count"),
+        ("0 1\n1 2 3\n", "line 2: expected two ids, got '1 2 3'"),
+        ("0 1 2\n3\n", "line 1: expected two ids, got '0 1 2'"),
+        ("0 1\n\n1 0x2\n", "line 3: non-integer id in '1 0x2'"),
+        ("0 1\n 2\t-1 \n", "line 2: negative id in '2\\t-1'"),
+        ("0 1\n-1 -1\n", "line 2: negative id in '-1 -1'"),
+        ("n 3\n0 1\n# x\n2 3\n", "line 4: id out of declared range [0, 3)"),
+        ("n 2\n1 1\n5 5\n", "line 3: id out of declared range [0, 2)"),
+        ("0 1\nn 5\n", "line 2: non-integer id in 'n 5'"),
+        ("0 1\n1 x\n1 2 3\n", "line 2: non-integer id in '1 x'"),
+        ("0 1\n1 2 3\n1 x\n", "line 2: expected two ids, got '1 2 3'"),
+        ("n 4\n0 1\n0 9\n0 x\n", "line 3: id out of declared range [0, 4)"),
+        ("0 1\n0 99999999999999999999\n",
+         "line 2: id too large for int64 in '0 99999999999999999999'"),
+    ], ids=["bad-header", "negative-header", "three-tokens", "three-then-one",
+            "non-integer", "negative-id", "negative-self-loop", "out-of-range",
+            "self-loop-out-of-range", "header-not-first", "earlier-of-two",
+            "earlier-of-two-reversed", "range-before-non-integer", "int64-overflow"])
+    def test_error_names_first_bad_line(self, text, message):
+        with pytest.raises(EdgeListError) as excinfo:
+            load_edge_list(text)
+        assert str(excinfo.value) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs())
+    @example(Graph(6, [(0, 1), (2, 0)]))
+    def test_round_trip_random(self, g):
+        res = load_edge_list(format_edge_list(g))
+        assert res.graph.n == g.n and np.array_equal(res.graph.arcs, g.arcs)
+        assert res.self_loops_dropped == res.duplicates_dropped == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(), st.data())
+    def test_noisy_file_counts_dropped_lines(self, g, data):
+        rows = [f"{u} {v}" for u, v in g.arcs.tolist()]
+        dups = data.draw(st.lists(st.sampled_from(rows), max_size=8)) if rows else []
+        loops = (data.draw(st.lists(st.integers(0, g.n - 1), max_size=5))
+                 if g.n else [])
+        noise = data.draw(st.lists(st.sampled_from(
+            ["", "   ", "# 1 2 3", "  #x", "\t"]), max_size=8))
+        body = data.draw(st.permutations(
+            rows + dups + [f" {v}\t{v} " for v in loops] + noise))
+        header = data.draw(st.booleans())
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = eol.join(["# made by a test", *([f"n {g.n}"] if header else []),
+                         *body]) + eol
+        res = load_edge_list(text)
+        # Without a header, n is one past the largest id of a kept arc.
+        n = g.n if header else int(g.arcs.max()) + 1 if rows else 0
+        assert res.graph.n == n
+        assert np.array_equal(res.graph.arcs, g.arcs)
+        assert res.self_loops_dropped == len(loops)
+        assert res.duplicates_dropped == len(dups)
+
+    def test_format_pinned(self):
+        # sha256 recorded from the per-arc formatter this one replaced.
+        text = format_edge_list(gen_power_law(5000, 1.6, seed=7))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "689750e967db91e45bc2e16e6660fc676b186df2b6c2cd291b084e7da070e89e")
 
 
 class TestErdosRenyi:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from graphorder.locality import (GraphSimilarity, MatrixSimilarity,
                                  window_set_score)
 from graphorder.scorer import soft_label
 
-from conftest import FIVE_VERTEX_SIM, naive_locality_score, random_digraph
+from conftest import FIVE_VERTEX_SIM, digraphs, naive_locality_score, random_digraph
 
 
 class TestPairCounts:
@@ -88,15 +90,6 @@ class TestMatrixSource:
         text = format_similarity_matrix(five_sim)
         again = load_similarity_matrix(text)
         assert np.array_equal(again.matrix, five_sim)
-
-
-@st.composite
-def digraphs(draw, max_n: int = 30) -> Graph:
-    """Digraphs on 1..max_n vertices with at most 2n distinct arcs."""
-    n = draw(st.integers(1, max_n))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda uv: uv[0] != uv[1])
-    return Graph(n, draw(st.lists(pairs, max_size=2 * n, unique=True)) if n > 1 else [])
 
 
 class TestGraphSource:
@@ -220,3 +213,11 @@ def test_permutation_file_round_trip():
     assert np.array_equal(load_permutation(text), perm)
     with pytest.raises(ValueError):
         load_permutation("0\n0\n1\n")
+    assert format_permutation([]) == "\n"
+
+
+def test_format_permutation_pinned():
+    # sha256 recorded from the per-element formatter this one replaced.
+    text = format_permutation(np.random.default_rng(11).permutation(1000))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "298fe688d2fb297b24ae17a513c78e43a070ae2492d367774a3b03ea561f704d")
