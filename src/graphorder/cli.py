@@ -77,6 +77,9 @@ def _load_source(path: str, use_matrix: bool):
 
 
 def _fmt(x) -> str:
+    """A CSV field: floats by repr, None as an empty field."""
+    if x is None:
+        return ""
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
@@ -168,16 +171,16 @@ def _rl_config(args, config) -> tuner.RlConfig:
     )
 
 
-def _write_loss_csv(path: str, losses, rmse_points, wall_times, with_wall: bool):
-    rmse_at = dict(rmse_points)
-    lines = ["step,loss,rmse" + (",wall_time" if with_wall else "")]
-    for i, (step, loss) in enumerate(losses):
-        rm = _fmt(rmse_at[step]) if step in rmse_at else ""
-        row = f"{step},{_fmt(loss)},{rm}"
-        if with_wall:
-            row += f",{_fmt(wall_times[i]) if i < len(wall_times) else ''}"
-        lines.append(row)
+def _write_csv(path: str, header: str, rows) -> None:
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _write_loss_csv(path: str, log: scorer.TrainLog, with_wall: bool) -> None:
+    rmse_at = dict(log.rmse_points)
+    rows = [(step, loss, rmse_at.get(step)) + ((wall,) if with_wall else ())
+            for step, (loss, wall) in enumerate(zip(log.losses, log.wall_times), start=1)]
+    _write_csv(path, "step,loss,rmse" + (",wall_time" if with_wall else ""), rows)
 
 
 def cmd_train(args, config) -> int:
@@ -198,21 +201,14 @@ def cmd_train(args, config) -> int:
         model, log = scorer.train_scorer(g, w, steps, scfg, seed,
                                          eval_set=eval_set, eval_every=eval_every)
         scorer.save_scorer(model, args.out)
-        _write_loss_csv(metrics, log.losses, log.rmse_points, log.wall_times,
-                        args.wall_time)
+        _write_loss_csv(metrics, log, args.wall_time)
     else:
         rcfg = _rl_config(args, config)
         model, policy, history = tuner.train_scorer_rl(g, w, scfg, rcfg, seed)
         scorer.save_scorer(model, args.out)
         tuner.save_policy(policy, args.out + ".policy.npz")
-        lines = ["rl_step,t,reward,baseline,mean_action_prob"]
-        for row in history.rl_rows:
-            lines.append(",".join([
-                str(row["rl_step"]), str(row["t"]), _fmt(row["reward"]),
-                _fmt(row["baseline"]), _fmt(row["mean_action_prob"]),
-            ]))
-        Path(metrics).write_text("\n".join(lines) + "\n")
-        _write_loss_csv(metrics + ".don.csv", history.don_losses, [], [], False)
+        _write_csv(metrics, "rl_step,t,reward,baseline,mean_action_prob", history.rl_rows)
+        _write_loss_csv(metrics + ".don.csv", history.don_log, args.wall_time)
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -334,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None, help="metrics CSV path")
     p.add_argument("--merge", action="store_true")
     p.add_argument("--wall-time", action="store_true",
-                   help="add a wall_time column (breaks byte-reproducibility)")
+                   help="add a wall_time column to the loss CSV "
+                        "(breaks byte-reproducibility)")
     for flag, typ in [("--hidden", int), ("--repr-dim", int),
                       ("--don-learning-rate", float), ("--batch-size", int),
                       ("--global-steps", int), ("--eval-every", int),

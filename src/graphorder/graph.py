@@ -20,6 +20,8 @@ __all__ = [
     "expand_permutation",
 ]
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class EdgeListError(ValueError):
     """Raised when an edge-list stream cannot be parsed."""
@@ -155,7 +157,7 @@ def load_edge_list(source: str | Iterable[str]) -> LoadResult:
             declared_n = int(head[1])
         except ValueError:
             raise _first_bad_line(lines) from None
-        if declared_n < 0:
+        if not 0 <= declared_n <= INT64_MAX:
             raise _first_bad_line(lines)
         del content[0]
 
@@ -202,6 +204,8 @@ def _first_bad_line(lines: list[str]) -> EdgeListError:
                 return EdgeListError(f"line {lineno}: bad vertex count {tokens[1]!r}")
             if declared_n < 0:
                 return EdgeListError(f"line {lineno}: negative vertex count")
+            if declared_n > INT64_MAX:
+                return EdgeListError(f"line {lineno}: vertex count too large for int64")
             seen_content = True
             continue
         seen_content = True
@@ -216,7 +220,7 @@ def _first_bad_line(lines: list[str]) -> EdgeListError:
         if declared_n is not None and (u >= declared_n or v >= declared_n):
             return EdgeListError(
                 f"line {lineno}: id out of declared range [0, {declared_n})")
-        if max(u, v) > np.iinfo(np.int64).max:
+        if max(u, v) > INT64_MAX:
             return EdgeListError(f"line {lineno}: id too large for int64 in {line!r}")
 
 

@@ -37,6 +37,8 @@ __all__ = [
     "model_order",
     "save_scorer",
     "load_scorer",
+    "TrainLog",
+    "fit",
     "train_scorer",
 ]
 
@@ -348,44 +350,56 @@ def load_scorer(path: str) -> SetScorer:
 
 @dataclass
 class TrainLog:
-    """Per-step loss plus periodic evaluation snapshots."""
+    """Scorer training log: the loss of every step (step k is entry k - 1),
+    its wall-clock offset from the log's creation, and the (step, rmse)
+    points the caller chose to keep."""
 
-    losses: list[tuple[int, float]] = field(default_factory=list)
-    rmse_points: list[tuple[int, float]] = field(default_factory=list)
+    losses: list[float] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
+    rmse_points: list[tuple[int, float]] = field(default_factory=list)
+    t0: float = field(default_factory=time.perf_counter)
+
+
+def fit(model: SetScorer, opt: AdamState, g: Graph, src: SimilarityLike,
+        prob: np.ndarray, w: int, steps: int, cfg: ScorerConfig,
+        rng: np.random.Generator, log: TrainLog,
+        eval_set: Sequence[TrainingExample] | None = None,
+        eval_every: int = 50) -> list[tuple[int, float]]:
+    """Take ``steps`` scorer steps, each on a fresh batch drawn from ``prob``,
+    appending every loss to ``log``.
+
+    When an evaluation set is given, RMSE is measured every ``eval_every``
+    steps of this call and after its last step.  Returns those (step, rmse)
+    points, numbering steps by ``len(log.losses)`` so that they stay global
+    across calls sharing a log.
+    """
+    if eval_every < 1:
+        raise ValueError(f"eval_every must be positive, got {eval_every}")
+    points = []
+    for k in range(1, steps + 1):
+        batch = sample_training_batch(g, prob, w, cfg.batch_size, rng, source=src)
+        log.losses.append(train_step(model, batch, opt, cfg.learning_rate))
+        # Free the batch's n-wide labels before the next batch or the RMSE
+        # allocates, so that two batches never coexist.
+        del batch
+        log.wall_times.append(time.perf_counter() - log.t0)
+        if eval_set is not None and (k % eval_every == 0 or k == steps):
+            points.append((len(log.losses), rmse(model, eval_set)))
+    return points
 
 
 def train_scorer(g: Graph, w: int, steps: int, cfg: ScorerConfig, seed: int, *,
-                 prob: np.ndarray | None = None,
                  eval_set: Sequence[TrainingExample] | None = None,
-                 eval_every: int = 50,
-                 source: SimilarityLike | None = None,
-                 model: SetScorer | None = None,
-                 opt: AdamState | None = None) -> tuple[SetScorer, TrainLog]:
-    """Plain training loop with a fixed sampling distribution.
-
-    Samples a fresh batch per step.  When an evaluation set is given, RMSE is
-    recorded every ``eval_every`` steps and at the final step.
-    """
+                 eval_every: int = 50) -> tuple[SetScorer, TrainLog]:
+    """Train a fresh scorer for ``steps`` steps on the degree-based sampling
+    distribution, keeping the RMSE points of :func:`fit` in the log."""
     from .tuner import initial_prob  # degree-based default sampler
 
-    ss = np.random.SeedSequence(seed)
-    init_seed, batch_seed = ss.spawn(2)
-    src = as_similarity(g) if source is None else as_similarity(source)
-    if prob is None:
-        prob = initial_prob(g)
-    if model is None:
-        model = init_scorer(g.n, cfg.hidden_phi, cfg.repr_dim, cfg.hidden_rho,
-                            seed=int(init_seed.generate_state(1)[0]))
-    opt = opt or AdamState()
-    rng = np.random.default_rng(batch_seed)
+    init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
+    model = init_scorer(g.n, cfg.hidden_phi, cfg.repr_dim, cfg.hidden_rho,
+                        seed=int(init_seed.generate_state(1)[0]))
     log = TrainLog()
-    t0 = time.perf_counter()
-    for step in range(1, steps + 1):
-        batch = sample_training_batch(g, prob, w, cfg.batch_size, rng, source=src)
-        loss = train_step(model, batch, opt, cfg.learning_rate)
-        log.losses.append((step, loss))
-        log.wall_times.append(time.perf_counter() - t0)
-        if eval_set is not None and (step % eval_every == 0 or step == steps):
-            log.rmse_points.append((step, rmse(model, eval_set)))
+    log.rmse_points = fit(model, AdamState(), g, as_similarity(g), initial_prob(g), w,
+                          steps, cfg, np.random.default_rng(batch_seed), log,
+                          eval_set, eval_every)
     return model, log

@@ -11,7 +11,6 @@ evolving distribution.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,9 +20,8 @@ from scipy.special import expit
 from .graph import Graph
 from .locality import SimilarityLike, as_similarity
 from .optim import AdamState, RmspropState
-from .scorer import (ScorerConfig, SetScorer, TrainingExample, _glorot,
-                     _read_checkpoint, init_scorer, rmse, sample_training_batch,
-                     soft_label, train_step)
+from .scorer import (ScorerConfig, SetScorer, TrainingExample, TrainLog, _glorot,
+                     _read_checkpoint, fit, init_scorer, rmse, soft_label)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -221,6 +219,9 @@ class RlConfig:
     def resolved_steps_per_t(self) -> int:
         if self.don_steps_per_t is not None:
             return self.don_steps_per_t
+        if self.rl_steps < 1 or self.trajectory_len < 1:
+            raise ValueError("deriving don_steps_per_t needs positive rl_steps and "
+                             f"trajectory_len, got {self.rl_steps}, {self.trajectory_len}")
         return max(1, self.global_steps // (self.rl_steps * self.trajectory_len))
 
 
@@ -313,32 +314,27 @@ def reinforce_update(policy: TuningPolicy, traj: Sequence[TrajectoryStep],
 
 @dataclass
 class RlHistory:
-    """Everything a run logs: scorer losses, per-step tuning rows, the raw
-    trajectories with their returns, and every state the run visited."""
+    """Everything a run logs: the scorer's training log, one
+    ``(rl_step, t, reward, baseline, mean_action_prob)`` row per tuning step,
+    the raw trajectories with their returns, and every state the run visited."""
 
-    don_losses: list[tuple[int, float]] = field(default_factory=list)
-    rl_rows: list[dict] = field(default_factory=list)
+    don_log: TrainLog = field(default_factory=TrainLog)
+    rl_rows: list[tuple[int, int, float, float | None, float]] = field(default_factory=list)
     trajectories: list[list[TrajectoryStep]] = field(default_factory=list)
     trajectory_returns: list[list[float]] = field(default_factory=list)
     states: list[np.ndarray] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    @property
-    def total_don_steps(self) -> int:
-        return len(self.don_losses)
 
 
 def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig,
                     seed: int) -> tuple[SetScorer, TuningPolicy, RlHistory]:
     """Interleaved training of the scorer and the sampling tuner.
 
-    The scorer first warms up on the degree-based distribution to seed the
-    reward baseline.  Each tuning step then rolls a trajectory: sample an
-    action, shift and re-project the distribution, train the scorer on
-    batches drawn from it, and read the reward off the fixed evaluation set;
-    the policy updates once per trajectory.
+    The scorer first warms up on the degree-based distribution, whose RMSE
+    points seed the reward baseline.  Each tuning step then rolls a
+    trajectory: sample an action, shift and re-project the distribution,
+    train the scorer on batches drawn from it, and read the reward off the
+    fixed evaluation set; the policy updates once per trajectory.
     """
-    t0 = time.perf_counter()
     ss = np.random.SeedSequence(seed)
     s_init, s_policy, s_batch, s_action, s_eval = ss.spawn(5)
     src = as_similarity(g)
@@ -358,50 +354,32 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
                               int(s_eval.generate_state(1)[0]), source=src)
     baseline = RewardBaseline()
     history = RlHistory()
-
     prob = initial_prob(g, floor)
-    history.states.append(prob.copy())
-    don_step = 0
+    history.states.append(prob)
 
-    def one_scorer_step() -> None:
-        nonlocal don_step
-        batch = sample_training_batch(g, prob, w, scorer_cfg.batch_size,
-                                      batch_rng, source=src)
-        loss = train_step(model, batch, adam, scorer_cfg.learning_rate)
-        don_step += 1
-        history.don_losses.append((don_step, loss))
-
-    eval_cadence = max(1, rl_cfg.warmup_steps // 5)
-    for k in range(rl_cfg.warmup_steps):
-        one_scorer_step()
-        if (k + 1) % eval_cadence == 0 or k + 1 == rl_cfg.warmup_steps:
-            baseline.update(reward_from_eval(model, eval_set))
+    warmup = fit(model, adam, g, src, prob, w, rl_cfg.warmup_steps, scorer_cfg,
+                 batch_rng, history.don_log, eval_set,
+                 eval_every=max(1, rl_cfg.warmup_steps // 5))
+    for _, err in warmup:
+        baseline.update(-err)
 
     for rl_step in range(rl_cfg.rl_steps):
         traj: list[TrajectoryStep] = []
         for t in range(rl_cfg.trajectory_len):
             q = policy_forward(policy, prob)
             action = sample_action(q, action_rng)
-            state_before = prob.copy()
-            prob = apply_action(prob, action, rate, floor)
-            history.states.append(prob.copy())
-            for _ in range(steps_per_t):
-                one_scorer_step()
+            state, prob = prob, apply_action(prob, action, rate, floor)
+            history.states.append(prob)
+            fit(model, adam, g, src, prob, w, steps_per_t, scorer_cfg, batch_rng,
+                history.don_log)
             reward = reward_from_eval(model, eval_set)
-            traj.append(TrajectoryStep(state_before, action, q, reward))
-            history.rl_rows.append({
-                "rl_step": rl_step,
-                "t": t,
-                "reward": reward,
-                "baseline": baseline.value,
-                "mean_action_prob": float(q.mean()),
-            })
+            traj.append(TrajectoryStep(state, action, q, reward))
+            history.rl_rows.append((rl_step, t, reward, baseline.value, float(q.mean())))
         returns = reinforce_update(policy, traj, rl_cfg.gamma, rl_cfg.policy_lr,
                                    baseline, rms)
         history.trajectories.append(traj)
         history.trajectory_returns.append(returns)
 
-    history.wall_time = time.perf_counter() - t0
     return model, policy, history
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from graphorder.cli import main, read_config, render_pgm
-from graphorder.graph import Graph, format_edge_list, load_edge_list
+from graphorder.graph import Graph, format_edge_list, gen_power_law, load_edge_list
 from graphorder.locality import format_similarity_matrix, load_permutation
 from graphorder.scorer import init_scorer
 
@@ -139,6 +141,32 @@ class TestTrain:
         assert lines[0] == "step,loss,rmse"
         assert len(lines) == 4  # flag overrides config's 6 steps
 
+    def test_baseline_before_first_update_is_empty(self, small_graph_file, tmp_path):
+        ck = tmp_path / "m.npz"
+        assert main(["train", small_graph_file, "--algo", "don-rl", "--w", "3",
+                     "--seed", "2", "--out", str(ck), "--hidden", "8",
+                     "--batch-size", "8", "--eval-size", "4", "--rl-steps", "2",
+                     "--trajectory-len", "2", "--don-steps-per-t", "1",
+                     "--warmup-steps", "0"]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "m.npz.metrics.csv").read_text().splitlines()[1:]]
+        assert [row[3] for row in rows[:2]] == ["", ""]
+        assert all(float(row[3]) < 0.0 for row in rows[2:])
+
+    def test_wall_time_column_in_both_loss_csvs(self, small_graph_file, tmp_path):
+        for algo, loss_csv in (("don", "m.npz.metrics.csv"),
+                               ("don-rl", "m.npz.metrics.csv.don.csv")):
+            assert main(["train", small_graph_file, "--algo", algo, "--w", "3",
+                         "--out", str(tmp_path / "m.npz"), "--hidden", "8",
+                         "--batch-size", "8", "--eval-size", "4", "--global-steps", "3",
+                         "--rl-steps", "1", "--trajectory-len", "1",
+                         "--don-steps-per-t", "1", "--warmup-steps", "2",
+                         "--wall-time"]) == 0
+            lines = (tmp_path / loss_csv).read_text().splitlines()
+            assert lines[0] == "step,loss,rmse,wall_time", algo
+            walls = [float(line.split(",")[3]) for line in lines[1:]]
+            assert len(walls) == 3 and walls == sorted(walls), algo
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 3\n")
@@ -224,14 +252,20 @@ class TestRenderMatrix:
     "eval {graph} --perm {dir}/short.txt",
     "eval {dir}/sim.txt --matrix --perm {dir}/short.txt",
     "eval {graph} --perm {dir}/huge-perm.txt",
+    "compress-cost {dir}/huge-n.txt",
+    "train {graph} --algo don --eval-every 0 --eval-size 4 --out {dir}/m.npz",
+    "train {graph} --rl-steps 0 --out {dir}/m.npz",
+    "train {graph} --trajectory-len 0 --out {dir}/m.npz",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg",
         "w-covers-graph", "int64-overflow", "short-perm", "short-perm-matrix",
-        "perm-overflow"])
+        "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
+        "trajectory-len-0"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
     (tmp_path / "short.txt").write_text("0\n")
     (tmp_path / "huge-perm.txt").write_text("99999999999999999999\n")
+    (tmp_path / "huge-n.txt").write_text("n 99999999999999999999\n0 1\n")
     (tmp_path / "sim.txt").write_text(format_similarity_matrix(FIVE_VERTEX_SIM))
     params = init_scorer(6, 4, 4, 4, seed=0).params()
     np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=0, **params)
@@ -240,6 +274,36 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+TRAIN_FLAGS = "--w 3 --seed 5 --hidden 8 --batch-size 8 --eval-size 6"
+PINNED_TRAIN_OUTPUTS = {
+    "--algo don --global-steps 12 --eval-every 5": {
+        "m.npz": "9733bdb103462d25a1ce05ad86fc4b3d15f45043e307299d73cad7cc8fb65827",
+        "m.npz.metrics.csv": "bbd665385acb23c31b4c64e1e8d765eccc1f6ba3ec1d3dd208f816ed33481aae",
+    },
+    "--algo don-rl --warmup-steps 12 --rl-steps 2 --trajectory-len 3 "
+    "--don-steps-per-t 2 --policy-hidden 8": {
+        "m.npz": "8638be93766706b3feee72aa450057afb2a32369a9d478b1f07924b86db611cd",
+        "m.npz.policy.npz": "5714be4ad4945d1e57b39d5a7a78fd78618b0524b18473ba3171c8d5f13d8d42",
+        "m.npz.metrics.csv": "63466ecc1cca694aa542584fae4d6dd0732fae4002dc9c48bb5868420bfb75ce",
+        "m.npz.metrics.csv.don.csv":
+            "4bdfc816d11274e7a94e28f335615f699f7fec3b8127b8fa11d8ad5d995c2ebd",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(PINNED_TRAIN_OUTPUTS), ids=["don", "don-rl"])
+def test_train_outputs_pinned(flags, tmp_path):
+    """Every file ``train`` writes on a 40-vertex power-law graph, by sha256.
+    Float results depend on the BLAS build, so another platform may need the
+    hashes recomputed from a known-good commit."""
+    (tmp_path / "g.txt").write_text(format_edge_list(gen_power_law(40, 1.8, seed=3)))
+    argv = f"train {tmp_path}/g.txt --out {tmp_path}/m.npz {TRAIN_FLAGS} {flags}"
+    assert main(argv.split()) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.iterdir() if f.name != "g.txt"}
+    assert written == PINNED_TRAIN_OUTPUTS[flags]
 
 
 class TestUsageErrors:

@@ -102,7 +102,8 @@ class TestLoadEdgeList:
         assert np.array_equal(again.arcs, g.arcs)
 
     # Messages recorded from the per-line parser the array parse replaced,
-    # except int64-overflow, which raised OverflowError there.
+    # except int64-overflow and header-overflow, which raised OverflowError
+    # there.
     @pytest.mark.parametrize("text, message", [
         ("n x\n0 1\n", "line 1: bad vertex count 'x'"),
         ("# c\n\nn -3\n0 1\n", "line 3: negative vertex count"),
@@ -119,10 +120,12 @@ class TestLoadEdgeList:
         ("n 4\n0 1\n0 9\n0 x\n", "line 3: id out of declared range [0, 4)"),
         ("0 1\n0 99999999999999999999\n",
          "line 2: id too large for int64 in '0 99999999999999999999'"),
+        ("# c\nn 99999999999999999999\n0 1\n", "line 2: vertex count too large for int64"),
     ], ids=["bad-header", "negative-header", "three-tokens", "three-then-one",
             "non-integer", "negative-id", "negative-self-loop", "out-of-range",
             "self-loop-out-of-range", "header-not-first", "earlier-of-two",
-            "earlier-of-two-reversed", "range-before-non-integer", "int64-overflow"])
+            "earlier-of-two-reversed", "range-before-non-integer", "int64-overflow",
+            "header-overflow"])
     def test_error_names_first_bad_line(self, text, message):
         with pytest.raises(EdgeListError) as excinfo:
             load_edge_list(text)

@@ -334,7 +334,7 @@ class TestTrainLoop:
                            learning_rate=1e-3, batch_size=32)
         model, log = train_scorer(g, 4, 200, cfg, seed=4, eval_set=eval_set,
                                   eval_every=50)
-        assert log.losses[-1][1] < log.losses[0][1]
+        assert log.losses[-1] < log.losses[0]
         assert log.rmse_points[-1][1] < log.rmse_points[0][1]
 
     def test_deterministic(self):
@@ -344,4 +344,4 @@ class TestTrainLoop:
         m1, log1 = train_scorer(g, 3, 30, cfg, seed=9)
         m2, log2 = train_scorer(g, 3, 30, cfg, seed=9)
         assert np.array_equal(flatten_params(m1), flatten_params(m2))
-        assert [l for _, l in log1.losses] == [l for _, l in log2.losses]
+        assert log1.losses == log2.losses

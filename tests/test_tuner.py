@@ -227,7 +227,7 @@ class TestTrainRl:
 
     def test_update_bookkeeping(self, rl_run):
         _, (_, _, history) = rl_run
-        assert history.total_don_steps == 8 + 6 * 3 * 2
+        assert len(history.don_log.losses) == 8 + 6 * 3 * 2
 
     def test_return_recurrence_on_logged_trajectories(self, rl_run):
         _, (_, _, history) = rl_run
@@ -241,9 +241,9 @@ class TestTrainRl:
     def test_rows_logged_per_step(self, rl_run):
         _, (_, _, history) = rl_run
         assert len(history.rl_rows) == 6 * 3
-        for row in history.rl_rows:
-            assert row["reward"] <= 0.0
-            assert 0.0 < row["mean_action_prob"] < 1.0
+        for _, _, reward, _, mean_action_prob in history.rl_rows:
+            assert reward <= 0.0
+            assert 0.0 < mean_action_prob < 1.0
 
     def test_deterministic(self):
         g = gen_power_law(15, 1.8, seed=4)
@@ -253,7 +253,7 @@ class TestTrainRl:
                         don_steps_per_t=1, warmup_steps=4, policy_hidden=8)
         _, _, h1 = train_scorer_rl(g, 3, scfg, rcfg, seed=21)
         _, _, h2 = train_scorer_rl(g, 3, scfg, rcfg, seed=21)
-        assert [r["reward"] for r in h1.rl_rows] == [r["reward"] for r in h2.rl_rows]
+        assert [r[2] for r in h1.rl_rows] == [r[2] for r in h2.rl_rows]
         for s1, s2 in zip(h1.states, h2.states):
             assert np.array_equal(s1, s2)
 
