@@ -1,23 +1,18 @@
 """Graph-ordering toolkit: windowed locality scoring, greedy and learned
-vertex orderings, and downstream compression/partitioning evaluators."""
+vertex orderings, and downstream compression/partitioning evaluators.
 
-from .graph import (Graph, VertexGroups, load_edge_list, format_edge_list,
-                    gen_erdos_renyi, gen_power_law, merge_degree_one,
-                    expand_permutation)
-from .locality import (SimilaritySource, MatrixSimilarity, GraphSimilarity,
-                       as_similarity, similarity, sibling_count, neighbor_count,
-                       dense_similarity, locality_score, candidate_gain,
-                       window_set_score)
-from .baselines import greedy_order, degree_order, brute_force_order
-from .scorer import (ScorerConfig, SetScorer, TrainingExample, init_scorer,
-                     forward, soft_label, sample_training_batch, cross_entropy,
-                     train_step, rmse, model_order, save_scorer, load_scorer,
-                     train_scorer)
-from .tuner import (RlConfig, TuningPolicy, TrajectoryStep, initial_prob,
-                    init_policy, policy_forward, sample_action, apply_action,
-                    build_eval_set, reward_from_eval, reinforce_update,
-                    train_scorer_rl, save_policy, load_policy)
-from .downstream import (EdgePartition, compression_cost, partition_from_order,
-                         replication_factor, random_partition, greedy_partition)
+The root exports the names of the README's library example; the rest of the
+API is in the submodules."""
+
+from .graph import gen_power_law
+from .locality import locality_score
+from .baselines import greedy_order
+from .scorer import ScorerConfig, model_order
+from .tuner import RlConfig, train_scorer_rl
+from .downstream import compression_cost, partition_from_order, replication_factor
+
+__all__ = ["gen_power_law", "greedy_order", "locality_score", "ScorerConfig", "RlConfig",
+           "train_scorer_rl", "model_order", "compression_cost", "partition_from_order",
+           "replication_factor"]
 
 __version__ = "0.1.0"

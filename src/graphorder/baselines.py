@@ -14,6 +14,8 @@ __all__ = ["greedy_order", "degree_order", "brute_force_order", "BRUTE_FORCE_CAP
 
 # Hard cap on exhaustive enumeration (n! permutations).
 BRUTE_FORCE_CAP = 10
+# Permutations scored per vectorized block.
+BRUTE_FORCE_CHUNK = 200_000
 
 
 def greedy_order(source: SimilarityLike, w: int) -> np.ndarray:
@@ -54,8 +56,7 @@ def _all_permutations(n: int) -> np.ndarray:
     return np.array(list(permutations(range(n))), dtype=np.int8)
 
 
-def brute_force_order(source: SimilarityLike, w: int,
-                      chunk: int = 200_000) -> tuple[np.ndarray, int]:
+def brute_force_order(source: SimilarityLike, w: int) -> tuple[np.ndarray, int]:
     """Exact maximizer of the locality score by enumeration, for n <= 10.
 
     Returns the lexicographically smallest optimal permutation and its score.
@@ -76,8 +77,8 @@ def brute_force_order(source: SimilarityLike, w: int,
     perms = _all_permutations(n)
     best_score = -1
     best_perm: np.ndarray | None = None
-    for start in range(0, perms.shape[0], chunk):
-        block = perms[start:start + chunk]
+    for start in range(0, perms.shape[0], BRUTE_FORCE_CHUNK):
+        block = perms[start:start + BRUTE_FORCE_CHUNK]
         block = block[block[:, 0] < block[:, -1]]
         scores = np.zeros(block.shape[0], dtype=np.int64)
         for gap in range(1, min(w, n - 1) + 1):

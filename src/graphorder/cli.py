@@ -184,6 +184,14 @@ def _write_loss_csv(path: str, log: scorer.TrainLog, with_wall: bool) -> None:
 
 
 def cmd_train(args, config) -> int:
+    if args.algo == "don-rl":
+        # Flags DON-RL would not read are refused rather than dropped.
+        if args.eval_every is not None:
+            raise ValueError("--eval-every applies to --algo don only; don-rl "
+                             "evaluates after every tuning step")
+        if args.global_steps is not None and _setting(args, config, "don_steps_per_t",
+                                                      None) is not None:
+            raise ValueError("--global-steps is not read when --don-steps-per-t is set")
     w = _setting(args, config, "w", 5)
     seed = _setting(args, config, "seed", 0)
     g = _load_graph(args.input)
@@ -379,6 +387,9 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _distinct_codes
 from .locality import check_permutation
 
 __all__ = [
@@ -20,6 +20,9 @@ __all__ = [
     "greedy_partition",
     "format_partition_csv",
 ]
+
+# Headroom over the balanced part size that greedy_partition allows.
+GREEDY_SLACK = 0.1
 
 
 def compression_cost(g: Graph, order, b: int) -> tuple[int, float]:
@@ -41,7 +44,7 @@ def compression_cost(g: Graph, order, b: int) -> tuple[int, float]:
         return 0, 0.0
     bi = pos[g.arcs[:, 0]] // b
     bj = pos[g.arcs[:, 1]] // b
-    nonzero = int(np.unique(bi * nb + bj).size)
+    nonzero = int(_distinct_codes(bi * nb + bj).size)
     return nonzero, nonzero / (nb * nb)
 
 
@@ -78,7 +81,7 @@ def replication_factor(g: Graph, part: EdgePartition) -> float:
     (part, endpoint) pairs, divided by the vertex count."""
     if g.n == 0:
         return 0.0
-    return np.unique(part.parts[:, None] * g.n + part.edges).size / g.n
+    return _distinct_codes((part.parts[:, None] * g.n + part.edges).ravel()).size / g.n
 
 
 def partition_from_order(g: Graph, order, k: int) -> EdgePartition:
@@ -117,11 +120,11 @@ def random_partition(g: Graph, k: int, seed: int) -> EdgePartition:
     return EdgePartition(edges, rng.integers(0, k, size=edges.shape[0]), k)
 
 
-def greedy_partition(g: Graph, k: int, slack: float = 0.1) -> EdgePartition:
+def greedy_partition(g: Graph, k: int) -> EdgePartition:
     """Stream edges in a fixed order, preferring parts that already hold the
     edge's endpoints (+2 for both, +1 for one) minus a load penalty of
     size/capacity.  Ties go to the least-loaded, then smallest-id part; a
-    hard cap of ceil(m/k)*(1+slack) keeps parts from overfilling.
+    hard cap of ceil(m/k)*(1+GREEDY_SLACK) keeps parts from overfilling.
     """
     if k < 1:
         raise ValueError("partition count must be positive")
@@ -129,7 +132,7 @@ def greedy_partition(g: Graph, k: int, slack: float = 0.1) -> EdgePartition:
     m = edges.shape[0]
     parts = np.zeros(m, dtype=np.int64)
     capacity = math.ceil(m / k)
-    hard_cap = math.ceil(capacity * (1.0 + slack))
+    hard_cap = math.ceil(capacity * (1.0 + GREEDY_SLACK))
     held: list[set[int]] = [set() for _ in range(k)]
     sizes = [0] * k
     for e, (u, v) in enumerate(edges.tolist()):

@@ -23,6 +23,16 @@ __all__ = [
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _distinct_codes(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array, as ``np.unique`` gives them.
+    A sort and a neighbour mask: numpy's ``np.unique`` takes a hash path on
+    int64 that is several times slower."""
+    codes = np.sort(codes)
+    keep = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
 class EdgeListError(ValueError):
     """Raised when an edge-list stream cannot be parsed."""
 
@@ -87,7 +97,7 @@ class Graph:
         arr = arr.reshape(-1, 2)
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
-        uniq = np.unique(lo * n + hi)
+        uniq = _distinct_codes(lo * n + hi)
         lo, hi = uniq // n, uniq % n
         both = np.concatenate([np.stack([lo, hi], axis=1), np.stack([hi, lo], axis=1)])
         return cls(n, both)
@@ -119,7 +129,7 @@ class Graph:
             return np.empty((0, 2), dtype=np.int64)
         lo = np.minimum(self.arcs[:, 0], self.arcs[:, 1])
         hi = np.maximum(self.arcs[:, 0], self.arcs[:, 1])
-        uniq = np.unique(lo * self.n + hi)
+        uniq = _distinct_codes(lo * self.n + hi)
         return np.stack([uniq // self.n, uniq % self.n], axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -180,10 +190,7 @@ def load_edge_list(source: str | Iterable[str]) -> LoadResult:
         n = declared_n
     else:
         n = int(pairs.max()) + 1 if pairs.size else 0
-    # Sort and drop repeats rather than call np.unique, whose hash path is an
-    # order of magnitude slower on these int64 codes.
-    codes = np.sort(pairs[:, 0] * n + pairs[:, 1])
-    codes = codes[np.diff(codes, prepend=-1) != 0]
+    codes = _distinct_codes(pairs[:, 0] * n + pairs[:, 1])
     graph = Graph(n, np.stack([codes // n, codes % n], axis=1))
     return LoadResult(graph, int(loops.sum()), pairs.shape[0] - codes.size)
 
@@ -343,7 +350,7 @@ def merge_degree_one(g: Graph) -> tuple[Graph, VertexGroups]:
             old_to_new[v] = new_id
     if g.arc_count:
         mapped = old_to_new[g.arcs]
-        mapped = np.unique(mapped[:, 0] * len(groups) + mapped[:, 1])
+        mapped = _distinct_codes(mapped[:, 0] * len(groups) + mapped[:, 1])
         arcs = np.stack([mapped // len(groups), mapped % len(groups)], axis=1)
     else:
         arcs = np.empty((0, 2), dtype=np.int64)

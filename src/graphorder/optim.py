@@ -5,12 +5,14 @@ import numpy as np
 
 __all__ = ["AdamState", "RmspropState"]
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+RMSPROP_DECAY, RMSPROP_EPS = 0.9, 1e-8
+
 
 class AdamState:
-    """Adam with the usual defaults (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with the usual constants (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -19,7 +21,7 @@ class AdamState:
              lr: float) -> None:
         """Descend each parameter array in place along its gradient."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, p in params.items():
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(p))
@@ -30,14 +32,13 @@ class AdamState:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class RmspropState:
     """RMSProp accumulator (decay 0.9, eps=1e-8); supports gradient ascent."""
 
-    def __init__(self, decay: float = 0.9, eps: float = 1e-8):
-        self.decay, self.eps = decay, eps
+    def __init__(self):
         self.cache: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -46,6 +47,6 @@ class RmspropState:
         for name, p in params.items():
             g = grads[name]
             c = self.cache.setdefault(name, np.zeros_like(p))
-            c *= self.decay
-            c += (1 - self.decay) * g * g
-            p += sign * lr * g / (np.sqrt(c) + self.eps)
+            c *= RMSPROP_DECAY
+            c += (1 - RMSPROP_DECAY) * g * g
+            p += sign * lr * g / (np.sqrt(c) + RMSPROP_EPS)

@@ -74,10 +74,6 @@ class SetScorer:
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def copy(self) -> "SetScorer":
-        return SetScorer(self.n, *(getattr(self, p).copy() for p in PARAM_NAMES),
-                         seed=self.seed)
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     scale = np.sqrt(6.0 / (fan_in + fan_out))

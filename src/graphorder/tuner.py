@@ -11,7 +11,7 @@ evolving distribution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,12 +36,10 @@ __all__ = [
     "log_prob",
     "log_prob_grad",
     "RewardBaseline",
-    "TrajectoryStep",
     "RlConfig",
     "RlHistory",
     "grow_best_neighbor",
     "build_eval_set",
-    "reward_from_eval",
     "discounted_returns",
     "reinforce_update",
     "train_scorer_rl",
@@ -50,6 +48,8 @@ __all__ = [
 ]
 
 EPS_FLOOR_SCALE = 1e-6
+# Weight the reward baseline keeps on its old value at each update.
+BASELINE_DECAY = 0.9
 
 POLICY_PARAMS = ("W1", "b1", "W2", "b2")
 
@@ -59,18 +59,19 @@ def default_floor(n: int) -> float:
     return EPS_FLOOR_SCALE / n
 
 
-def check_prob(p: np.ndarray, floor: float | None = None) -> None:
+def check_prob(p: np.ndarray) -> None:
     """Assert the sampling-distribution invariants: floored and normalized."""
-    floor = default_floor(p.size) if floor is None else floor
+    floor = default_floor(p.size)
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
     if float(p.min()) < floor:
         raise ValueError(f"probability {p.min()!r} below floor {floor!r}")
 
 
-def _project_to_floor(raw: np.ndarray, floor: float) -> np.ndarray:
+def _project_to_floor(raw: np.ndarray) -> np.ndarray:
     """Clamp at the floor, then rescale the above-floor mass so the vector
     sums to one while every entry stays at or above the floor."""
+    floor = default_floor(raw.size)
     clamped = np.maximum(raw, floor)
     excess = clamped - floor
     total = excess.sum()
@@ -80,16 +81,15 @@ def _project_to_floor(raw: np.ndarray, floor: float) -> np.ndarray:
     return floor + excess * ((1.0 - n * floor) / total)
 
 
-def initial_prob(g: Graph, floor: float | None = None) -> np.ndarray:
+def initial_prob(g: Graph) -> np.ndarray:
     """Degree-proportional sampling distribution (uniform on edgeless graphs),
     floored and normalized."""
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    floor = default_floor(g.n) if floor is None else floor
     deg = g.total_degrees().astype(np.float64)
     total = deg.sum()
     raw = np.full(g.n, 1.0 / g.n) if total == 0 else deg / total
-    return _project_to_floor(raw, floor)
+    return _project_to_floor(raw)
 
 
 class TuningPolicy:
@@ -103,10 +103,6 @@ class TuningPolicy:
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in POLICY_PARAMS}
-
-    def copy(self) -> "TuningPolicy":
-        return TuningPolicy(self.n, *(getattr(self, p).copy() for p in POLICY_PARAMS),
-                            seed=self.seed)
 
 
 def init_policy(n: int, hidden: int = 64, seed: int = 0) -> TuningPolicy:
@@ -134,15 +130,12 @@ def sample_action(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(q.size) < q).astype(np.int64)
 
 
-def apply_action(state: np.ndarray, action: np.ndarray, rate: float,
-                 floor: float | None = None) -> np.ndarray:
+def apply_action(state: np.ndarray, action: np.ndarray, rate: float) -> np.ndarray:
     """Shift each probability by the tuning rate (up where the action bit is
     0, down where it is 1), then re-project onto the floored simplex."""
     if rate <= 0:
         raise ValueError("tuning rate must be positive")
-    floor = default_floor(state.size) if floor is None else floor
-    raw = state + np.where(action == 0, rate, -rate)
-    return _project_to_floor(raw, floor)
+    return _project_to_floor(state + np.where(action == 0, rate, -rate))
 
 
 def _bernoulli_log_likelihood(q: np.ndarray, action: np.ndarray) -> float:
@@ -168,31 +161,20 @@ def log_prob_grad(policy: TuningPolicy, state: np.ndarray,
 
 @dataclass
 class RewardBaseline:
-    """Exponential moving average of observed rewards (decay 0.9).
+    """Exponential moving average of observed rewards (decay BASELINE_DECAY).
 
     Seeded by the first observation, so it always stays inside the range of
     rewards seen so far.
     """
 
-    decay: float = 0.9
     value: float | None = None
 
     def update(self, reward: float) -> None:
         if self.value is None:
             self.value = float(reward)
         else:
-            self.value = self.decay * self.value + (1.0 - self.decay) * float(reward)
-
-
-@dataclass
-class TrajectoryStep:
-    """One tuning step: the state acted on, the sampled bits, the action
-    probabilities used, and the reward observed after retraining."""
-
-    state: np.ndarray
-    action: np.ndarray
-    action_prob: np.ndarray
-    reward: float
+            self.value = (BASELINE_DECAY * self.value
+                          + (1.0 - BASELINE_DECAY) * float(reward))
 
 
 @dataclass
@@ -268,11 +250,6 @@ def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
     return examples
 
 
-def reward_from_eval(model: SetScorer, eval_set: Sequence[TrainingExample]) -> float:
-    """Negated evaluation RMSE: zero for a perfect model, negative otherwise."""
-    return -rmse(model, eval_set)
-
-
 def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
     """Suffix returns R_t = r_t + gamma * R_{t+1}, computed backward."""
     acc = 0.0
@@ -283,46 +260,43 @@ def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:
     return out
 
 
-def reinforce_update(policy: TuningPolicy, traj: Sequence[TrajectoryStep],
+def reinforce_update(policy: TuningPolicy, states: Sequence[np.ndarray],
+                     actions: Sequence[np.ndarray], rewards: Sequence[float],
                      gamma: float, alpha: float, baseline: RewardBaseline,
-                     opt: RmspropState) -> list[float]:
-    """Policy-gradient ascent over one trajectory.
+                     opt: RmspropState) -> None:
+    """Policy-gradient ascent over one trajectory: the states acted on, the
+    sampled action bits and the rewards observed after each action.
 
     Each step's advantage is its discounted suffix return minus the reward
     baseline as it stood before that step's reward was absorbed; gradients of
-    the Bernoulli log-likelihood are summed over the trajectory.  Returns the
-    per-step discounted returns.
+    the Bernoulli log-likelihood are summed over the trajectory.
     """
-    if not traj:
+    if not rewards:
         raise ValueError("empty trajectory")
-    rewards = [step.reward for step in traj]
     returns = discounted_returns(rewards, gamma)
     total = {name: np.zeros_like(p) for name, p in policy.params().items()}
-    for step, ret in zip(traj, returns):
-        b = baseline.value if baseline.value is not None else step.reward
+    for state, action, reward, ret in zip(states, actions, rewards, returns, strict=True):
+        b = baseline.value if baseline.value is not None else reward
         advantage = ret - b
-        _, grads = log_prob_grad(policy, step.state, step.action)
+        _, grads = log_prob_grad(policy, state, action)
         for name in total:
             total[name] += advantage * grads[name]
-        baseline.update(step.reward)
+        baseline.update(reward)
     for name, g in total.items():
         if not np.all(np.isfinite(g)):
             raise RuntimeError(f"non-finite policy gradient in {name}")
     opt.step(policy.params(), total, alpha, maximize=True)
-    return returns
 
 
 @dataclass
 class RlHistory:
-    """Everything a run logs: the scorer's training log, one
+    """What a run logs: the scorer's training log, one
     ``(rl_step, t, reward, baseline, mean_action_prob)`` row per tuning step,
-    the raw trajectories with their returns, and every state the run visited."""
+    and the sampling distribution the run ended on."""
 
-    don_log: TrainLog = field(default_factory=TrainLog)
-    rl_rows: list[tuple[int, int, float, float | None, float]] = field(default_factory=list)
-    trajectories: list[list[TrajectoryStep]] = field(default_factory=list)
-    trajectory_returns: list[list[float]] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
+    don_log: TrainLog
+    rl_rows: list[tuple[int, int, float, float | None, float]]
+    final_prob: np.ndarray
 
 
 def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig,
@@ -332,13 +306,13 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     The scorer first warms up on the degree-based distribution, whose RMSE
     points seed the reward baseline.  Each tuning step then rolls a
     trajectory: sample an action, shift and re-project the distribution,
-    train the scorer on batches drawn from it, and read the reward off the
-    fixed evaluation set; the policy updates once per trajectory.
+    train the scorer on batches drawn from it, and read the reward (the
+    negated RMSE) off the fixed evaluation set; the policy updates once per
+    trajectory, and the trajectory is dropped after its update.
     """
     ss = np.random.SeedSequence(seed)
     s_init, s_policy, s_batch, s_action, s_eval = ss.spawn(5)
     src = as_similarity(g)
-    floor = default_floor(g.n)
     rate = rl_cfg.tuning_scale / g.n
     steps_per_t = rl_cfg.resolved_steps_per_t()
 
@@ -353,34 +327,31 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     eval_set = build_eval_set(g, w, rl_cfg.eval_size,
                               int(s_eval.generate_state(1)[0]), source=src)
     baseline = RewardBaseline()
-    history = RlHistory()
-    prob = initial_prob(g, floor)
-    history.states.append(prob)
+    don_log = TrainLog()
+    rl_rows = []
+    prob = initial_prob(g)
 
     warmup = fit(model, adam, g, src, prob, w, rl_cfg.warmup_steps, scorer_cfg,
-                 batch_rng, history.don_log, eval_set,
+                 batch_rng, don_log, eval_set,
                  eval_every=max(1, rl_cfg.warmup_steps // 5))
     for _, err in warmup:
         baseline.update(-err)
 
     for rl_step in range(rl_cfg.rl_steps):
-        traj: list[TrajectoryStep] = []
+        states, actions, rewards = [], [], []
         for t in range(rl_cfg.trajectory_len):
             q = policy_forward(policy, prob)
             action = sample_action(q, action_rng)
-            state, prob = prob, apply_action(prob, action, rate, floor)
-            history.states.append(prob)
-            fit(model, adam, g, src, prob, w, steps_per_t, scorer_cfg, batch_rng,
-                history.don_log)
-            reward = reward_from_eval(model, eval_set)
-            traj.append(TrajectoryStep(state, action, q, reward))
-            history.rl_rows.append((rl_step, t, reward, baseline.value, float(q.mean())))
-        returns = reinforce_update(policy, traj, rl_cfg.gamma, rl_cfg.policy_lr,
-                                   baseline, rms)
-        history.trajectories.append(traj)
-        history.trajectory_returns.append(returns)
+            states.append(prob)
+            actions.append(action)
+            prob = apply_action(prob, action, rate)
+            fit(model, adam, g, src, prob, w, steps_per_t, scorer_cfg, batch_rng, don_log)
+            rewards.append(-rmse(model, eval_set))
+            rl_rows.append((rl_step, t, rewards[-1], baseline.value, float(q.mean())))
+        reinforce_update(policy, states, actions, rewards, rl_cfg.gamma,
+                         rl_cfg.policy_lr, baseline, rms)
 
-    return model, policy, history
+    return model, policy, RlHistory(don_log, rl_rows, prob)
 
 
 POLICY_CHECKPOINT_VERSION = 1

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,13 +158,14 @@ class TestTrain:
         assert all(float(row[3]) < 0.0 for row in rows[2:])
 
     def test_wall_time_column_in_both_loss_csvs(self, small_graph_file, tmp_path):
-        for algo, loss_csv in (("don", "m.npz.metrics.csv"),
-                               ("don-rl", "m.npz.metrics.csv.don.csv")):
+        for algo, loss_csv, steps in (
+                ("don", "m.npz.metrics.csv", ["--global-steps", "3"]),
+                ("don-rl", "m.npz.metrics.csv.don.csv",
+                 ["--rl-steps", "1", "--trajectory-len", "1", "--don-steps-per-t", "1",
+                  "--warmup-steps", "2"])):
             assert main(["train", small_graph_file, "--algo", algo, "--w", "3",
                          "--out", str(tmp_path / "m.npz"), "--hidden", "8",
-                         "--batch-size", "8", "--eval-size", "4", "--global-steps", "3",
-                         "--rl-steps", "1", "--trajectory-len", "1",
-                         "--don-steps-per-t", "1", "--warmup-steps", "2",
+                         "--batch-size", "8", "--eval-size", "4", *steps,
                          "--wall-time"]) == 0
             lines = (tmp_path / loss_csv).read_text().splitlines()
             assert lines[0] == "step,loss,rmse,wall_time", algo
@@ -256,10 +261,12 @@ class TestRenderMatrix:
     "train {graph} --algo don --eval-every 0 --eval-size 4 --out {dir}/m.npz",
     "train {graph} --rl-steps 0 --out {dir}/m.npz",
     "train {graph} --trajectory-len 0 --out {dir}/m.npz",
+    "train {graph} --algo don-rl --eval-every 5 --out {dir}/m.npz",
+    "train {graph} --algo don-rl --global-steps 99 --don-steps-per-t 2 --out {dir}/m.npz",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg",
         "w-covers-graph", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
-        "trajectory-len-0"])
+        "trajectory-len-0", "don-rl-eval-every", "don-rl-global-steps"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -274,6 +281,24 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_header_too_large_for_memory_is_one_error_line(tmp_path):
+    # The child caps its own address space, so the n-length arrays of the
+    # declared graph cannot be allocated.
+    (tmp_path / "huge.txt").write_text("n 10000000000\n0 1\n")
+    child = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "from graphorder.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    done = subprocess.run([sys.executable, "-c", child, "compress-cost",
+                           str(tmp_path / "huge.txt")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    err = done.stderr.splitlines()
+    assert done.returncode == 1, done.stderr
+    assert len(err) == 1 and err[0].startswith("error: out of memory"), err
 
 
 TRAIN_FLAGS = "--w 3 --seed 5 --hidden 8 --batch-size 8 --eval-size 6"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphorder.graph import (EdgeListError, Graph, VertexGroups,
-                              expand_permutation, format_edge_list,
+                              _distinct_codes, expand_permutation, format_edge_list,
                               gen_erdos_renyi, gen_power_law, load_edge_list,
                               merge_degree_one)
 from graphorder.locality import locality_score
@@ -343,3 +343,15 @@ def test_vertex_groups_validation():
         VertexGroups(((0,), (0, 1)), 2)
     with pytest.raises(ValueError):
         VertexGroups(((0,),), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=60)
+       | st.lists(st.integers(-3, 3), max_size=60))
+@example([])
+@example([7, 7, 7, 7])
+def test_distinct_codes_equal_np_unique(values):
+    codes = np.array(values, dtype=np.int64)
+    got = _distinct_codes(codes)
+    want = np.unique(codes)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
