@@ -183,15 +183,25 @@ def _write_loss_csv(path: str, log: scorer.TrainLog, with_wall: bool) -> None:
     _write_csv(path, "step,loss,rmse" + (",wall_time" if with_wall else ""), rows)
 
 
+# Training flags that only DON-RL reads.
+RL_ONLY_FLAGS = ("rl_steps", "trajectory_len", "don_steps_per_t", "warmup_steps", "gamma",
+                 "tuning_scale", "policy_learning_rate", "policy_hidden")
+
+
 def cmd_train(args, config) -> int:
+    # Flags the chosen algorithm would not read are refused rather than dropped.
     if args.algo == "don-rl":
-        # Flags DON-RL would not read are refused rather than dropped.
         if args.eval_every is not None:
             raise ValueError("--eval-every applies to --algo don only; don-rl "
                              "evaluates after every tuning step")
         if args.global_steps is not None and _setting(args, config, "don_steps_per_t",
                                                       None) is not None:
             raise ValueError("--global-steps is not read when --don-steps-per-t is set")
+    else:
+        given = ["--" + name.replace("_", "-") for name in RL_ONLY_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: read by --algo don-rl only")
     w = _setting(args, config, "w", 5)
     seed = _setting(args, config, "seed", 0)
     g = _load_graph(args.input)

@@ -80,9 +80,15 @@ class Graph:
         self.n = int(n)
         self.arcs = arr
         self._arc_codes = codes
-        self._out_indptr, self._out_indices = _build_csr(n, arr[:, 0], arr[:, 1])
-        self._in_indptr, self._in_indices = _build_csr(n, arr[:, 1], arr[:, 0])
-        self._degrees = np.bincount(arr.ravel(), minlength=n).astype(np.int64)
+        # The arcs are sorted by (u, v), so the out-lists are their v column
+        # as it stands, and a stable sort by v yields the in-lists sorted too.
+        out_deg = np.bincount(arr[:, 0], minlength=n)
+        in_deg = np.bincount(arr[:, 1], minlength=n)
+        self._out_indptr = np.concatenate(([0], np.cumsum(out_deg)))
+        self._out_indices = np.ascontiguousarray(arr[:, 1])
+        self._in_indptr = np.concatenate(([0], np.cumsum(in_deg)))
+        self._in_indices = arr[np.argsort(arr[:, 1], kind="stable"), 0]
+        self._degrees = (out_deg + in_deg).astype(np.int64)
         for a in (self.arcs, self._arc_codes, self._out_indptr, self._out_indices,
                   self._in_indptr, self._in_indices, self._degrees):
             a.flags.writeable = False
@@ -134,13 +140,6 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, arcs={self.arc_count})"
-
-
-def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order]
 
 
 class LoadResult(NamedTuple):

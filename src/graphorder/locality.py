@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import Graph
 
@@ -57,19 +56,26 @@ def similarity(g: Graph, u: int, v: int) -> int:
     return sibling_count(g, u, v) + neighbor_count(g, u, v)
 
 
+def _similarity_row(g: Graph, x: int) -> np.ndarray:
+    """S(x, .) as an int64 n-vector with a zero at x: one bincount over the
+    out-list of x, the in-list of x and the out-lists of x's in-neighbors,
+    since each in-neighbor z of x adds one common in-neighbor to every v it
+    points at."""
+    preds = g.in_neighbors(x)
+    row = np.bincount(np.concatenate([g.out_neighbors(x), preds,
+                                      *map(g.out_neighbors, preds)]),
+                      minlength=g.n)
+    row[x] = 0
+    return row
+
+
 def dense_similarity(g: Graph) -> np.ndarray:
-    """Full n-by-n similarity matrix (int64, zero diagonal)."""
-    n = g.n
-    if g.arc_count == 0:
-        return np.zeros((n, n), dtype=np.int64)
-    a = sp.csr_matrix(
-        (np.ones(g.arc_count, dtype=np.int64), (g.arcs[:, 0], g.arcs[:, 1])),
-        shape=(n, n),
-    )
-    sib = (a.T @ a).toarray()
-    np.fill_diagonal(sib, 0)
-    adj = a.toarray()
-    return sib + adj + adj.T
+    """Full n-by-n similarity matrix (int64, zero diagonal), one gathered row
+    at a time."""
+    mat = np.empty((g.n, g.n), dtype=np.int64)
+    for x in range(g.n):
+        mat[x] = _similarity_row(g, x)
+    return mat
 
 
 class SimilaritySource:
@@ -125,9 +131,8 @@ class GraphSimilarity(SimilaritySource):
     """On-demand similarity over a graph, for graphs too large to materialize
     densely.
 
-    A row S(x, .) is one bincount over the out-list of x, the in-list of x
-    and the out-lists of x's in-neighbors: each in-neighbor z of x adds one
-    common in-neighbor to every v it points at.  Pair scores come from
+    Rows are gathered from the graph's CSR lists by ``_similarity_row``, the
+    same code that fills a dense matrix.  Pair scores come from
     ``similarity`` and are kept in a memo table keyed by the unordered pair.
     """
 
@@ -144,13 +149,7 @@ class GraphSimilarity(SimilaritySource):
         return value
 
     def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:
-        g = self.graph
-        preds = g.in_neighbors(x)
-        row = np.bincount(np.concatenate([g.out_neighbors(x), preds,
-                                          *map(g.out_neighbors, preds)]),
-                          minlength=self.n)
-        row[x] = 0
-        acc += sign * row
+        acc += sign * _similarity_row(self.graph, x)
 
 
 SimilarityLike = Union[Graph, SimilaritySource, np.ndarray, Sequence[Sequence[int]]]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .graph import Graph
 from .locality import SimilarityLike, as_similarity
@@ -114,6 +113,11 @@ def init_policy(n: int, hidden: int = 64, seed: int = 0) -> TuningPolicy:
 
 
 def _policy_cache(policy: TuningPolicy, state: np.ndarray):
+    # Imported here so that only training pays scipy's import time.  A numpy
+    # 1 / (1 + exp(-x)) differs from expit in the last bit of some values,
+    # which would change every trained policy and checkpoint.
+    from scipy.special import expit
+
     z1 = state @ policy.W1 + policy.b1
     h = np.maximum(z1, 0.0)
     q = expit(h @ policy.W2 + policy.b2)

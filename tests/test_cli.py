@@ -11,7 +11,8 @@ import pytest
 
 from graphorder.cli import main, read_config, render_pgm
 from graphorder.graph import Graph, format_edge_list, gen_power_law, load_edge_list
-from graphorder.locality import format_similarity_matrix, load_permutation
+from graphorder.locality import (DENSE_SIMILARITY_CAP, format_similarity_matrix,
+                                 load_permutation)
 from graphorder.scorer import init_scorer
 
 from conftest import FIVE_VERTEX_SIM
@@ -263,10 +264,20 @@ class TestRenderMatrix:
     "train {graph} --trajectory-len 0 --out {dir}/m.npz",
     "train {graph} --algo don-rl --eval-every 5 --out {dir}/m.npz",
     "train {graph} --algo don-rl --global-steps 99 --don-steps-per-t 2 --out {dir}/m.npz",
+    "train {graph} --algo don --rl-steps 7 --out {dir}/m.npz",
+    "train {graph} --algo don --trajectory-len 3 --out {dir}/m.npz",
+    "train {graph} --algo don --don-steps-per-t 2 --out {dir}/m.npz",
+    "train {graph} --algo don --warmup-steps 99 --out {dir}/m.npz",
+    "train {graph} --algo don --gamma 0.5 --out {dir}/m.npz",
+    "train {graph} --algo don --tuning-scale 0.2 --out {dir}/m.npz",
+    "train {graph} --algo don --policy-learning-rate 0.01 --out {dir}/m.npz",
+    "train {graph} --algo don --policy-hidden 8 --gamma 0.5 --out {dir}/m.npz",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg",
         "w-covers-graph", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
-        "trajectory-len-0", "don-rl-eval-every", "don-rl-global-steps"])
+        "trajectory-len-0", "don-rl-eval-every", "don-rl-global-steps",
+        "don-rl-steps", "don-trajectory-len", "don-steps-per-t", "don-warmup-steps",
+        "don-gamma", "don-tuning-scale", "don-policy-learning-rate", "don-policy-hidden"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -299,6 +310,26 @@ def test_header_too_large_for_memory_is_one_error_line(tmp_path):
     err = done.stderr.splitlines()
     assert done.returncode == 1, done.stderr
     assert len(err) == 1 and err[0].startswith("error: out of memory"), err
+
+
+def test_scoring_commands_never_import_scipy(tmp_path):
+    # In a fresh interpreter: generate, order --algo go and eval on one graph
+    # below the dense cap and one above it.  Only DON-RL training imports scipy.
+    runs = []
+    for n in (DENSE_SIMILARITY_CAP // 4, DENSE_SIMILARITY_CAP + 1):
+        g, perm = f"{tmp_path}/g{n}.txt", f"{tmp_path}/p{n}.txt"
+        runs += [f"generate --kind er --n {n} --p 0.002 --seed 1 --out {g}",
+                 f"order {g} --algo go --out {perm}",
+                 f"eval {g} --perm {perm}"]
+    child = ("import sys; from graphorder.cli import main; "
+             "print([main(cmd.split()) for cmd in sys.argv[1:]], 'scipy' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    done = subprocess.run([sys.executable, "-c", child, *runs],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(runs)} False", done.stdout
 
 
 TRAIN_FLAGS = "--w 3 --seed 5 --hidden 8 --batch-size 8 --eval-size 6"

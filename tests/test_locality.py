@@ -58,9 +58,14 @@ class TestPairCounts:
 
     def test_dense_matches_pairwise(self):
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            g = random_digraph(rng, int(rng.integers(2, 20)), 0.3)
+        # Empty, single-vertex and edgeless graphs, and isolated vertices
+        # next to arcs, besides the random ones.
+        edge_cases = [Graph(0), Graph(1), Graph(5), Graph(7, [(1, 2), (2, 1), (4, 2)])]
+        for g in edge_cases + [random_digraph(rng, int(rng.integers(2, 20)), 0.3)
+                               for _ in range(10)]:
             mat = dense_similarity(g)
+            assert mat.shape == (g.n, g.n) and mat.dtype == np.int64
+            assert not np.diagonal(mat).any()
             assert np.array_equal(mat, mat.T)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
