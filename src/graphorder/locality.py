@@ -111,6 +111,18 @@ class MatrixSimilarity(SimilaritySource):
             raise ValueError("similarity values must be non-negative")
         if not np.array_equal(mat, mat.T):
             raise ValueError("similarity matrix must be symmetric")
+        self._hold(mat)
+
+    @classmethod
+    def _adopt(cls, mat: np.ndarray) -> MatrixSimilarity:
+        """Wrap a fresh matrix from ``dense_similarity`` without copying or
+        re-checking it: the row gather makes it a symmetric, non-negative
+        int64 matrix with a zero diagonal, and no one else holds it."""
+        src = cls.__new__(cls)
+        src._hold(mat)
+        return src
+
+    def _hold(self, mat: np.ndarray) -> None:
         mat.flags.writeable = False
         self.matrix = mat
         self.n = int(mat.shape[0])
@@ -166,7 +178,7 @@ def as_similarity(source: SimilarityLike,
         return source
     if isinstance(source, Graph):
         if source.n <= dense_cap:
-            return MatrixSimilarity(dense_similarity(source))
+            return MatrixSimilarity._adopt(dense_similarity(source))
         return GraphSimilarity(source)
     return MatrixSimilarity(np.asarray(source))
 

@@ -169,21 +169,37 @@ def soft_label(source: SimilarityLike, members: Sequence[int] | np.ndarray) -> n
     return raw / total
 
 
-def _weighted_draw_without_replacement(rng: np.random.Generator,
-                                       prob: np.ndarray, k: int) -> np.ndarray:
-    """Sequential weighted sampling: draw, zero out, renormalize, repeat."""
-    p = np.asarray(prob, dtype=np.float64).copy()
-    out = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        cdf = np.cumsum(p)
-        total = cdf[-1]
-        if total <= 0:
-            raise ValueError("sampling distribution has no remaining mass")
-        v = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-        v = min(v, p.size - 1)
-        out[i] = v
-        p[v] = 0.0
-    return np.sort(out)
+def _draw(rng: np.random.Generator, cdf: np.ndarray, size) -> np.ndarray:
+    """Vertices drawn i.i.d. with weights given by their cumulative sum."""
+    v = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
+    return np.minimum(v, cdf.size - 1)
+
+
+def _weighted_draws_without_replacement(rng: np.random.Generator, prob: np.ndarray,
+                                        k: int, batch: int) -> np.ndarray:
+    """``batch`` sorted k-sets drawn from ``prob`` without replacement, as a
+    (batch, k) int64 array.
+
+    Every row first takes k i.i.d. draws from one shared CDF.  The first k
+    distinct values of an i.i.d. stream are a sequential weighted sample
+    without replacement (draw, zero out, renormalize, repeat), so a row whose
+    draws are distinct is done.  A row with a repeat keeps its distinct
+    vertices and finishes with that sequential step on the same ``rng``.
+    """
+    p = np.asarray(prob, dtype=np.float64)
+    if np.count_nonzero(p > 0) < k:
+        raise ValueError("sampling distribution has no remaining mass")
+    sets = np.sort(_draw(rng, np.cumsum(p), (batch, k)), axis=1)
+    for row in np.flatnonzero((sets[:, 1:] == sets[:, :-1]).any(axis=1)):
+        members = np.unique(sets[row])
+        rest = p.copy()
+        rest[members] = 0.0
+        extra = np.empty(k - members.size, dtype=np.int64)
+        for i in range(extra.size):
+            extra[i] = _draw(rng, np.cumsum(rest), None)
+            rest[extra[i]] = 0.0
+        sets[row] = np.sort(np.concatenate([members, extra]))
+    return sets
 
 
 def sample_training_batch(g: Graph, prob: np.ndarray, w: int, batch: int,
@@ -199,11 +215,8 @@ def sample_training_batch(g: Graph, prob: np.ndarray, w: int, batch: int,
         raise ValueError("training sets need w >= 2")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     src = as_similarity(g) if source is None else as_similarity(source)
-    examples = []
-    for _ in range(batch):
-        members = _weighted_draw_without_replacement(rng, prob, w - 1)
-        examples.append(TrainingExample(members, soft_label(src, members)))
-    return examples
+    sets = _weighted_draws_without_replacement(rng, prob, w - 1, batch)
+    return [TrainingExample(members, soft_label(src, members)) for members in sets]
 
 
 def stack_batch(examples: Sequence[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:

@@ -19,8 +19,8 @@ import numpy as np
 from .graph import Graph
 from .locality import SimilarityLike, as_similarity
 from .optim import AdamState, RmspropState
-from .scorer import (ScorerConfig, SetScorer, TrainingExample, TrainLog, _glorot,
-                     _read_checkpoint, fit, init_scorer, rmse, soft_label)
+from .scorer import (ScorerConfig, SetScorer, TrainingExample, TrainLog, _draw,
+                     _glorot, _read_checkpoint, fit, init_scorer, rmse, soft_label)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -247,8 +247,7 @@ def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
     cdf = np.cumsum(prob)
     examples = []
     for _ in range(size):
-        start = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        start = min(start, g.n - 1)
+        start = int(_draw(rng, cdf, None))
         members = grow_best_neighbor(src, start, w - 1)
         examples.append(TrainingExample(members, soft_label(src, members)))
     return examples

@@ -335,16 +335,16 @@ def test_scoring_commands_never_import_scipy(tmp_path):
 TRAIN_FLAGS = "--w 3 --seed 5 --hidden 8 --batch-size 8 --eval-size 6"
 PINNED_TRAIN_OUTPUTS = {
     "--algo don --global-steps 12 --eval-every 5": {
-        "m.npz": "9733bdb103462d25a1ce05ad86fc4b3d15f45043e307299d73cad7cc8fb65827",
-        "m.npz.metrics.csv": "bbd665385acb23c31b4c64e1e8d765eccc1f6ba3ec1d3dd208f816ed33481aae",
+        "m.npz": "476965553c5861a3569360fb0e813cbc3fb016635462d173c7e8317c36e56e31",
+        "m.npz.metrics.csv": "4a7fe6a8e53abae777d613fc0f568fb0f9948919f7d223ef735286b418ae8937",
     },
     "--algo don-rl --warmup-steps 12 --rl-steps 2 --trajectory-len 3 "
     "--don-steps-per-t 2 --policy-hidden 8": {
-        "m.npz": "8638be93766706b3feee72aa450057afb2a32369a9d478b1f07924b86db611cd",
-        "m.npz.policy.npz": "5714be4ad4945d1e57b39d5a7a78fd78618b0524b18473ba3171c8d5f13d8d42",
-        "m.npz.metrics.csv": "63466ecc1cca694aa542584fae4d6dd0732fae4002dc9c48bb5868420bfb75ce",
+        "m.npz": "58fcc4c433a058adf749c6058ebb2e6eca8e91ec7e70cff853df5fa83fae5f76",
+        "m.npz.policy.npz": "108c08602e5cb5fa171a8f6865a170710c9758a1d7f09d698b37550128c9662d",
+        "m.npz.metrics.csv": "ad36303a1528a40c6be6e57eeb3c2c14179bd332c158e409fd22bb62069e71f6",
         "m.npz.metrics.csv.don.csv":
-            "4bdfc816d11274e7a94e28f335615f699f7fec3b8127b8fa11d8ad5d995c2ebd",
+            "ad8042959f2534985ea32a50aa7a0335f8430b13a2ba6e61d8a95f56fa847451",
     },
 }
 
@@ -360,6 +360,21 @@ def test_train_outputs_pinned(flags, tmp_path):
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in tmp_path.iterdir() if f.name != "g.txt"}
     assert written == PINNED_TRAIN_OUTPUTS[flags]
+
+
+@pytest.mark.parametrize("flags", list(PINNED_TRAIN_OUTPUTS), ids=["don", "don-rl"])
+def test_train_reruns_write_identical_bytes(flags, tmp_path):
+    """Two runs with the same flags write the same bytes, on any BLAS build."""
+    graph = tmp_path / "g.txt"
+    graph.write_text(format_edge_list(gen_power_law(40, 1.8, seed=3)))
+    written = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        argv = f"train {graph} --out {tmp_path}/{run}/m.npz {TRAIN_FLAGS} {flags}"
+        assert main(argv.split()) == 0
+        written.append({f.name: f.read_bytes() for f in (tmp_path / run).iterdir()})
+    assert set(written[0]) == set(PINNED_TRAIN_OUTPUTS[flags])
+    assert written[0] == written[1]
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphorder.baselines import brute_force_order, greedy_order
-from graphorder.graph import Graph
+from graphorder.graph import Graph, gen_power_law
 from graphorder.locality import (GraphSimilarity, MatrixSimilarity,
                                  as_similarity, candidate_gain,
                                  dense_similarity, format_permutation,
@@ -95,6 +96,28 @@ class TestMatrixSource:
         text = format_similarity_matrix(five_sim)
         again = load_similarity_matrix(text)
         assert np.array_equal(again.matrix, five_sim)
+
+    def test_graph_source_holds_one_matrix(self):
+        g = gen_power_law(300, 1.6, seed=7)
+        tracemalloc.start()
+        try:
+            src = as_similarity(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * g.n * g.n * 8
+        assert not src.matrix.flags.writeable
+        assert not np.diagonal(src.matrix).any()
+        assert np.array_equal(src.matrix, dense_similarity(g))
+
+    def test_given_matrix_left_unchanged(self, five_sim):
+        given = five_sim.copy()
+        given[np.diag_indices(5)] = 7
+        before = given.copy()
+        for src in (as_similarity(given), MatrixSimilarity(given)):
+            assert not np.diagonal(src.matrix).any()
+            assert not src.matrix.flags.writeable
+        assert np.array_equal(given, before) and given.flags.writeable
 
 
 class TestGraphSource:

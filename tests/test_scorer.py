@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from graphorder.graph import Graph, gen_power_law
 from graphorder.locality import as_similarity, window_set_score
 from graphorder.optim import AdamState
 from graphorder.scorer import (PARAM_NAMES, ScorerConfig, TrainingDiverged,
-                               TrainingExample, _loss_and_grads, cross_entropy,
+                               TrainingExample, _loss_and_grads,
+                               _weighted_draws_without_replacement, cross_entropy,
                                forward, forward_batch, init_scorer, load_scorer,
                                model_order, rmse, sample_training_batch,
                                save_scorer, soft_label, stack_batch,
@@ -154,6 +157,57 @@ class TestSampleBatch:
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
             sample_training_batch(g, np.full(3, 1 / 3), 5, 2, seed=0)
+
+
+def sequential_set_probabilities(prob, k: int) -> dict[tuple[int, ...], float]:
+    """Oracle: the exact probability of every k-set under sequential weighted
+    sampling (draw, zero out, renormalize), summed over its draw orders."""
+    out: dict[tuple[int, ...], float] = {}
+    for seq in itertools.permutations(range(len(prob)), k):
+        p, left = 1.0, 1.0
+        for v in seq:
+            p *= prob[v] / left
+            left -= prob[v]
+        key = tuple(sorted(seq))
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+class TestWeightedDraws:
+    @pytest.mark.parametrize("prob", [[0.4, 0.25, 0.15, 0.1, 0.06, 0.04],
+                                      [0.17, 0.16, 0.17, 0.16, 0.17, 0.17]],
+                             ids=["skewed", "near-flat"])
+    def test_set_frequencies_match_sequential_sampling(self, prob):
+        draws = 60_000
+        sets = _weighted_draws_without_replacement(np.random.default_rng(3),
+                                                   np.array(prob), 3, draws)
+        assert sets.shape == (draws, 3) and sets.dtype == np.int64
+        assert np.all(sets[:, 1:] > sets[:, :-1])
+        keys, counts = np.unique(sets, axis=0, return_counts=True)
+        freq = dict(zip(map(tuple, keys.tolist()), counts / draws))
+        exact = sequential_set_probabilities(prob, 3)
+        assert set(freq) <= set(exact)
+        for key, q in exact.items():
+            sigma = np.sqrt(q * (1 - q) / draws)
+            assert abs(freq.get(key, 0.0) - q) < 4.5 * sigma, key
+
+    def test_single_draws_follow_prob(self):
+        prob = np.array([0.5, 0.3, 0.15, 0.05])
+        draws = 50_000
+        sets = _weighted_draws_without_replacement(np.random.default_rng(4), prob, 1, draws)
+        assert sets.shape == (draws, 1)
+        freq = np.bincount(sets[:, 0], minlength=4) / draws
+        assert np.all(np.abs(freq - prob) < 4.5 * np.sqrt(prob * (1 - prob) / draws))
+
+    def test_exactly_k_vertices_with_mass(self):
+        prob = np.array([0.5, 0.0, 0.3, 0.0, 0.2, 0.0])
+        sets = _weighted_draws_without_replacement(np.random.default_rng(5), prob, 3, 500)
+        assert np.array_equal(sets, np.tile([0, 2, 4], (500, 1)))
+
+    def test_fewer_than_k_vertices_with_mass(self):
+        prob = np.array([0.5, 0.0, 0.5, 0.0])
+        with pytest.raises(ValueError, match="no remaining mass"):
+            _weighted_draws_without_replacement(np.random.default_rng(6), prob, 3, 4)
 
 
 class TestCrossEntropy:
