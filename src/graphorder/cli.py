@@ -277,6 +277,7 @@ def render_pgm(g: graph.Graph, order, fmt: str = "p2",
     if b < 1:
         raise ValueError("block width must be positive")
     perm = locality.check_permutation(order, g.n)
+    b = min(b, max(g.n, 1))  # any b >= n is one block; keeps huge b out of int64
     pos = np.empty(g.n, dtype=np.int64)
     pos[perm] = np.arange(g.n)
     size = math.ceil(g.n / b)

@@ -37,6 +37,7 @@ def compression_cost(g: Graph, order, b: int) -> tuple[int, float]:
     perm = check_permutation(order, g.n)
     if g.n == 0:
         return 0, 0.0
+    b = min(b, g.n)  # any b >= n is one block; keeps huge b out of int64
     pos = np.empty(g.n, dtype=np.int64)
     pos[perm] = np.arange(g.n)
     nb = math.ceil(g.n / b)
@@ -133,19 +134,21 @@ def greedy_partition(g: Graph, k: int) -> EdgePartition:
     parts = np.zeros(m, dtype=np.int64)
     capacity = math.ceil(m / k)
     hard_cap = math.ceil(capacity * (1.0 + GREEDY_SLACK))
-    held: list[set[int]] = [set() for _ in range(k)]
-    sizes = [0] * k
+    # Some part is always under the cap, as k * hard_cap >= m.  Only the
+    # first min(k, m) ids can win: before each edge one of them is still
+    # empty, and an empty part beats every higher-numbered one.
+    slots = min(k, m)
+    held: list[set[int]] = [set() for _ in range(slots)]
+    sizes = [0] * slots
     for e, (u, v) in enumerate(edges.tolist()):
         best_pid, best_key = None, None
-        for pid in range(k):
+        for pid in range(slots):
             if sizes[pid] >= hard_cap:
                 continue
             score = (u in held[pid]) + (v in held[pid]) - sizes[pid] / capacity
             key = (score, -sizes[pid], -pid)
             if best_key is None or key > best_key:
                 best_key, best_pid = key, pid
-        if best_pid is None:  # all parts at the cap; take the least loaded
-            best_pid = int(np.argmin(sizes))
         parts[e] = best_pid
         sizes[best_pid] += 1
         held[best_pid].update((u, v))

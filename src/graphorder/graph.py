@@ -273,7 +273,7 @@ def gen_power_law(n: int, gamma: float, seed: int) -> Graph:
     (support 1..n-1, exponent ``gamma``) by inverse-transform sampling, paired
     with the configuration model; self-loops and multi-edges are dropped.
     Deterministic per seed."""
-    if gamma <= 1.0:
+    if not gamma > 1.0:  # also rejects nan
         raise ValueError(f"exponent must exceed 1, got {gamma}")
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -52,8 +52,15 @@ def neighbor_count(g: Graph, u: int, v: int) -> int:
 
 
 def similarity(g: Graph, u: int, v: int) -> int:
-    """Pairwise similarity: sibling count plus neighbor count.  Symmetric."""
-    return sibling_count(g, u, v) + neighbor_count(g, u, v)
+    """Pairwise similarity: sibling count plus neighbor count.  Symmetric.
+
+    Both counts come from the two in-lists, since an arc u -> v holds
+    exactly when u is an in-neighbor of v."""
+    if u == v:
+        raise ValueError("similarity is undefined for a vertex with itself")
+    preds_u = set(g.in_neighbors(u).tolist())
+    preds_v = g.in_neighbors(v).tolist()
+    return len(preds_u.intersection(preds_v)) + (v in preds_u) + (u in preds_v)
 
 
 def _similarity_row(g: Graph, x: int) -> np.ndarray:
@@ -161,7 +168,10 @@ class GraphSimilarity(SimilaritySource):
         return value
 
     def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:
-        acc += sign * _similarity_row(self.graph, x)
+        if sign == 1:
+            acc += _similarity_row(self.graph, x)
+        else:
+            acc -= _similarity_row(self.graph, x)
 
 
 SimilarityLike = Union[Graph, SimilaritySource, np.ndarray, Sequence[Sequence[int]]]
@@ -218,10 +228,11 @@ def locality_score(source: SimilarityLike, order: Sequence[int] | np.ndarray,
         for gap in range(1, min(w, length - 1) + 1):
             total += int(src.matrix[perm[:-gap], perm[gap:]].sum())
         return total
+    ids = perm.tolist()
     total = 0
     for i in range(length):
         for j in range(i + 1, min(i + w, length - 1) + 1):
-            total += src.score(int(perm[i]), int(perm[j]))
+            total += src.score(ids[i], ids[j])
     return total
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from graphorder.cli import main, read_config, render_pgm
-from graphorder.graph import Graph, format_edge_list, gen_power_law, load_edge_list
+from graphorder.graph import (Graph, format_edge_list, gen_erdos_renyi, gen_power_law,
+                              load_edge_list)
 from graphorder.locality import (DENSE_SIMILARITY_CAP, format_similarity_matrix,
                                  load_permutation)
 from graphorder.scorer import init_scorer
@@ -102,6 +103,18 @@ class TestEval:
         first = capsys.readouterr().out
         main(["eval", small_graph_file, "--perm", str(out), "--w", "2"])
         assert capsys.readouterr().out == first
+
+    def test_order_and_eval_agree_above_dense_cap(self, tmp_path, capsys):
+        # An ER graph has no hubs, unlike the power-law pin of greedy_order;
+        # both commands score pairs on demand.  F recorded before pairs were
+        # scored from the two in-lists.
+        g = gen_erdos_renyi(2500, 0.003, seed=7)
+        assert g.n > DENSE_SIMILARITY_CAP
+        graph, perm = tmp_path / "er.txt", tmp_path / "perm.txt"
+        graph.write_text(format_edge_list(g))
+        assert main(["order", str(graph), "--algo", "go", "--out", str(perm)]) == 0
+        assert main(["eval", str(graph), "--perm", str(perm)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["F=10100", "F=10100"]
 
 
 class TestTrain:
@@ -203,6 +216,16 @@ class TestPartitionCommand:
         assert main(["partition", small_graph_file, "--method", "greedy",
                      "--k", "2"]) == 0
 
+    def test_greedy_with_more_parts_than_edges(self, small_graph_file, capsys):
+        # Parts past the edge count stay empty, so any larger k gives the same
+        # RF.  The child caps its address space: a k-sized table would fail.
+        assert main(["partition", small_graph_file, "--method", "greedy", "--k", "5"]) == 0
+        rf = capsys.readouterr().out
+        done = _run_capped_cli("partition", small_graph_file, "--method", "greedy",
+                               "--k", "99999999999999999999")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == rf
+
 
 class TestCompressCommand:
     def test_csv_output(self, small_graph_file, tmp_path):
@@ -212,6 +235,13 @@ class TestCompressCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "b,cost_nz,cost_r"
         assert len(lines) == 3
+
+    def test_width_beyond_int64_matches_width_n(self, small_graph_file, capsys):
+        assert main(["compress-cost", small_graph_file,
+                     "--b", "2,6,99999999999999999999"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "6,1,1.0"
+        assert lines[3] == "99999999999999999999,1,1.0"
 
 
 class TestRenderMatrix:
@@ -237,6 +267,15 @@ class TestRenderMatrix:
         main(["render-matrix", small_graph_file, "--block", "3",
               "--out", str(out)])
         assert out.read_text().splitlines()[1] == "2 2"
+
+    def test_block_beyond_int64_matches_block_n(self, small_graph_file, tmp_path):
+        images = []
+        for block in ("6", "99999999999999999999"):
+            out = tmp_path / f"m{block}.pgm"
+            assert main(["render-matrix", small_graph_file, "--block", block,
+                         "--out", str(out)]) == 0
+            images.append(out.read_bytes())
+        assert images[0] == images[1] == b"P2\n1 1\n255\n0\n"
 
     def test_pixels_match_arcs(self):
         g = Graph(3, [(0, 2)])
@@ -272,12 +311,14 @@ class TestRenderMatrix:
     "train {graph} --algo don --tuning-scale 0.2 --out {dir}/m.npz",
     "train {graph} --algo don --policy-learning-rate 0.01 --out {dir}/m.npz",
     "train {graph} --algo don --policy-hidden 8 --gamma 0.5 --out {dir}/m.npz",
+    "generate --kind powerlaw --n 20 --gamma-exp nan --out {dir}/g.txt",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg",
         "w-covers-graph", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
         "trajectory-len-0", "don-rl-eval-every", "don-rl-global-steps",
         "don-rl-steps", "don-trajectory-len", "don-steps-per-t", "don-warmup-steps",
-        "don-gamma", "don-tuning-scale", "don-policy-learning-rate", "don-policy-hidden"])
+        "don-gamma", "don-tuning-scale", "don-policy-learning-rate", "don-policy-hidden",
+        "gamma-exp-nan"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -294,19 +335,23 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
-def test_header_too_large_for_memory_is_one_error_line(tmp_path):
-    # The child caps its own address space, so the n-length arrays of the
-    # declared graph cannot be allocated.
-    (tmp_path / "huge.txt").write_text("n 10000000000\n0 1\n")
+def _run_capped_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child whose address space is capped at 2 GiB."""
     child = ("import resource, sys; "
              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
              "from graphorder.cli import main; sys.exit(main(sys.argv[1:]))")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    done = subprocess.run([sys.executable, "-c", child, "compress-cost",
-                           str(tmp_path / "huge.txt")],
+    return subprocess.run([sys.executable, "-c", child, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_header_too_large_for_memory_is_one_error_line(tmp_path):
+    # The child caps its own address space, so the n-length arrays of the
+    # declared graph cannot be allocated.
+    (tmp_path / "huge.txt").write_text("n 10000000000\n0 1\n")
+    done = _run_capped_cli("compress-cost", str(tmp_path / "huge.txt"))
     err = done.stderr.splitlines()
     assert done.returncode == 1, done.stderr
     assert len(err) == 1 and err[0].startswith("error: out of memory"), err

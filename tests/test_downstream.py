@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from graphorder.downstream import (EdgePartition, compression_cost,
+from graphorder.downstream import (GREEDY_SLACK, EdgePartition, compression_cost,
                                    format_partition_csv, greedy_partition,
                                    partition_from_order, random_partition,
                                    replication_factor)
@@ -80,6 +80,13 @@ class TestCompressionCost:
         g = Graph(5, [(4, 4 - 1)])
         nz, ratio = compression_cost(g, np.arange(5), 3)
         assert nz == 1 and ratio == 0.25  # 2x2 block grid
+
+    def test_width_beyond_int64_is_one_block(self):
+        g = gen_power_law(50, 1.6, seed=7)
+        perm = np.random.default_rng(33).permutation(g.n)
+        assert compression_cost(g, perm, g.n) == (1, 1.0)
+        for b in (g.n + 1, 2 ** 63, 10 ** 20):
+            assert compression_cost(g, perm, b) == compression_cost(g, perm, g.n)
 
 
 def star_graph() -> Graph:
@@ -181,7 +188,34 @@ class TestRandomPartition:
         assert np.all(np.abs(sizes - m / 4) < 3 * sigma)
 
 
+def naive_greedy_partition(g: Graph, k: int) -> list[int]:
+    """The greedy stream scanning all k parts for every edge."""
+    edges = g.undirected_edges().tolist()
+    capacity = -(-len(edges) // k)
+    hard_cap = int(np.ceil(capacity * (1.0 + GREEDY_SLACK)))
+    held, sizes, parts = [set() for _ in range(k)], [0] * k, []
+    for u, v in edges:
+        open_ids = [pid for pid in range(k) if sizes[pid] < hard_cap]
+        pid = max(open_ids, key=lambda p: ((u in held[p]) + (v in held[p])
+                                           - sizes[p] / capacity, -sizes[p], -p))
+        parts.append(pid)
+        sizes[pid] += 1
+        held[pid].update((u, v))
+    return parts
+
+
 class TestGreedyPartition:
+    def test_matches_full_scan_for_any_k(self):
+        rng = np.random.default_rng(46)
+        for _ in range(40):
+            n = int(rng.integers(2, 16))
+            g = random_digraph(rng, n, float(rng.uniform(0.05, 0.5)))
+            m = g.undirected_edges().shape[0]
+            if m == 0:
+                continue
+            for k in sorted({1, 2, max(1, m // 2), m, m + 1, 3 * m + 7}):
+                assert greedy_partition(g, k).parts.tolist() == naive_greedy_partition(g, k)
+
     def test_triangle_single_part(self):
         g = Graph.from_undirected(3, [(0, 1), (0, 2), (1, 2)])
         part = greedy_partition(g, 1)

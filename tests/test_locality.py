@@ -50,6 +50,19 @@ class TestPairCounts:
             with pytest.raises(ValueError):
                 fn(g, 1, 1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs())
+    def test_similarity_is_sibling_plus_neighbor_count(self, g):
+        # The in-list formula against the two counts it replaces: a set
+        # intersection for siblings and two arc searches for neighbors.
+        for u in range(g.n):
+            with pytest.raises(ValueError):
+                similarity(g, u, u)
+            for v in range(g.n):
+                if u != v:
+                    assert similarity(g, u, v) == (sibling_count(g, u, v)
+                                                   + neighbor_count(g, u, v))
+
     def test_similarity_symmetric(self):
         rng = np.random.default_rng(3)
         g = random_digraph(rng, 25, 0.15)
@@ -153,6 +166,9 @@ class TestGraphSource:
         assert np.array_equal(lazy.scores_against(members), dense.scores_against(members))
         assert np.array_equal(soft_label(lazy, members), soft_label(dense, members))
         w = data.draw(st.integers(1, n + 1))
+        perm = data.draw(st.permutations(range(n)))
+        prefix = perm[:data.draw(st.integers(0, n))]
+        assert locality_score(lazy, prefix, w) == locality_score(dense, prefix, w)
         assert np.array_equal(greedy_order(lazy, w), greedy_order(dense, w))
         if n <= 7:
             lazy_perm, lazy_best = brute_force_order(lazy, w)
