@@ -6,30 +6,47 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import baselines, downstream, graph, locality, scorer, tuner
 
-CONFIG_KEYS = {
-    "w": int,
-    "seed": int,
-    "hidden": int,
-    "repr_dim": int,
-    "don_learning_rate": float,
-    "batch_size": int,
-    "global_steps": int,
-    "eval_every": int,
-    "policy_learning_rate": float,
-    "policy_hidden": int,
-    "trajectory_len": int,
-    "rl_steps": int,
-    "gamma": float,
-    "tuning_scale": float,
-    "eval_size": int,
-    "don_steps_per_t": int,
-    "warmup_steps": int,
-}
+
+class TrainSetting(NamedTuple):
+    """A ``train`` setting: its config key (the flag is ``--key`` with dashes),
+    its type, the ``ScorerConfig``/``RlConfig`` field it fills, and whether
+    only DON-RL reads it."""
+
+    key: str
+    type: type
+    config: type | None
+    field: str | None
+    rl_only: bool = False
+
+
+_SC, _RL = scorer.ScorerConfig, tuner.RlConfig
+# Defaults live in the dataclasses only.  eval_every fills no field: DON reads
+# it, with a default of 50, and DON-RL refuses the flag.
+TRAIN_SETTINGS = (
+    TrainSetting("hidden", int, _SC, "hidden"),
+    TrainSetting("repr_dim", int, _SC, "repr_dim"),
+    TrainSetting("don_learning_rate", float, _SC, "learning_rate"),
+    TrainSetting("batch_size", int, _SC, "batch_size"),
+    TrainSetting("global_steps", int, _RL, "global_steps"),
+    TrainSetting("eval_every", int, None, None),
+    TrainSetting("policy_learning_rate", float, _RL, "policy_lr", rl_only=True),
+    TrainSetting("policy_hidden", int, _RL, "policy_hidden", rl_only=True),
+    TrainSetting("trajectory_len", int, _RL, "trajectory_len", rl_only=True),
+    TrainSetting("rl_steps", int, _RL, "rl_steps", rl_only=True),
+    TrainSetting("gamma", float, _RL, "gamma", rl_only=True),
+    TrainSetting("tuning_scale", float, _RL, "tuning_scale", rl_only=True),
+    TrainSetting("eval_size", int, _RL, "eval_size"),
+    TrainSetting("don_steps_per_t", int, _RL, "don_steps_per_t", rl_only=True),
+    TrainSetting("warmup_steps", int, _RL, "warmup_steps", rl_only=True),
+)
+
+CONFIG_KEYS = {"w": int, "seed": int, **{s.key: s.type for s in TRAIN_SETTINGS}}
 
 
 def read_config(path: str) -> dict:
@@ -53,7 +70,7 @@ def read_config(path: str) -> dict:
     return values
 
 
-def _setting(args, config: dict, name: str, fallback):
+def _setting(args, config: dict, name: str, fallback=None):
     flag = getattr(args, name, None)
     if flag is not None:
         return flag
@@ -83,13 +100,24 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
+def _refuse(args, names, reader: str) -> None:
+    """Refuse, rather than drop, the flags among ``names`` that were given
+    although only ``reader`` reads them."""
+    given = ["--" + name.replace("_", "-") for name in names
+             if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)}: read by {reader} only")
+
+
 def cmd_generate(args, config) -> int:
     seed = _setting(args, config, "seed", 0)
     if args.kind == "er":
+        _refuse(args, ["gamma_exp"], "--kind powerlaw")
         if args.p is None:
             raise ValueError("--p is required for --kind er")
         g = graph.gen_erdos_renyi(args.n, args.p, seed)
     else:
+        _refuse(args, ["p"], "--kind er")
         if args.gamma_exp is None:
             raise ValueError("--gamma-exp is required for --kind powerlaw")
         g = graph.gen_power_law(args.n, args.gamma_exp, seed)
@@ -106,6 +134,8 @@ def cmd_order(args, config) -> int:
         raise ValueError("matrix input supports only --algo go or brute")
     if args.merge and args.matrix:
         raise ValueError("--merge needs a graph input")
+    if args.algo != "don":
+        _refuse(args, ["model", "start"], "--algo don")
 
     work = source
     groups = None
@@ -116,6 +146,8 @@ def cmd_order(args, config) -> int:
               f"({(1 - kept) * 100:.1f}% removed)", file=sys.stderr)
 
     if args.algo == "go":
+        if groups is None:  # GO and the printed F share one similarity source
+            source = work = locality.as_similarity(source)
         perm = baselines.greedy_order(work, w)
     elif args.algo == "degree":
         perm = baselines.degree_order(work)
@@ -145,30 +177,11 @@ def cmd_eval(args, config) -> int:
     return 0
 
 
-def _scorer_config(args, config) -> scorer.ScorerConfig:
-    hidden = _setting(args, config, "hidden", 64)
-    return scorer.ScorerConfig(
-        hidden_phi=hidden,
-        repr_dim=_setting(args, config, "repr_dim", hidden),
-        hidden_rho=hidden,
-        learning_rate=_setting(args, config, "don_learning_rate", 1e-3),
-        batch_size=_setting(args, config, "batch_size", 64),
-    )
-
-
-def _rl_config(args, config) -> tuner.RlConfig:
-    return tuner.RlConfig(
-        trajectory_len=_setting(args, config, "trajectory_len", 5),
-        rl_steps=_setting(args, config, "rl_steps", 50),
-        gamma=_setting(args, config, "gamma", 0.95),
-        tuning_scale=_setting(args, config, "tuning_scale", 0.15),
-        policy_lr=_setting(args, config, "policy_learning_rate", 1e-3),
-        policy_hidden=_setting(args, config, "policy_hidden", 64),
-        eval_size=_setting(args, config, "eval_size", 2000),
-        global_steps=_setting(args, config, "global_steps", 5000),
-        don_steps_per_t=_setting(args, config, "don_steps_per_t", None),
-        warmup_steps=_setting(args, config, "warmup_steps", 50),
-    )
+def _train_config(cls, args, config):
+    """``cls`` with the fields that a flag or the config file sets; every
+    other field keeps its dataclass default."""
+    given = {s.field: _setting(args, config, s.key) for s in TRAIN_SETTINGS if s.config is cls}
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -183,45 +196,36 @@ def _write_loss_csv(path: str, log: scorer.TrainLog, with_wall: bool) -> None:
     _write_csv(path, "step,loss,rmse" + (",wall_time" if with_wall else ""), rows)
 
 
-# Training flags that only DON-RL reads.
-RL_ONLY_FLAGS = ("rl_steps", "trajectory_len", "don_steps_per_t", "warmup_steps", "gamma",
-                 "tuning_scale", "policy_learning_rate", "policy_hidden")
-
-
 def cmd_train(args, config) -> int:
+    scfg = _train_config(scorer.ScorerConfig, args, config)
+    if _setting(args, config, "repr_dim") is None:  # --repr-dim defaults to --hidden
+        scfg.repr_dim = scfg.hidden
+    rcfg = _train_config(tuner.RlConfig, args, config)
     # Flags the chosen algorithm would not read are refused rather than dropped.
     if args.algo == "don-rl":
         if args.eval_every is not None:
             raise ValueError("--eval-every applies to --algo don only; don-rl "
                              "evaluates after every tuning step")
-        if args.global_steps is not None and _setting(args, config, "don_steps_per_t",
-                                                      None) is not None:
+        if args.global_steps is not None and rcfg.don_steps_per_t is not None:
             raise ValueError("--global-steps is not read when --don-steps-per-t is set")
     else:
-        given = ["--" + name.replace("_", "-") for name in RL_ONLY_FLAGS
-                 if getattr(args, name) is not None]
-        if given:
-            raise ValueError(f"{', '.join(given)}: read by --algo don-rl only")
+        _refuse(args, [s.key for s in TRAIN_SETTINGS if s.rl_only], "--algo don-rl")
     w = _setting(args, config, "w", 5)
     seed = _setting(args, config, "seed", 0)
     g = _load_graph(args.input)
     if args.merge:
         g, _ = graph.merge_degree_one(g)
         print(f"training on merged graph: n={g.n}", file=sys.stderr)
-    scfg = _scorer_config(args, config)
     metrics = args.metrics or (args.out + ".metrics.csv")
 
     if args.algo == "don":
-        steps = _setting(args, config, "global_steps", 5000)
-        eval_size = min(_setting(args, config, "eval_size", 2000), 5000)
-        eval_every = _setting(args, config, "eval_every", 50)
-        eval_set = tuner.build_eval_set(g, w, eval_size, seed + 1)
-        model, log = scorer.train_scorer(g, w, steps, scfg, seed,
-                                         eval_set=eval_set, eval_every=eval_every)
+        eval_set = tuner.build_eval_set(g, w, rcfg.eval_size, seed + 1)
+        model, log = scorer.train_scorer(
+            g, w, rcfg.global_steps, scfg, seed, eval_set=eval_set,
+            eval_every=_setting(args, config, "eval_every", 50))
         scorer.save_scorer(model, args.out)
         _write_loss_csv(metrics, log, args.wall_time)
     else:
-        rcfg = _rl_config(args, config)
         model, policy, history = tuner.train_scorer_rl(g, w, scfg, rcfg, seed)
         scorer.save_scorer(model, args.out)
         tuner.save_policy(policy, args.out + ".policy.npz")
@@ -250,6 +254,8 @@ def cmd_compress_cost(args, config) -> int:
 
 def cmd_partition(args, config) -> int:
     seed = _setting(args, config, "seed", 0)
+    if args.method != "order":
+        _refuse(args, ["perm"], "--method order")
     g = _load_graph(args.input)
     if args.method == "order":
         if not args.perm:
@@ -351,15 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wall-time", action="store_true",
                    help="add a wall_time column to the loss CSV "
                         "(breaks byte-reproducibility)")
-    for flag, typ in [("--hidden", int), ("--repr-dim", int),
-                      ("--don-learning-rate", float), ("--batch-size", int),
-                      ("--global-steps", int), ("--eval-every", int),
-                      ("--policy-learning-rate", float), ("--policy-hidden", int),
-                      ("--trajectory-len", int), ("--rl-steps", int),
-                      ("--gamma", float), ("--tuning-scale", float),
-                      ("--eval-size", int), ("--don-steps-per-t", int),
-                      ("--warmup-steps", int)]:
-        p.add_argument(flag, type=typ, default=None)
+    for setting in TRAIN_SETTINGS:
+        p.add_argument("--" + setting.key.replace("_", "-"), type=setting.type, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compress-cost", parents=[common],

@@ -48,7 +48,6 @@ class Graph:
     __slots__ = (
         "n",
         "arcs",
-        "_arc_codes",
         "_out_indptr",
         "_out_indices",
         "_in_indptr",
@@ -79,7 +78,6 @@ class Graph:
 
         self.n = int(n)
         self.arcs = arr
-        self._arc_codes = codes
         # The arcs are sorted by (u, v), so the out-lists are their v column
         # as it stands, and a stable sort by v yields the in-lists sorted too.
         out_deg = np.bincount(arr[:, 0], minlength=n)
@@ -89,7 +87,7 @@ class Graph:
         self._in_indptr = np.concatenate(([0], np.cumsum(in_deg)))
         self._in_indices = arr[np.argsort(arr[:, 1], kind="stable"), 0]
         self._degrees = (out_deg + in_deg).astype(np.int64)
-        for a in (self.arcs, self._arc_codes, self._out_indptr, self._out_indices,
+        for a in (self.arcs, self._out_indptr, self._out_indices,
                   self._in_indptr, self._in_indices, self._degrees):
             a.flags.writeable = False
 
@@ -121,9 +119,9 @@ class Graph:
         return self._in_indices[self._in_indptr[v]:self._in_indptr[v + 1]]
 
     def has_arc(self, u: int, v: int) -> bool:
-        code = u * self.n + v
-        i = np.searchsorted(self._arc_codes, code)
-        return bool(i < self._arc_codes.size and self._arc_codes[i] == code)
+        succ = self.out_neighbors(u)
+        i = np.searchsorted(succ, v)
+        return bool(i < succ.size and succ[i] == v)
 
     def total_degrees(self) -> np.ndarray:
         """In-degree + out-degree per vertex (read-only array)."""

@@ -55,9 +55,8 @@ class TrainingDiverged(RuntimeError):
 class ScorerConfig:
     """Network and optimizer settings for the set scorer."""
 
-    hidden_phi: int = 64
+    hidden: int = 64
     repr_dim: int = 64
-    hidden_rho: int = 64
     learning_rate: float = 1e-3
     batch_size: int = 64
 
@@ -80,20 +79,20 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-scale, scale, size=(fan_in, fan_out))
 
 
-def init_scorer(n: int, hidden_phi: int = 64, repr_dim: int = 64,
-                hidden_rho: int = 64, seed: int = 0) -> SetScorer:
-    """Fresh scorer with Glorot-uniform weights and zero biases."""
+def init_scorer(n: int, hidden: int = 64, repr_dim: int = 64, seed: int = 0) -> SetScorer:
+    """Fresh scorer with Glorot-uniform weights and zero biases; ``hidden``
+    is the width of both the phi and the rho hidden layer."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    if min(hidden_phi, repr_dim, hidden_rho) < 1:
+    if min(hidden, repr_dim) < 1:
         raise ValueError("layer sizes must be positive")
     rng = np.random.default_rng(seed)
     return SetScorer(
         n,
-        _glorot(rng, n, hidden_phi), np.zeros(hidden_phi),
-        _glorot(rng, hidden_phi, repr_dim), np.zeros(repr_dim),
-        _glorot(rng, repr_dim, hidden_rho), np.zeros(hidden_rho),
-        _glorot(rng, hidden_rho, n), np.zeros(n),
+        _glorot(rng, n, hidden), np.zeros(hidden),
+        _glorot(rng, hidden, repr_dim), np.zeros(repr_dim),
+        _glorot(rng, repr_dim, hidden), np.zeros(hidden),
+        _glorot(rng, hidden, n), np.zeros(n),
         seed=seed,
     )
 
@@ -108,11 +107,11 @@ def _forward_cache(model: SetScorer, sets: np.ndarray):
     """Forward pass for a (B, m) batch of member-index sets, keeping the
     intermediates needed for backprop.  Indexing rows of W1 is the one-hot
     product written without the multiply."""
-    z1 = model.W1[sets] + model.b1            # (B, m, hidden_phi)
+    z1 = model.W1[sets] + model.b1            # (B, m, hidden)
     h1 = np.maximum(z1, 0.0)
     phi = h1 @ model.W2 + model.b2            # (B, m, repr_dim)
     pooled = phi.sum(axis=1)                  # (B, repr_dim)
-    z2 = pooled @ model.V1 + model.c1         # (B, hidden_rho)
+    z2 = pooled @ model.V1 + model.c1         # (B, hidden)
     h2 = np.maximum(z2, 0.0)
     logits = h2 @ model.V2 + model.c2         # (B, n)
     probs = _softmax(logits)
@@ -405,8 +404,7 @@ def train_scorer(g: Graph, w: int, steps: int, cfg: ScorerConfig, seed: int, *,
     from .tuner import initial_prob  # degree-based default sampler
 
     init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
-    model = init_scorer(g.n, cfg.hidden_phi, cfg.repr_dim, cfg.hidden_rho,
-                        seed=int(init_seed.generate_state(1)[0]))
+    model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
     log = TrainLog()
     log.rmse_points = fit(model, AdamState(), g, as_similarity(g), initial_prob(g), w,
                           steps, cfg, np.random.default_rng(batch_seed), log,

@@ -319,8 +319,8 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     rate = rl_cfg.tuning_scale / g.n
     steps_per_t = rl_cfg.resolved_steps_per_t()
 
-    model = init_scorer(g.n, scorer_cfg.hidden_phi, scorer_cfg.repr_dim,
-                        scorer_cfg.hidden_rho, seed=int(s_init.generate_state(1)[0]))
+    model = init_scorer(g.n, scorer_cfg.hidden, scorer_cfg.repr_dim,
+                        seed=int(s_init.generate_state(1)[0]))
     policy = init_policy(g.n, rl_cfg.policy_hidden,
                          seed=int(s_policy.generate_state(1)[0]))
     adam = AdamState()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -9,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphorder.cli import main, read_config, render_pgm
+from graphorder import locality, tuner
+from graphorder.cli import TRAIN_SETTINGS, main, read_config, render_pgm
 from graphorder.graph import (Graph, format_edge_list, gen_erdos_renyi, gen_power_law,
                               load_edge_list)
 from graphorder.locality import (DENSE_SIMILARITY_CAP, format_similarity_matrix,
                                  load_permutation)
-from graphorder.scorer import init_scorer
+from graphorder.scorer import ScorerConfig, init_scorer
 
 from conftest import FIVE_VERTEX_SIM
 
@@ -82,6 +84,17 @@ class TestOrder:
                      "--merge", "--seed", "5", "--out", str(out)]) == 0
         perm = load_permutation(out.read_text())
         assert sorted(perm.tolist()) == [0, 1, 2, 3]
+
+    def test_go_builds_one_similarity_source(self, tmp_path, monkeypatch):
+        # Below the dense cap, GO and the printed F read one dense matrix.
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(gen_power_law(300, 1.6, seed=7)))
+        builds = []
+        dense = locality.dense_similarity
+        monkeypatch.setattr(locality, "dense_similarity",
+                            lambda g: builds.append(g.n) or dense(g))
+        assert main(["order", str(path), "--algo", "go", "--w", "5"]) == 0
+        assert builds == [300]
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["order", str(tmp_path / "nope.txt")]) == 1
@@ -185,6 +198,25 @@ class TestTrain:
             assert lines[0] == "step,loss,rmse,wall_time", algo
             walls = [float(line.split(",")[3]) for line in lines[1:]]
             assert len(walls) == 3 and walls == sorted(walls), algo
+
+    @pytest.mark.parametrize("algo", ["don", "don-rl"])
+    def test_eval_size_reaches_eval_set_as_given(self, algo, small_graph_file, tmp_path,
+                                                monkeypatch):
+        sizes = []
+
+        def record(g, w, size, seed, **kwargs):
+            sizes.append(size)
+            raise RuntimeError("stop after the eval-set size is read")
+
+        monkeypatch.setattr(tuner, "build_eval_set", record)
+        assert main(["train", small_graph_file, "--algo", algo, "--w", "3",
+                     "--eval-size", "5001", "--out", str(tmp_path / "m.npz")]) == 1
+        assert sizes == [5001]
+
+    def test_every_config_field_has_one_setting(self):
+        for cls in (ScorerConfig, tuner.RlConfig):
+            filled = sorted(s.field for s in TRAIN_SETTINGS if s.config is cls)
+            assert filled == sorted(f.name for f in dataclasses.fields(cls)), cls
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -312,13 +344,19 @@ class TestRenderMatrix:
     "train {graph} --algo don --policy-learning-rate 0.01 --out {dir}/m.npz",
     "train {graph} --algo don --policy-hidden 8 --gamma 0.5 --out {dir}/m.npz",
     "generate --kind powerlaw --n 20 --gamma-exp nan --out {dir}/g.txt",
+    "generate --kind powerlaw --n 20 --gamma-exp 1.6 --p 0.1 --out {dir}/g.txt",
+    "generate --kind er --n 20 --p 0.1 --gamma-exp 1.6 --out {dir}/g.txt",
+    "order {graph} --algo go --model {dir}/m.npz",
+    "order {graph} --algo degree --start 0",
+    "partition {graph} --method random --k 2 --perm {dir}/p.txt",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg",
         "w-covers-graph", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
         "trajectory-len-0", "don-rl-eval-every", "don-rl-global-steps",
         "don-rl-steps", "don-trajectory-len", "don-steps-per-t", "don-warmup-steps",
         "don-gamma", "don-tuning-scale", "don-policy-learning-rate", "don-policy-hidden",
-        "gamma-exp-nan"])
+        "gamma-exp-nan", "powerlaw-p", "er-gamma-exp", "go-model", "degree-start",
+        "random-perm"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -326,7 +364,7 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "huge-perm.txt").write_text("99999999999999999999\n")
     (tmp_path / "huge-n.txt").write_text("n 99999999999999999999\n0 1\n")
     (tmp_path / "sim.txt").write_text(format_similarity_matrix(FIVE_VERTEX_SIM))
-    params = init_scorer(6, 4, 4, 4, seed=0).params()
+    params = init_scorer(6, 4, 4, seed=0).params()
     np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=0, **params)
     np.savez(tmp_path / "short.npz", kind="set_scorer", format_version=1, n=6, seed=0,
              **{**params, "W1": params["W1"][:4]})

@@ -22,24 +22,24 @@ from conftest import numeric_gradient, random_digraph
 
 class TestInit:
     def test_deterministic(self):
-        a = init_scorer(6, 8, 4, 8, seed=3)
-        b = init_scorer(6, 8, 4, 8, seed=3)
+        a = init_scorer(6, 8, 4, seed=3)
+        b = init_scorer(6, 8, 4, seed=3)
         for name, arr in a.params().items():
             assert np.array_equal(arr, b.params()[name])
 
     @pytest.mark.parametrize("hidden", [32, 64, 128, 256])
     def test_standard_hidden_sizes(self, hidden):
-        m = init_scorer(5, hidden, hidden, hidden, seed=0)
+        m = init_scorer(5, hidden, hidden, seed=0)
         assert m.W1.shape == (5, hidden)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            init_scorer(0, 4, 4, 4, seed=0)
+            init_scorer(0, 4, 4, seed=0)
         with pytest.raises(ValueError):
-            init_scorer(5, 0, 4, 4, seed=0)
+            init_scorer(5, 0, 4, seed=0)
 
     def test_glorot_range_and_zero_biases(self):
-        m = init_scorer(10, 16, 8, 16, seed=1)
+        m = init_scorer(10, 16, 8, seed=1)
         bound = np.sqrt(6.0 / (10 + 16))
         assert np.all(np.abs(m.W1) <= bound)
         assert np.all(m.b1 == 0) and np.all(m.c2 == 0)
@@ -47,7 +47,7 @@ class TestInit:
 
 class TestForward:
     def test_member_order_irrelevant(self):
-        m = init_scorer(12, 16, 8, 16, seed=2)
+        m = init_scorer(12, 16, 8, seed=2)
         rng = np.random.default_rng(0)
         for _ in range(100):
             size = int(rng.integers(1, 6))
@@ -58,7 +58,7 @@ class TestForward:
                 assert np.max(np.abs(out - base) / np.maximum(base, 1e-12)) < 1e-6
 
     def test_sums_to_one(self):
-        m = init_scorer(9, 8, 4, 8, seed=5)
+        m = init_scorer(9, 8, 4, seed=5)
         rng = np.random.default_rng(1)
         for _ in range(50):
             members = rng.choice(9, size=3, replace=False)
@@ -67,20 +67,20 @@ class TestForward:
             assert np.all(p > 0)
 
     def test_fuzz_stays_finite(self):
-        m = init_scorer(20, 16, 8, 16, seed=6)
+        m = init_scorer(20, 16, 8, seed=6)
         rng = np.random.default_rng(2)
         for _ in range(1000):
             members = rng.choice(20, size=4, replace=False)
             assert np.all(np.isfinite(forward(m, members)))
 
     def test_empty_set_rejected(self):
-        m = init_scorer(4, 4, 4, 4, seed=0)
+        m = init_scorer(4, 4, 4, seed=0)
         with pytest.raises(ValueError):
             forward(m, [])
 
     def test_one_hot_lookup_equivalence(self):
         # row indexing of W1 is exactly the one-hot product
-        m = init_scorer(7, 6, 5, 6, seed=9)
+        m = init_scorer(7, 6, 5, seed=9)
         onehot = np.zeros(7)
         onehot[3] = 1.0
         assert np.allclose(m.W1[3], onehot @ m.W1)
@@ -245,7 +245,7 @@ def flatten_params(model):
 class TestTrainStep:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        model = init_scorer(6, 5, 4, 5, seed=12)
+        model = init_scorer(6, 5, 4, seed=12)
         sets, labels = stack_batch(tiny_batch(model, rng))
         _, grads = _loss_and_grads(model, sets, labels)
         numeric = numeric_gradient(
@@ -255,7 +255,7 @@ class TestTrainStep:
             assert err.max() < 1e-4, name
 
     def test_zero_gradient_leaves_parameters(self):
-        model = init_scorer(5, 4, 4, 4, seed=1)
+        model = init_scorer(5, 4, 4, seed=1)
         rng = np.random.default_rng(2)
         sets = np.stack([rng.choice(5, size=2, replace=False) for _ in range(3)])
         labels = forward_batch(model, sets)  # labels equal predictions
@@ -267,7 +267,7 @@ class TestTrainStep:
     def test_bit_identical_reruns(self):
         def run():
             rng = np.random.default_rng(33)
-            model = init_scorer(8, 6, 4, 6, seed=7)
+            model = init_scorer(8, 6, 4, seed=7)
             opt = AdamState()
             for _ in range(5):
                 train_step(model, tiny_batch(model, rng), opt, lr=1e-3)
@@ -276,7 +276,7 @@ class TestTrainStep:
         assert np.array_equal(run(), run())
 
     def test_diverged_loss_aborts(self):
-        model = init_scorer(4, 4, 4, 4, seed=0)
+        model = init_scorer(4, 4, 4, seed=0)
         model.c2[:] = np.nan
         batch = [TrainingExample(np.array([0, 1]), np.array([0, 0, 0.5, 0.5]))]
         with pytest.raises(TrainingDiverged):
@@ -284,7 +284,7 @@ class TestTrainStep:
 
     def test_loss_strictly_decreases_on_fixed_batch(self):
         rng = np.random.default_rng(40)
-        model = init_scorer(10, 16, 8, 16, seed=4)
+        model = init_scorer(10, 16, 8, seed=4)
         batch = tiny_batch(model, rng, size=8, set_size=3)
         opt = AdamState()
         losses = [train_step(model, batch, opt, lr=1e-3) for _ in range(500)]
@@ -298,7 +298,7 @@ class TestTrainStep:
 
 class TestRmse:
     def test_zero_when_exact(self):
-        model = init_scorer(5, 4, 4, 4, seed=3)
+        model = init_scorer(5, 4, 4, seed=3)
         sets = np.array([[0, 1], [2, 3]])
         labels = forward_batch(model, sets)
         eval_set = [TrainingExample(s, l) for s, l in zip(sets, labels)]
@@ -306,7 +306,7 @@ class TestRmse:
 
     def test_hand_value(self):
         # single example over two vertices: prediction uniform, label one-hot
-        model = init_scorer(2, 4, 4, 4, seed=0)
+        model = init_scorer(2, 4, 4, seed=0)
         for name in ("W1", "W2", "V1", "V2"):
             getattr(model, name)[:] = 0.0
         ex = TrainingExample(np.array([0]), np.array([1.0, 0.0]))
@@ -314,7 +314,7 @@ class TestRmse:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            rmse(init_scorer(3, 4, 4, 4, seed=0), [])
+            rmse(init_scorer(3, 4, 4, seed=0), [])
 
 
 class TestDecode:
@@ -323,26 +323,26 @@ class TestDecode:
         for trial in range(50):
             n = int(rng.integers(2, 12))
             g = random_digraph(rng, n, 0.3)
-            model = init_scorer(n, 6, 4, 6, seed=trial)
+            model = init_scorer(n, 6, 4, seed=trial)
             order = model_order(g, model, w=int(rng.integers(2, 5)))
             assert sorted(order.tolist()) == list(range(n))
 
     def test_two_vertices(self):
         g = Graph(2, [(0, 1)])
-        model = init_scorer(2, 4, 4, 4, seed=1)
+        model = init_scorer(2, 4, 4, seed=1)
         order = model_order(g, model, 2)
         assert sorted(order.tolist()) == [0, 1]
 
     def test_start_override(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        model = init_scorer(4, 4, 4, 4, seed=2)
+        model = init_scorer(4, 4, 4, seed=2)
         assert model_order(g, model, 3)[0] == 0  # highest degree
         assert model_order(g, model, 3, start=2)[0] == 2
 
     def test_memorized_fixture_reaches_optimum(self, five_sim):
         # Train on every window set of sizes 1 and 2 with exact labels; the
         # decode should then match the exhaustive optimum (score 7 at w=3).
-        model = init_scorer(5, 32, 16, 32, seed=8)
+        model = init_scorer(5, 32, 16, seed=8)
         examples = []
         for a in range(5):
             examples.append(TrainingExample(np.array([a]),
@@ -364,7 +364,7 @@ class TestDecode:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = init_scorer(7, 8, 4, 8, seed=5)
+        model = init_scorer(7, 8, 4, seed=5)
         path = str(tmp_path / "model.npz")
         save_scorer(model, path)
         again = load_scorer(path)
@@ -384,8 +384,7 @@ class TestTrainLoop:
         g = gen_power_law(30, 1.8, seed=1)
         from graphorder.tuner import build_eval_set
         eval_set = build_eval_set(g, 4, 64, seed=3)
-        cfg = ScorerConfig(hidden_phi=32, repr_dim=32, hidden_rho=32,
-                           learning_rate=1e-3, batch_size=32)
+        cfg = ScorerConfig(hidden=32, repr_dim=32, learning_rate=1e-3, batch_size=32)
         model, log = train_scorer(g, 4, 200, cfg, seed=4, eval_set=eval_set,
                                   eval_every=50)
         assert log.losses[-1] < log.losses[0]
@@ -393,8 +392,7 @@ class TestTrainLoop:
 
     def test_deterministic(self):
         g = gen_power_law(20, 1.8, seed=5)
-        cfg = ScorerConfig(hidden_phi=16, repr_dim=16, hidden_rho=16,
-                           batch_size=16)
+        cfg = ScorerConfig(hidden=16, repr_dim=16, batch_size=16)
         m1, log1 = train_scorer(g, 3, 30, cfg, seed=9)
         m2, log2 = train_scorer(g, 3, 30, cfg, seed=9)
         assert np.array_equal(flatten_params(m1), flatten_params(m2))

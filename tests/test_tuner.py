@@ -198,7 +198,7 @@ class TestEvalSet:
         assert np.allclose(soft_label(src, members), [0, 0, 0.2, 0.4, 0.4])
 
     def test_reward_sign(self):
-        model = init_scorer(5, 8, 4, 8, seed=0)
+        model = init_scorer(5, 8, 4, seed=0)
         sets = np.array([[0, 1], [1, 2]])
         labels = forward_batch(model, sets)
         from graphorder.scorer import TrainingExample
@@ -211,8 +211,7 @@ class TestEvalSet:
 @pytest.fixture(scope="module")
 def rl_run():
     g = gen_power_law(24, 1.8, seed=3)
-    scfg = ScorerConfig(hidden_phi=24, repr_dim=24, hidden_rho=24,
-                        learning_rate=1e-3, batch_size=16)
+    scfg = ScorerConfig(hidden=24, repr_dim=24, learning_rate=1e-3, batch_size=16)
     rcfg = RlConfig(trajectory_len=3, rl_steps=6, gamma=0.9,
                     tuning_scale=0.15, policy_lr=1e-3, policy_hidden=16,
                     eval_size=24, don_steps_per_t=2, warmup_steps=8)
@@ -237,8 +236,7 @@ class TestTrainRl:
 
     def test_deterministic(self):
         g = gen_power_law(15, 1.8, seed=4)
-        scfg = ScorerConfig(hidden_phi=12, repr_dim=12, hidden_rho=12,
-                            batch_size=8)
+        scfg = ScorerConfig(hidden=12, repr_dim=12, batch_size=8)
         rcfg = RlConfig(trajectory_len=2, rl_steps=3, eval_size=8,
                         don_steps_per_t=1, warmup_steps=4, policy_hidden=8)
         _, _, h1 = train_scorer_rl(g, 3, scfg, rcfg, seed=21)
@@ -250,7 +248,7 @@ class TestTrainRl:
     @pytest.mark.parametrize("rl_steps, trajectory_len", [(1, 1), (4, 3)])
     def test_history_holds_one_n_wide_array(self, rl_steps, trajectory_len):
         g = gen_power_law(30, 1.8, seed=4)
-        scfg = ScorerConfig(hidden_phi=8, repr_dim=8, hidden_rho=8, batch_size=4)
+        scfg = ScorerConfig(hidden=8, repr_dim=8, batch_size=4)
         rcfg = RlConfig(trajectory_len=trajectory_len, rl_steps=rl_steps,
                         eval_size=4, don_steps_per_t=1, warmup_steps=2,
                         policy_hidden=8)
