@@ -26,8 +26,8 @@ class TrainSetting(NamedTuple):
 
 
 _SC, _RL = scorer.ScorerConfig, tuner.RlConfig
-# Defaults live in the dataclasses only.  eval_every fills no field: DON reads
-# it, with a default of 50, and DON-RL refuses the flag.
+# Defaults live in the dataclasses and FALLBACKS only.  eval_every fills no
+# field: DON reads it, and DON-RL refuses the flag.
 TRAIN_SETTINGS = (
     TrainSetting("hidden", int, _SC, "hidden"),
     TrainSetting("repr_dim", int, _SC, "repr_dim"),
@@ -45,6 +45,10 @@ TRAIN_SETTINGS = (
     TrainSetting("don_steps_per_t", int, _RL, "don_steps_per_t", rl_only=True),
     TrainSetting("warmup_steps", int, _RL, "warmup_steps", rl_only=True),
 )
+
+# Fallbacks of the settings no dataclass holds: the window and seed every
+# command shares, and DON's evaluation interval.
+FALLBACKS = {"w": 5, "seed": 0, "eval_every": 50}
 
 CONFIG_KEYS = {"w": int, "seed": int, **{s.key: s.type for s in TRAIN_SETTINGS}}
 
@@ -70,13 +74,13 @@ def read_config(path: str) -> dict:
     return values
 
 
-def _setting(args, config: dict, name: str, fallback=None):
+def _setting(args, config: dict, name: str):
+    """The flag if given, else the config file's value, else the fallback in
+    FALLBACKS (None for the settings whose default lives in a dataclass)."""
     flag = getattr(args, name, None)
     if flag is not None:
         return flag
-    if name in config:
-        return config[name]
-    return fallback
+    return config.get(name, FALLBACKS.get(name))
 
 
 def _load_graph(path: str) -> graph.Graph:
@@ -110,7 +114,7 @@ def _refuse(args, names, reader: str) -> None:
 
 
 def cmd_generate(args, config) -> int:
-    seed = _setting(args, config, "seed", 0)
+    seed = _setting(args, config, "seed")
     if args.kind == "er":
         _refuse(args, ["gamma_exp"], "--kind powerlaw")
         if args.p is None:
@@ -127,8 +131,8 @@ def cmd_generate(args, config) -> int:
 
 
 def cmd_order(args, config) -> int:
-    w = _setting(args, config, "w", 5)
-    seed = _setting(args, config, "seed", 0)
+    w = _setting(args, config, "w")
+    seed = _setting(args, config, "seed")
     source = _load_source(args.input, args.matrix)
     if args.matrix and args.algo not in ("go", "brute"):
         raise ValueError("matrix input supports only --algo go or brute")
@@ -144,6 +148,8 @@ def cmd_order(args, config) -> int:
         kept = work.n / source.n if source.n else 1.0
         print(f"merged {source.n} -> {work.n} vertices "
               f"({(1 - kept) * 100:.1f}% removed)", file=sys.stderr)
+        if work.n == source.n:  # every group is a singleton: expanding is the identity
+            work, groups = source, None
 
     if args.algo == "go":
         if groups is None:  # GO and the printed F share one similarity source
@@ -169,7 +175,7 @@ def cmd_order(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
-    w = _setting(args, config, "w", 5)
+    w = _setting(args, config, "w")
     source = _load_source(args.input, args.matrix)
     perm = locality.check_permutation(
         locality.load_permutation(Path(args.perm).read_text()), source.n)
@@ -210,8 +216,8 @@ def cmd_train(args, config) -> int:
             raise ValueError("--global-steps is not read when --don-steps-per-t is set")
     else:
         _refuse(args, [s.key for s in TRAIN_SETTINGS if s.rl_only], "--algo don-rl")
-    w = _setting(args, config, "w", 5)
-    seed = _setting(args, config, "seed", 0)
+    w = _setting(args, config, "w")
+    seed = _setting(args, config, "seed")
     g = _load_graph(args.input)
     if args.merge:
         g, _ = graph.merge_degree_one(g)
@@ -219,10 +225,11 @@ def cmd_train(args, config) -> int:
     metrics = args.metrics or (args.out + ".metrics.csv")
 
     if args.algo == "don":
-        eval_set = tuner.build_eval_set(g, w, rcfg.eval_size, seed + 1)
+        src = locality.as_similarity(g)
+        eval_set = tuner.build_eval_set(g, w, rcfg.eval_size, seed + 1, source=src)
         model, log = scorer.train_scorer(
             g, w, rcfg.global_steps, scfg, seed, eval_set=eval_set,
-            eval_every=_setting(args, config, "eval_every", 50))
+            eval_every=_setting(args, config, "eval_every"), source=src)
         scorer.save_scorer(model, args.out)
         _write_loss_csv(metrics, log, args.wall_time)
     else:
@@ -253,7 +260,7 @@ def cmd_compress_cost(args, config) -> int:
 
 
 def cmd_partition(args, config) -> int:
-    seed = _setting(args, config, "seed", 0)
+    seed = _setting(args, config, "seed")
     if args.method != "order":
         _refuse(args, ["perm"], "--method order")
     g = _load_graph(args.input)

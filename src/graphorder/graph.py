@@ -151,9 +151,13 @@ def load_edge_list(source: str | Iterable[str]) -> LoadResult:
 
     Lines starting with ``#`` are comments.  An optional first content line
     ``n <int>`` declares the vertex count; otherwise it is one past the
-    largest id seen.  Ids are base-10 integers that fit in int64.  Self-loops
-    and duplicate arcs are dropped and counted.  A malformed file raises
-    EdgeListError naming its first bad line.
+    largest id seen.  Ids are integers as ``int()`` reads them that fit in
+    int64.  Self-loops and duplicate arcs are dropped and counted.  A
+    malformed file raises EdgeListError naming its first bad line.
+
+    ASCII content is read by numpy's C text reader in one call.  Any other
+    content, and ids that reader refuses but ``int()`` accepts (``1_000``),
+    go through the per-line parser, which gives the same result.
     """
     lines = source.splitlines() if isinstance(source, str) else list(source)
     content = [line for line in map(str.strip, lines) if line and line[0] != "#"]
@@ -163,23 +167,21 @@ def load_edge_list(source: str | Iterable[str]) -> LoadResult:
         try:
             declared_n = int(head[1])
         except ValueError:
-            raise _first_bad_line(lines) from None
-        if not 0 <= declared_n <= INT64_MAX:
-            raise _first_bad_line(lines)
+            declared_n = -1  # out of range below, so the per-line parser names the line
         del content[0]
 
-    # The checks run on whole arrays; only when one fails does the per-line
-    # scan run, to name the first bad line.
-    tokens_per_line = np.fromiter(map(len, map(str.split, content)), np.int64, len(content))
     ids = None
-    if np.all(tokens_per_line == 2):
+    # numpy's loadtxt can crash the interpreter on lines holding astral code
+    # points (numpy 2.4.6 segfaulted on "1\U0009c6ca2"), so it sees ASCII only.
+    if (content and all(map(str.isascii, content))
+            and (declared_n is None or 0 <= declared_n <= INT64_MAX)):
         try:
-            ids = np.array(" ".join(content).split(), dtype=np.int64).reshape(-1, 2)
-        except (ValueError, OverflowError):
+            ids = np.loadtxt(content, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
             pass
-    if (ids is None or np.any(ids < 0)
-            or (declared_n is not None and np.any(ids >= declared_n))):
-        raise _first_bad_line(lines)
+    if (ids is None or ids.shape[1] != 2 or ids.min() < 0
+            or (declared_n is not None and ids.max() >= declared_n)):
+        declared_n, ids = _parse_lines(lines)
 
     loops = ids[:, 0] == ids[:, 1]
     pairs = ids[~loops]
@@ -192,10 +194,13 @@ def load_edge_list(source: str | Iterable[str]) -> LoadResult:
     return LoadResult(graph, int(loops.sum()), pairs.shape[0] - codes.size)
 
 
-def _first_bad_line(lines: list[str]) -> EdgeListError:
-    """The error for the first line, in file order, that breaks the format."""
+def _parse_lines(lines: list[str]) -> tuple[int | None, np.ndarray]:
+    """The reference reader, one line at a time: the declared vertex count
+    (None without a header) and the ``(k, 2)`` ids, or EdgeListError at the
+    first line, in file order, that breaks the format."""
     declared_n: int | None = None
     seen_content = False
+    ids: list[tuple[int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -205,27 +210,29 @@ def _first_bad_line(lines: list[str]) -> EdgeListError:
             try:
                 declared_n = int(tokens[1])
             except ValueError:
-                return EdgeListError(f"line {lineno}: bad vertex count {tokens[1]!r}")
+                raise EdgeListError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
             if declared_n < 0:
-                return EdgeListError(f"line {lineno}: negative vertex count")
+                raise EdgeListError(f"line {lineno}: negative vertex count")
             if declared_n > INT64_MAX:
-                return EdgeListError(f"line {lineno}: vertex count too large for int64")
+                raise EdgeListError(f"line {lineno}: vertex count too large for int64")
             seen_content = True
             continue
         seen_content = True
         if len(tokens) != 2:
-            return EdgeListError(f"line {lineno}: expected two ids, got {line!r}")
+            raise EdgeListError(f"line {lineno}: expected two ids, got {line!r}")
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            return EdgeListError(f"line {lineno}: non-integer id in {line!r}")
+            raise EdgeListError(f"line {lineno}: non-integer id in {line!r}") from None
         if u < 0 or v < 0:
-            return EdgeListError(f"line {lineno}: negative id in {line!r}")
+            raise EdgeListError(f"line {lineno}: negative id in {line!r}")
         if declared_n is not None and (u >= declared_n or v >= declared_n):
-            return EdgeListError(
+            raise EdgeListError(
                 f"line {lineno}: id out of declared range [0, {declared_n})")
         if max(u, v) > INT64_MAX:
-            return EdgeListError(f"line {lineno}: id too large for int64 in {line!r}")
+            raise EdgeListError(f"line {lineno}: id too large for int64 in {line!r}")
+        ids.append((u, v))
+    return declared_n, np.array(ids, dtype=np.int64).reshape(-1, 2)
 
 
 def format_edge_list(g: Graph) -> str:

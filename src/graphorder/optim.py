@@ -19,20 +19,31 @@ class AdamState:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
-        """Descend each parameter array in place along its gradient."""
+        """Descend each parameter array in place along its gradient.
+
+        The update is ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, evaluated in
+        that order through two scratch arrays per parameter.  They are not
+        kept between steps: held, they would raise peak memory by two copies
+        of every parameter."""
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, p in params.items():
             g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
+            a, b = np.empty_like(p), np.empty_like(p)
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=a)
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.multiply(1 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, 1 - b1 ** self.t, out=a)  # m_hat
+            np.divide(v, 1 - b2 ** self.t, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a *= lr
+            p -= np.divide(a, b, out=a)
 
 
 class RmspropState:

@@ -398,15 +398,18 @@ def fit(model: SetScorer, opt: AdamState, g: Graph, src: SimilarityLike,
 
 def train_scorer(g: Graph, w: int, steps: int, cfg: ScorerConfig, seed: int, *,
                  eval_set: Sequence[TrainingExample] | None = None,
-                 eval_every: int = 50) -> tuple[SetScorer, TrainLog]:
+                 eval_every: int = 50,
+                 source: SimilarityLike | None = None) -> tuple[SetScorer, TrainLog]:
     """Train a fresh scorer for ``steps`` steps on the degree-based sampling
-    distribution, keeping the RMSE points of :func:`fit` in the log."""
+    distribution, keeping the RMSE points of :func:`fit` in the log.  Labels
+    come from ``source``, by default ``g``'s similarity."""
     from .tuner import initial_prob  # degree-based default sampler
 
     init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
     model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
     log = TrainLog()
-    log.rmse_points = fit(model, AdamState(), g, as_similarity(g), initial_prob(g), w,
+    src = as_similarity(g if source is None else source)
+    log.rmse_points = fit(model, AdamState(), g, src, initial_prob(g), w,
                           steps, cfg, np.random.default_rng(batch_seed), log,
                           eval_set, eval_every)
     return model, log

@@ -96,6 +96,22 @@ class TestOrder:
         assert main(["order", str(path), "--algo", "go", "--w", "5"]) == 0
         assert builds == [300]
 
+    def test_merge_that_removes_nothing_builds_one_similarity_source(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(gen_power_law(300, 1.6, seed=7)))
+        assert main(["order", str(path), "--algo", "go", "--w", "5",
+                     "--out", str(tmp_path / "plain.txt")]) == 0
+        builds = []
+        dense = locality.dense_similarity
+        monkeypatch.setattr(locality, "dense_similarity",
+                            lambda g: builds.append(g.n) or dense(g))
+        assert main(["order", str(path), "--algo", "go", "--w", "5", "--merge",
+                     "--out", str(tmp_path / "merged.txt")]) == 0
+        assert "merged 300 -> 300 vertices" in capsys.readouterr().err
+        assert builds == [300]
+        assert (tmp_path / "merged.txt").read_text() == (tmp_path / "plain.txt").read_text()
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["order", str(tmp_path / "nope.txt")]) == 1
 
@@ -212,6 +228,19 @@ class TestTrain:
         assert main(["train", small_graph_file, "--algo", algo, "--w", "3",
                      "--eval-size", "5001", "--out", str(tmp_path / "m.npz")]) == 1
         assert sizes == [5001]
+
+    def test_don_builds_one_similarity_source(self, tmp_path, monkeypatch):
+        # The eval set and the training labels read one dense matrix.
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(gen_power_law(300, 1.6, seed=7)))
+        builds = []
+        dense = locality.dense_similarity
+        monkeypatch.setattr(locality, "dense_similarity",
+                            lambda g: builds.append(g.n) or dense(g))
+        assert main(["train", str(path), "--algo", "don", "--w", "3", "--global-steps", "2",
+                     "--batch-size", "4", "--eval-size", "4", "--hidden", "4",
+                     "--out", str(tmp_path / "m.npz")]) == 0
+        assert builds == [300]
 
     def test_every_config_field_has_one_setting(self):
         for cls in (ScorerConfig, tuner.RlConfig):
@@ -393,6 +422,16 @@ def test_header_too_large_for_memory_is_one_error_line(tmp_path):
     err = done.stderr.splitlines()
     assert done.returncode == 1, done.stderr
     assert len(err) == 1 and err[0].startswith("error: out of memory"), err
+
+
+def test_astral_character_is_one_error_line(tmp_path):
+    # numpy's text reader has crashed the interpreter (exit 139) on this line,
+    # so the loader must keep it away from that reader.
+    (tmp_path / "astral.txt").write_text("1\U0009c6ca2\n", encoding="utf-8")
+    done = _run_capped_cli("compress-cost", str(tmp_path / "astral.txt"))
+    err = done.stderr.splitlines()
+    assert done.returncode == 1, done.stderr
+    assert len(err) == 1 and err[0].startswith("error: line 1: "), err
 
 
 def test_scoring_commands_never_import_scipy(tmp_path):

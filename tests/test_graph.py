@@ -8,12 +8,38 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphorder.graph import (EdgeListError, Graph, VertexGroups,
-                              _distinct_codes, expand_permutation, format_edge_list,
-                              gen_erdos_renyi, gen_power_law, load_edge_list,
-                              merge_degree_one)
+                              _distinct_codes, _parse_lines, expand_permutation,
+                              format_edge_list, gen_erdos_renyi, gen_power_law,
+                              load_edge_list, merge_degree_one)
 from graphorder.locality import locality_score
 
 from conftest import digraphs, random_digraph
+
+# Characters an id token is drawn from: ASCII digits (weighted up) and signs,
+# the format's own markers, two Arabic-Indic digits and an astral digit
+# (U+1D7D8), which int() reads as 0.  A token is at most three characters, so
+# ids stay below 1000 and every graph stays small.
+_ID_CHARS = [*"0123456789" * 3, "+", "-", "_", "#", "n", "\u0660", "\u0663", "\U0001d7d8"]
+# Characters str.split() splits on but str.splitlines() does not, and the
+# characters str.splitlines() breaks on.
+_SEPARATORS = [" ", "\t", "\x1f", "\u3000"]
+_BREAKS = ["\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Texts of mostly two-token lines, some of them malformed, half of them
+    with an ``n`` header."""
+    token = st.lists(st.sampled_from(_ID_CHARS), min_size=1, max_size=3).map("".join)
+    gap = st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=2).map("".join)
+    pair = st.tuples(gap, token, gap, token).map(lambda t: "".join(t)[1:])
+    free = st.lists(st.one_of(token, gap), max_size=5).map("".join)
+    header = st.tuples(gap, token).map(lambda t: "n" + "".join(t))
+    line = st.one_of(pair, pair, pair, free)
+    rows = draw(st.lists(st.tuples(line, st.sampled_from(_BREAKS)), max_size=8))
+    if draw(st.booleans()):
+        rows.insert(0, (draw(header), "\n"))
+    return "".join(text + eol for text, eol in rows)
 
 
 class TestGraph:
@@ -130,6 +156,42 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError) as excinfo:
             load_edge_list(text)
         assert str(excinfo.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_list_texts())
+    @example("0 1\n1_000 2\n")
+    @example("n 12\n\u0663 1\U0001d7d8\n")
+    @example("1\x1f2\x0b3\u30004\n")
+    @example("1\U0009c6ca2\n")
+    @example("1 2 # note\n0 1#2\n")
+    def test_matches_per_line_parser(self, text):
+        try:
+            declared_n, ids = _parse_lines(text.splitlines())
+        except EdgeListError as exc:
+            with pytest.raises(EdgeListError) as excinfo:
+                load_edge_list(text)
+            assert str(excinfo.value) == str(exc)
+            return
+        res = load_edge_list(text)
+        kept = ids[ids[:, 0] != ids[:, 1]]
+        arcs = np.unique(kept, axis=0)
+        n = declared_n if declared_n is not None else int(kept.max()) + 1 if kept.size else 0
+        assert res.graph.n == n
+        assert np.array_equal(res.graph.arcs, arcs)
+        assert res.self_loops_dropped == ids.shape[0] - kept.shape[0]
+        assert res.duplicates_dropped == kept.shape[0] - arcs.shape[0]
+
+    def test_text_reader_sees_ascii_only(self, monkeypatch):
+        # numpy's loadtxt has crashed the interpreter on astral code points.
+        seen = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda lines, **kw: seen.append(list(lines)) or loadtxt(lines, **kw))
+        assert load_edge_list("# c\nn 3\n0 1\n1 2\n").graph.arc_count == 2
+        assert load_edge_list("0 1\n1\U0001d7d8 2\n").graph.n == 11
+        with pytest.raises(EdgeListError, match="line 1: expected two ids"):
+            load_edge_list("1\U0009c6ca2\n")
+        assert seen == [["0 1", "1 2"]]
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs())

@@ -275,6 +275,29 @@ class TestTrainStep:
 
         assert np.array_equal(run(), run())
 
+    def test_adam_step_matches_textbook_update(self):
+        # The in-place step keeps the operations and their order, so it
+        # equals the allocating formula bit for bit.
+        rng = np.random.default_rng(5)
+        shapes = {"W": (20, 8), "b": (8,)}
+        # Parameters as small as one update, so no rounding of the update
+        # is absorbed by the subtraction.
+        params = {k: 1e-2 * rng.standard_normal(s) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = AdamState()
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            opt.step(params, grads, lr=1e-2)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+                m_hat, v_hat = m[k] / (1 - 0.9 ** t), v[k] / (1 - 0.999 ** t)
+                ref[k] -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for k in shapes:
+                assert np.array_equal(params[k], ref[k]), (t, k)
+
     def test_diverged_loss_aborts(self):
         model = init_scorer(4, 4, 4, seed=0)
         model.c2[:] = np.nan
