@@ -142,17 +142,17 @@ def cmd_order(args, config) -> int:
         _refuse(args, ["model", "start"], "--algo don")
 
     work = source
-    groups = None
+    group = None
     if args.merge:
-        work, groups = graph.merge_degree_one(source)
+        work, group = graph.merge_degree_one(source)
         kept = work.n / source.n if source.n else 1.0
         print(f"merged {source.n} -> {work.n} vertices "
               f"({(1 - kept) * 100:.1f}% removed)", file=sys.stderr)
         if work.n == source.n:  # every group is a singleton: expanding is the identity
-            work, groups = source, None
+            work, group = source, None
 
     if args.algo == "go":
-        if groups is None:  # GO and the printed F share one similarity source
+        if group is None:  # GO and the printed F share one similarity source
             source = work = locality.as_similarity(source)
         perm = baselines.greedy_order(work, w)
     elif args.algo == "degree":
@@ -165,8 +165,8 @@ def cmd_order(args, config) -> int:
         model = scorer.load_scorer(args.model)
         perm = scorer.model_order(work, model, w, start=args.start)
 
-    if groups is not None:
-        perm = graph.expand_permutation(perm, groups, seed)
+    if group is not None:
+        perm = graph.expand_permutation(perm, group, seed)
     score = locality.locality_score(source, perm, w)
     if args.out:
         Path(args.out).write_text(locality.format_permutation(perm))

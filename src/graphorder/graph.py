@@ -2,14 +2,12 @@
 the degree-1 fan merging preprocessor."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Graph",
-    "VertexGroups",
     "LoadResult",
     "EdgeListError",
     "load_edge_list",
@@ -299,82 +297,54 @@ def gen_power_law(n: int, gamma: float, seed: int) -> Graph:
     return Graph.from_undirected(n, np.stack([a[keep], b[keep]], axis=1))
 
 
-@dataclass(frozen=True)
-class VertexGroups:
-    """Mapping from merged-graph vertex ids to the original vertices each
-    one stands for.  Groups with several members are degree-1 fans sharing
-    one sole neighbor and arc direction, so they are interchangeable in any
-    ordering."""
-
-    merged_to_members: tuple[tuple[int, ...], ...]
-    original_n: int
-
-    def __post_init__(self):
-        seen: list[int] = []
-        for members in self.merged_to_members:
-            if not members:
-                raise ValueError("empty vertex group")
-            seen.extend(members)
-        if sorted(seen) != list(range(self.original_n)):
-            raise ValueError("groups must partition the original vertex set")
-
-    @property
-    def merged_n(self) -> int:
-        return len(self.merged_to_members)
-
-
-def merge_degree_one(g: Graph) -> tuple[Graph, VertexGroups]:
+def merge_degree_one(g: Graph) -> tuple[Graph, np.ndarray]:
     """Collapse every set of total-degree-1 vertices that hang off one common
-    neighbor with the same arc direction into a single representative.
+    neighbor with the same arc direction into a single vertex.
 
-    All other vertices map to singleton groups.  Merged ids are assigned in
-    order of each group's smallest original member, so fan-free graphs come
-    back unchanged.
+    Returns the merged graph and ``group``, a read-only int64 array of length
+    ``g.n`` whose entry v is v's merged id.  Ids are numbered in order of each
+    group's smallest member, so fan-free graphs come back unchanged.
     """
-    degrees = g.total_degrees()
-    fan_key: dict[tuple[int, bool], list[int]] = {}
-    singles: list[int] = []
-    for v in range(g.n):
-        if degrees[v] == 1:
-            out = g.out_neighbors(v)
-            if out.size == 1:
-                fan_key.setdefault((int(out[0]), True), []).append(v)
-            else:
-                fan_key.setdefault((int(g.in_neighbors(v)[0]), False), []).append(v)
-        else:
-            singles.append(v)
-
-    groups = [tuple(sorted(members)) for members in fan_key.values()]
-    groups.extend((v,) for v in singles)
-    groups.sort(key=lambda m: m[0])
-
-    old_to_new = np.empty(g.n, dtype=np.int64)
-    for new_id, members in enumerate(groups):
-        for v in members:
-            old_to_new[v] = new_id
-    if g.arc_count:
-        mapped = old_to_new[g.arcs]
-        mapped = _distinct_codes(mapped[:, 0] * len(groups) + mapped[:, 1])
-        arcs = np.stack([mapped // len(groups), mapped % len(groups)], axis=1)
-    else:
-        arcs = np.empty((0, 2), dtype=np.int64)
-    merged = Graph(len(groups), arcs)
-    return merged, VertexGroups(tuple(groups), g.n)
+    n = g.n
+    u, v = g.arcs[:, 0], g.arcs[:, 1]
+    leaf = g.total_degrees()[g.arcs] == 1
+    # A leaf's key is 2 * neighbor + [its one arc leaves it]; every other
+    # vertex gets a key of its own, past the leaf keys.
+    key = np.arange(2 * n, 3 * n, dtype=np.int64)
+    key[u[leaf[:, 0]]] = 2 * v[leaf[:, 0]] + 1
+    key[v[leaf[:, 1]]] = 2 * u[leaf[:, 1]]
+    smallest = np.full(3 * n, n, dtype=np.int64)
+    np.minimum.at(smallest, key, np.arange(n))
+    rep = smallest[key]
+    is_rep = rep == np.arange(n)
+    group = (np.cumsum(is_rep) - 1)[rep]
+    group.flags.writeable = False
+    k = int(is_rep.sum())
+    mapped = group[g.arcs]
+    codes = _distinct_codes(mapped[:, 0] * k + mapped[:, 1])
+    return Graph(k, np.stack([codes // k, codes % k], axis=1)), group
 
 
-def expand_permutation(perm_merged: np.ndarray | Iterable[int],
-                       groups: VertexGroups, seed: int) -> np.ndarray:
-    """Expand a merged-graph permutation to the original vertex set, placing
-    each group's members consecutively in a seeded-random order."""
-    perm = np.asarray(list(perm_merged) if not isinstance(perm_merged, np.ndarray)
-                      else perm_merged, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(groups.merged_n)):
+def expand_permutation(perm_merged: np.ndarray | Sequence[int],
+                       group: np.ndarray, seed: int) -> np.ndarray:
+    """Expand a merged-graph permutation to the original vertex set: each
+    group's members are placed consecutively, at their group's position in
+    ``perm_merged``, in a seeded-random order."""
+    group = np.asarray(group, dtype=np.int64)
+    sizes = np.bincount(group)  # ValueError on a negative id
+    if not sizes.all():
+        raise ValueError("group ids must be 0..k-1 without a gap")
+    perm = np.asarray(perm_merged, dtype=np.int64)
+    if perm.shape != sizes.shape or not np.array_equal(np.sort(perm), np.arange(sizes.size)):
         raise ValueError("permutation does not match the merged vertex set")
+    where = np.empty(sizes.size, dtype=np.int64)
+    where[perm] = np.arange(sizes.size)
+    # A stable sort keeps each group's members ascending; the groups of two
+    # or more are then shuffled in perm order (a singleton draws nothing).
+    out = np.argsort(where[group], kind="stable")
+    sizes = sizes[perm]
+    multi = sizes > 1
     rng = np.random.default_rng(seed)
-    out = np.empty(groups.original_n, dtype=np.int64)
-    pos = 0
-    for gid in perm:
-        members = np.asarray(groups.merged_to_members[gid], dtype=np.int64)
-        out[pos:pos + members.size] = members[rng.permutation(members.size)]
-        pos += members.size
+    for end, size in zip(np.cumsum(sizes)[multi].tolist(), sizes[multi].tolist()):
+        rng.shuffle(out[end - size:end])
     return out

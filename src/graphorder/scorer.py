@@ -201,19 +201,18 @@ def _weighted_draws_without_replacement(rng: np.random.Generator, prob: np.ndarr
     return sets
 
 
-def sample_training_batch(g: Graph, prob: np.ndarray, w: int, batch: int,
-                          seed: int | np.random.Generator, *,
-                          source: SimilarityLike | None = None) -> list[TrainingExample]:
+def sample_training_batch(source: SimilarityLike, prob: np.ndarray, w: int, batch: int,
+                          seed: int | np.random.Generator) -> list[TrainingExample]:
     """Draw ``batch`` window sets of size w-1 (weighted, without replacement)
-    and label each with its extension distribution."""
+    and label each with its extension distribution under ``source``."""
+    src = as_similarity(source)
     if batch < 1:
         raise ValueError("batch size must be positive")
-    if w - 1 > g.n:
+    if w - 1 > src.n:
         raise ValueError("window exceeds the vertex count")
     if w < 2:
         raise ValueError("training sets need w >= 2")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    src = as_similarity(g) if source is None else as_similarity(source)
     sets = _weighted_draws_without_replacement(rng, prob, w - 1, batch)
     return [TrainingExample(members, soft_label(src, members)) for members in sets]
 
@@ -330,7 +329,7 @@ def _read_checkpoint(path: str, kind: str, version: int,
     n back to width n; any other archive raises ValueError."""
     try:
         data = np.load(path)
-    except (EOFError, zipfile.BadZipFile):
+    except (EOFError, ValueError, zipfile.BadZipFile):  # ValueError: a pickle or text file
         data = None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValueError(f"not an npz archive: {path}")
@@ -368,7 +367,7 @@ class TrainLog:
     t0: float = field(default_factory=time.perf_counter)
 
 
-def fit(model: SetScorer, opt: AdamState, g: Graph, src: SimilarityLike,
+def fit(model: SetScorer, opt: AdamState, src: SimilarityLike,
         prob: np.ndarray, w: int, steps: int, cfg: ScorerConfig,
         rng: np.random.Generator, log: TrainLog,
         eval_set: Sequence[TrainingExample] | None = None,
@@ -385,7 +384,7 @@ def fit(model: SetScorer, opt: AdamState, g: Graph, src: SimilarityLike,
         raise ValueError(f"eval_every must be positive, got {eval_every}")
     points = []
     for k in range(1, steps + 1):
-        batch = sample_training_batch(g, prob, w, cfg.batch_size, rng, source=src)
+        batch = sample_training_batch(src, prob, w, cfg.batch_size, rng)
         log.losses.append(train_step(model, batch, opt, cfg.learning_rate))
         # Free the batch's n-wide labels before the next batch or the RMSE
         # allocates, so that two batches never coexist.
@@ -397,19 +396,19 @@ def fit(model: SetScorer, opt: AdamState, g: Graph, src: SimilarityLike,
 
 
 def train_scorer(g: Graph, w: int, steps: int, cfg: ScorerConfig, seed: int, *,
+                 source: SimilarityLike,
                  eval_set: Sequence[TrainingExample] | None = None,
-                 eval_every: int = 50,
-                 source: SimilarityLike | None = None) -> tuple[SetScorer, TrainLog]:
-    """Train a fresh scorer for ``steps`` steps on the degree-based sampling
-    distribution, keeping the RMSE points of :func:`fit` in the log.  Labels
-    come from ``source``, by default ``g``'s similarity."""
+                 eval_every: int = 50) -> tuple[SetScorer, TrainLog]:
+    """Train a fresh scorer for ``steps`` steps on ``g``'s degree-based
+    sampling distribution, keeping the RMSE points of :func:`fit` in the log.
+    Labels come from ``source``, the similarity of ``g`` that the caller
+    built."""
     from .tuner import initial_prob  # degree-based default sampler
 
     init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
     model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
     log = TrainLog()
-    src = as_similarity(g if source is None else source)
-    log.rmse_points = fit(model, AdamState(), g, src, initial_prob(g), w,
+    log.rmse_points = fit(model, AdamState(), as_similarity(source), initial_prob(g), w,
                           steps, cfg, np.random.default_rng(batch_seed), log,
                           eval_set, eval_every)
     return model, log

@@ -232,16 +232,20 @@ def grow_best_neighbor(source: SimilarityLike, start: int, size: int) -> np.ndar
     return np.array(members, dtype=np.int64)
 
 
+def _check_window(w: int, n: int) -> None:
+    if w < 2 or w - 1 > n:
+        raise ValueError("window size out of range")
+
+
 def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
-                   source: SimilarityLike | None = None) -> list[TrainingExample]:
-    """Fixed evaluation set: each example starts from a degree-sampled vertex,
-    grows a window set of w-1 vertices by the best-neighbor rule, and is
-    labeled with its extension distribution."""
+                   source: SimilarityLike) -> list[TrainingExample]:
+    """Fixed evaluation set: each example starts from a vertex sampled by
+    ``g``'s degrees, grows a window set of w-1 vertices by the best-neighbor
+    rule, and is labeled with its extension distribution under ``source``."""
     if size < 1:
         raise ValueError("evaluation set size must be positive")
-    if w < 2 or w - 1 > g.n:
-        raise ValueError("window size out of range")
-    src = as_similarity(g) if source is None else as_similarity(source)
+    _check_window(w, g.n)
+    src = as_similarity(source)
     prob = initial_prob(g)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(prob)
@@ -313,6 +317,7 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     negated RMSE) off the fixed evaluation set; the policy updates once per
     trajectory, and the trajectory is dropped after its update.
     """
+    _check_window(w, g.n)
     ss = np.random.SeedSequence(seed)
     s_init, s_policy, s_batch, s_action, s_eval = ss.spawn(5)
     src = as_similarity(g)
@@ -334,7 +339,7 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     rl_rows = []
     prob = initial_prob(g)
 
-    warmup = fit(model, adam, g, src, prob, w, rl_cfg.warmup_steps, scorer_cfg,
+    warmup = fit(model, adam, src, prob, w, rl_cfg.warmup_steps, scorer_cfg,
                  batch_rng, don_log, eval_set,
                  eval_every=max(1, rl_cfg.warmup_steps // 5))
     for _, err in warmup:
@@ -348,7 +353,7 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
             states.append(prob)
             actions.append(action)
             prob = apply_action(prob, action, rate)
-            fit(model, adam, g, src, prob, w, steps_per_t, scorer_cfg, batch_rng, don_log)
+            fit(model, adam, src, prob, w, steps_per_t, scorer_cfg, batch_rng, don_log)
             rewards.append(-rmse(model, eval_set))
             rl_rows.append((rl_step, t, rewards[-1], baseline.value, float(q.mean())))
         reinforce_update(policy, states, actions, rewards, rl_cfg.gamma,

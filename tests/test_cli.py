@@ -112,6 +112,21 @@ class TestOrder:
         assert builds == [300]
         assert (tmp_path / "merged.txt").read_text() == (tmp_path / "plain.txt").read_text()
 
+    def test_merge_output_pinned(self, tmp_path, capsys):
+        # Each undirected edge of a power-law graph above the dense cap, kept
+        # in one drawn direction: 2500 -> 1836 vertices, 161 multi-member groups.
+        und = gen_power_law(2500, 1.6, seed=7).undirected_edges()
+        flip = np.random.default_rng(3).random(len(und)) < 0.5
+        path, out = tmp_path / "g.txt", tmp_path / "perm.txt"
+        path.write_text(format_edge_list(Graph(2500, np.where(flip[:, None], und[:, ::-1], und))))
+        assert main(["order", str(path), "--algo", "go", "--w", "5", "--merge",
+                     "--seed", "5", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "merged 2500 -> 1836 vertices" in captured.err
+        assert captured.out == "F=19322\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "1f0e284264ecd1677d37b4451b6c0a91565f71445071a33b60439daae5a8cb5c")
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["order", str(tmp_path / "nope.txt")]) == 1
 
@@ -351,9 +366,12 @@ class TestRenderMatrix:
     "eval {graph} --perm {dir}/p.txt --config {dir}/missing.cfg",
     "order {graph} --algo don --model {dir}/nokind.npz",
     "order {graph} --algo don --model {dir}/short.npz",
+    "order {graph} --algo don --model {graph}",
     "render-matrix {graph} --block 0 --out {dir}/m.pgm",
     "render-matrix {graph} --block -2 --out {dir}/m.pgm",
     "train {graph} --w 7 --out {dir}/m.npz",
+    "train {dir}/empty.txt --out {dir}/m.npz",
+    "train {dir}/empty.txt --algo don --out {dir}/m.npz",
     "compress-cost {dir}/huge-id.txt",
     "eval {graph} --perm {dir}/short.txt",
     "eval {dir}/sim.txt --matrix --perm {dir}/short.txt",
@@ -378,8 +396,8 @@ class TestRenderMatrix:
     "order {graph} --algo go --model {dir}/m.npz",
     "order {graph} --algo degree --start 0",
     "partition {graph} --method random --k 2 --perm {dir}/p.txt",
-], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "block-0", "block-neg",
-        "w-covers-graph", "int64-overflow", "short-perm", "short-perm-matrix",
+], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "model-text-file",
+        "block-0", "block-neg", "w-covers-graph", "train-n0", "train-don-n0", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
         "trajectory-len-0", "don-rl-eval-every", "don-rl-global-steps",
         "don-rl-steps", "don-trajectory-len", "don-steps-per-t", "don-warmup-steps",
@@ -392,6 +410,7 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "short.txt").write_text("0\n")
     (tmp_path / "huge-perm.txt").write_text("99999999999999999999\n")
     (tmp_path / "huge-n.txt").write_text("n 99999999999999999999\n0 1\n")
+    (tmp_path / "empty.txt").write_text("n 0\n")
     (tmp_path / "sim.txt").write_text(format_similarity_matrix(FIVE_VERTEX_SIM))
     params = init_scorer(6, 4, 4, seed=0).params()
     np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=0, **params)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphorder.graph import (EdgeListError, Graph, VertexGroups,
-                              _distinct_codes, _parse_lines, expand_permutation,
-                              format_edge_list, gen_erdos_renyi, gen_power_law,
-                              load_edge_list, merge_degree_one)
+from graphorder.graph import (EdgeListError, Graph, _distinct_codes, _parse_lines,
+                              expand_permutation, format_edge_list, gen_erdos_renyi,
+                              gen_power_law, load_edge_list, merge_degree_one)
 from graphorder.locality import locality_score
 
 from conftest import digraphs, random_digraph
@@ -306,34 +305,30 @@ def graph_with_fans() -> Graph:
 
 class TestMerge:
     def test_star_fan(self):
-        merged, groups = merge_degree_one(graph_with_fans())
+        merged, group = merge_degree_one(graph_with_fans())
         assert merged.n == 2
-        assert groups.merged_to_members == ((0,), (1, 2, 3))
+        assert group.tolist() == [0, 1, 1, 1]
         assert [tuple(a) for a in merged.arcs] == [(0, 1)]
 
     def test_path_untouched(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        merged, groups = merge_degree_one(g)
+        merged, group = merge_degree_one(g)
         # vertex 1 has degree 2; 0 and 2 hang off it in different directions
         assert merged.n == 3
-        assert groups.merged_to_members == ((0,), (1,), (2,))
+        assert group.tolist() == [0, 1, 2]
         assert np.array_equal(merged.arcs, g.arcs)
 
     def test_two_fans(self):
         g = Graph(6, [(0, 1), (0, 2), (3, 4), (3, 5), (0, 3)])
-        merged, groups = merge_degree_one(g)
+        merged, group = merge_degree_one(g)
         assert merged.n == 4
-        assert groups.merged_to_members == ((0,), (1, 2), (3,), (4, 5))
+        assert group.tolist() == [0, 1, 1, 2, 3, 3]
         assert [tuple(a) for a in merged.arcs] == [(0, 1), (0, 2), (2, 3)]
-        deg = g.total_degrees()
-        for members in groups.merged_to_members:
-            if len(members) >= 2:
-                assert all(deg[v] == 1 for v in members)
 
     def test_direction_splits_groups(self):
         # 1 and 2 both touch vertex 0 only, but with opposite directions
         g = Graph(3, [(0, 1), (2, 0)])
-        merged, groups = merge_degree_one(g)
+        merged, group = merge_degree_one(g)
         assert merged.n == 3
 
     def test_mutual_pair_not_merged(self):
@@ -345,46 +340,74 @@ class TestMerge:
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_digraph(rng, int(rng.integers(2, 12)), 0.4)
-            merged, groups = merge_degree_one(g)
+            merged, group = merge_degree_one(g)
             assert merged.n <= g.n
-            if all(len(m) == 1 for m in groups.merged_to_members):
+            if np.array_equal(group, np.arange(g.n)):
                 assert merged.n == g.n
                 assert np.array_equal(merged.arcs, g.arcs)
 
-    def test_group_invariant(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            g = random_digraph(rng, int(rng.integers(2, 12)), 0.25)
-            _, groups = merge_degree_one(g)
-            deg = g.total_degrees()
-            for members in groups.merged_to_members:
-                if len(members) < 2:
-                    continue
-                keys = set()
-                for v in members:
-                    assert deg[v] == 1
-                    out = g.out_neighbors(v)
-                    keys.add((int(out[0]), True) if out.size
-                             else (int(g.in_neighbors(v)[0]), False))
-                assert len(keys) == 1
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    @example(Graph(0))
+    @example(Graph(1))
+    @example(Graph(5))
+    def test_group_invariant(self, g):
+        merged, group = merge_degree_one(g)
+        assert group.dtype == np.int64 and group.shape == (g.n,)
+        assert not group.flags.writeable
+        # Two vertices share a group iff they are equal, or both have total
+        # degree 1 with the same neighbor and arc direction.
+        deg = g.total_degrees()
+        keys = []
+        for v in range(g.n):
+            out = g.out_neighbors(v).tolist()
+            if deg[v] != 1:
+                keys.append(("self", v))
+            else:
+                keys.append((out[0], True) if out else (int(g.in_neighbors(v)[0]), False))
+        for u in range(g.n):
+            for v in range(g.n):
+                assert (group[u] == group[v]) == (keys[u] == keys[v])
+        # Ids run 0..k-1 in order of each group's smallest member.
+        smallest = [np.flatnonzero(group == gid)[0] for gid in range(merged.n)]
+        assert smallest == sorted(smallest)
+        assert set(group.tolist()) == set(range(merged.n))
+        # The merged arcs are the distinct mapped arcs.
+        assert {tuple(a) for a in merged.arcs.tolist()} == {
+            (int(group[u]), int(group[v])) for u, v in g.arcs.tolist()}
 
 
 class TestExpand:
     def test_singletons_identity(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        _, groups = merge_degree_one(g)
-        assert expand_permutation([2, 0, 1], groups, 5).tolist() == [2, 0, 1]
+        _, group = merge_degree_one(g)
+        assert expand_permutation([2, 0, 1], group, 5).tolist() == [2, 0, 1]
 
     def test_members_stay_consecutive(self):
-        _, groups = merge_degree_one(graph_with_fans())
-        out = expand_permutation([1, 0], groups, 3)
+        _, group = merge_degree_one(graph_with_fans())
+        out = expand_permutation([1, 0], group, 3)
         assert sorted(out[:3].tolist()) == [1, 2, 3]
         assert out[3] == 0
 
     def test_mismatched_groups_rejected(self):
-        _, groups = merge_degree_one(graph_with_fans())
+        _, group = merge_degree_one(graph_with_fans())
         with pytest.raises(ValueError):
-            expand_permutation([0, 1, 2], groups, 0)
+            expand_permutation([0, 1, 2], group, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs(), st.integers(0, 2 ** 32 - 1))
+    @example(Graph(0), 0)
+    @example(Graph(1), 0)
+    @example(Graph(5), 0)
+    def test_groups_stay_consecutive_in_perm_order(self, g, seed):
+        merged, group = merge_degree_one(g)
+        perm = np.random.default_rng(seed).permutation(merged.n)
+        out = expand_permutation(perm, group, seed)
+        assert sorted(out.tolist()) == list(range(g.n))
+        sizes = np.bincount(group, minlength=merged.n)
+        assert group[out].tolist() == np.repeat(perm, sizes[perm]).tolist()
+        # With every group a singleton, expanding is the identity.
+        assert np.array_equal(expand_permutation(out, np.arange(g.n), seed), out)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -393,18 +416,22 @@ class TestExpand:
         # members are interchangeable
         rng = np.random.default_rng(seed)
         g = random_digraph(rng, 8, 0.2)
-        merged, groups = merge_degree_one(g)
+        merged, group = merge_degree_one(g)
         perm = rng.permutation(merged.n)
-        scores = {locality_score(g, expand_permutation(perm, groups, s), w)
+        scores = {locality_score(g, expand_permutation(perm, group, s), w)
                   for s in range(10) for w in (3,)}
         assert len(scores) == 1
 
 
-def test_vertex_groups_validation():
+@pytest.mark.parametrize("perm, group", [
+    ([0, 1, 2], [0, 2, 2]),  # id 1 is missing
+    ([0, 1], [-1, 0, 1]),    # negative id
+    ([0], [0, 1, 1]),        # perm shorter than the group count
+    ([0, 1, 2], [0, 1, 1]),  # perm longer than the group count
+], ids=["gap", "negative", "short-perm", "long-perm"])
+def test_expand_rejects_bad_group_array(perm, group):
     with pytest.raises(ValueError):
-        VertexGroups(((0,), (0, 1)), 2)
-    with pytest.raises(ValueError):
-        VertexGroups(((0,),), 2)
+        expand_permutation(perm, np.array(group), 0)
 
 
 @settings(max_examples=200, deadline=None)

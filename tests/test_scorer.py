@@ -401,14 +401,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_scorer(path)
 
+    @pytest.mark.parametrize("text", ["", "n 3\n0 1\n"], ids=["empty", "edge-list"])
+    def test_non_archive_named(self, text, tmp_path):
+        path = tmp_path / "model.npz"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^not an npz archive: {path}$"):
+            load_scorer(str(path))
+
 
 class TestTrainLoop:
     def test_loss_and_rmse_improve(self):
         g = gen_power_law(30, 1.8, seed=1)
         from graphorder.tuner import build_eval_set
-        eval_set = build_eval_set(g, 4, 64, seed=3)
+        src = as_similarity(g)
+        eval_set = build_eval_set(g, 4, 64, seed=3, source=src)
         cfg = ScorerConfig(hidden=32, repr_dim=32, learning_rate=1e-3, batch_size=32)
-        model, log = train_scorer(g, 4, 200, cfg, seed=4, eval_set=eval_set,
+        model, log = train_scorer(g, 4, 200, cfg, seed=4, source=src, eval_set=eval_set,
                                   eval_every=50)
         assert log.losses[-1] < log.losses[0]
         assert log.rmse_points[-1][1] < log.rmse_points[0][1]
@@ -416,7 +424,7 @@ class TestTrainLoop:
     def test_deterministic(self):
         g = gen_power_law(20, 1.8, seed=5)
         cfg = ScorerConfig(hidden=16, repr_dim=16, batch_size=16)
-        m1, log1 = train_scorer(g, 3, 30, cfg, seed=9)
-        m2, log2 = train_scorer(g, 3, 30, cfg, seed=9)
+        m1, log1 = train_scorer(g, 3, 30, cfg, seed=9, source=g)
+        m2, log2 = train_scorer(g, 3, 30, cfg, seed=9, source=g)
         assert np.array_equal(flatten_params(m1), flatten_params(m2))
         assert log1.losses == log2.losses

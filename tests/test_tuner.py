@@ -184,8 +184,8 @@ class TestEvalSet:
 
     def test_examples_distinct_members_and_deterministic(self):
         g = random_digraph(np.random.default_rng(7), 12, 0.3)
-        a = build_eval_set(g, 4, 20, seed=9)
-        b = build_eval_set(g, 4, 20, seed=9)
+        a = build_eval_set(g, 4, 20, seed=9, source=g)
+        b = build_eval_set(g, 4, 20, seed=9, source=g)
         for xa, xb in zip(a, b):
             assert np.array_equal(xa.input_set, xb.input_set)
             assert np.unique(xa.input_set).size == 3
