@@ -2,13 +2,12 @@
 degree baseline, and an exhaustive optimum for tiny instances."""
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
+from itertools import chain, islice, permutations
 
 import numpy as np
 
 from .graph import Graph
-from .locality import SimilarityLike, as_similarity
+from .locality import SimilarityLike, SimilaritySource, as_similarity
 
 __all__ = ["greedy_order", "degree_order", "brute_force_order", "BRUTE_FORCE_CAP"]
 
@@ -23,20 +22,27 @@ def greedy_order(source: SimilarityLike, w: int) -> np.ndarray:
     summed similarity against the last ``min(placed, w)`` placed vertices.
 
     Ties break to the smallest vertex id, which also picks vertex 0 first
-    (every candidate starts at zero gain).  The gain vector is maintained
-    incrementally: appending a vertex adds its similarity row, and the vertex
-    sliding out of the window subtracts its own.
+    (every candidate starts at zero gain).
     """
     if w < 1:
         raise ValueError("window size must be at least 1")
     src = as_similarity(source)
-    n = src.n
-    order = np.empty(n, dtype=np.int64)
-    gain = np.zeros(n, dtype=np.int64)
-    placed = np.zeros(n, dtype=bool)
-    for i in range(n):
-        masked = np.where(placed, np.int64(-1), gain)
-        v = int(np.argmax(masked))  # first max == smallest id among ties
+    return _greedy_prefix(src, 0, src.n, w)
+
+
+def _greedy_prefix(src: SimilaritySource, first: int, length: int, w: int) -> np.ndarray:
+    """The first ``length`` vertices of the greedy order that starts at
+    ``first``: each later step appends the unplaced vertex with the largest
+    summed similarity against the last ``w`` placed ones, ties to the
+    smallest id.  The gain vector is maintained incrementally: appending a
+    vertex adds its similarity row, and the vertex sliding out of the window
+    subtracts its own."""
+    order = np.empty(length, dtype=np.int64)
+    gain = np.zeros(src.n, dtype=np.int64)
+    placed = np.zeros(src.n, dtype=bool)
+    for i in range(length):
+        # argmax takes the first max, the smallest id among ties
+        v = first if i == 0 else int(np.argmax(np.where(placed, np.int64(-1), gain)))
         order[i] = v
         placed[v] = True
         src.add_scores_of(gain, v, 1)
@@ -49,11 +55,6 @@ def degree_order(g: Graph) -> np.ndarray:
     """Vertices sorted by decreasing total degree, ties by smallest id."""
     deg = g.total_degrees()
     return np.lexsort((np.arange(g.n), -deg)).astype(np.int64)
-
-
-@lru_cache(maxsize=4)
-def _all_permutations(n: int) -> np.ndarray:
-    return np.array(list(permutations(range(n))), dtype=np.int8)
 
 
 def brute_force_order(source: SimilarityLike, w: int) -> tuple[np.ndarray, int]:
@@ -74,12 +75,17 @@ def brute_force_order(source: SimilarityLike, w: int) -> tuple[np.ndarray, int]:
         return np.zeros(1, dtype=np.int64), 0
     mat = np.stack([src.scores_against([u]) for u in range(n)])
 
-    perms = _all_permutations(n)
+    perms = permutations(range(n))  # lexicographic, so ties keep the smallest
     best_score = -1
     best_perm: np.ndarray | None = None
-    for start in range(0, perms.shape[0], BRUTE_FORCE_CHUNK):
-        block = perms[start:start + BRUTE_FORCE_CHUNK]
+    while True:
+        block = np.fromiter(chain.from_iterable(islice(perms, BRUTE_FORCE_CHUNK)),
+                            dtype=np.int8).reshape(-1, n)
+        if block.shape[0] == 0:
+            break
         block = block[block[:, 0] < block[:, -1]]
+        if block.shape[0] == 0:  # a chunk inside one first-vertex run may keep none
+            continue
         scores = np.zeros(block.shape[0], dtype=np.int64)
         for gap in range(1, min(w, n - 1) + 1):
             for i in range(n - gap):

@@ -3,7 +3,6 @@ partitioning, and matrix rendering, all reproducible from a seed."""
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -286,16 +285,9 @@ def render_pgm(g: graph.Graph, order, fmt: str = "p2",
     With ``block`` = b the image is the block-nonempty map: one pixel per
     b-by-b block, ceil(n/b) pixels a side.
     """
-    b = 1 if block is None else block
-    if b < 1:
-        raise ValueError("block width must be positive")
-    perm = locality.check_permutation(order, g.n)
-    b = min(b, max(g.n, 1))  # any b >= n is one block; keeps huge b out of int64
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[perm] = np.arange(g.n)
-    size = math.ceil(g.n / b)
+    rows, cols, size = downstream._block_map(g, order, 1 if block is None else block)
     img = np.full((size, size), 255, dtype=np.uint8)
-    img[pos[g.arcs[:, 0]] // b, pos[g.arcs[:, 1]] // b] = 0
+    img[rows, cols] = 0
     h, wdt = img.shape
     if fmt == "p5":
         return f"P5\n{wdt} {h}\n255\n".encode() + img.tobytes()

@@ -25,6 +25,19 @@ __all__ = [
 GREEDY_SLACK = 0.1
 
 
+def _block_map(g: Graph, order, b: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Block row and block column of every arc in the adjacency matrix
+    reordered by ``order`` and cut into b-by-b blocks, and the ceil(n/b)
+    blocks per side."""
+    if b < 1:
+        raise ValueError("block width must be positive")
+    perm = check_permutation(order, g.n)
+    b = min(b, max(g.n, 1))  # any b >= n is one block; keeps huge b out of int64
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[perm] = np.arange(g.n)
+    return pos[g.arcs[:, 0]] // b, pos[g.arcs[:, 1]] // b, math.ceil(g.n / b)
+
+
 def compression_cost(g: Graph, order, b: int) -> tuple[int, float]:
     """Count the nonempty b-by-b blocks of the reordered adjacency matrix.
 
@@ -32,19 +45,9 @@ def compression_cost(g: Graph, order, b: int) -> tuple[int, float]:
     the vertex at position j.  Returns the raw count and its fraction of the
     ceil(n/b)^2 blocks.
     """
-    if b < 1:
-        raise ValueError("block width must be positive")
-    perm = check_permutation(order, g.n)
-    if g.n == 0:
+    bi, bj, nb = _block_map(g, order, b)
+    if bi.size == 0:
         return 0, 0.0
-    b = min(b, g.n)  # any b >= n is one block; keeps huge b out of int64
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[perm] = np.arange(g.n)
-    nb = math.ceil(g.n / b)
-    if g.arc_count == 0:
-        return 0, 0.0
-    bi = pos[g.arcs[:, 0]] // b
-    bj = pos[g.arcs[:, 1]] // b
     nonzero = int(_distinct_codes(bi * nb + bj).size)
     return nonzero, nonzero / (nb * nb)
 

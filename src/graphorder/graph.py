@@ -116,11 +116,6 @@ class Graph:
         """Sorted predecessors of ``v``."""
         return self._in_indices[self._in_indptr[v]:self._in_indptr[v + 1]]
 
-    def has_arc(self, u: int, v: int) -> bool:
-        succ = self.out_neighbors(u)
-        i = np.searchsorted(succ, v)
-        return bool(i < succ.size and succ[i] == v)
-
     def total_degrees(self) -> np.ndarray:
         """In-degree + out-degree per vertex (read-only array)."""
         return self._degrees

@@ -19,12 +19,9 @@ __all__ = [
     "MatrixSimilarity",
     "GraphSimilarity",
     "as_similarity",
-    "sibling_count",
-    "neighbor_count",
     "similarity",
     "dense_similarity",
     "locality_score",
-    "candidate_gain",
     "window_set_score",
     "check_permutation",
     "load_permutation",
@@ -35,20 +32,6 @@ __all__ = [
 
 # Largest n for which a graph's similarity is materialized as a dense matrix.
 DENSE_SIMILARITY_CAP = 2000
-
-
-def sibling_count(g: Graph, u: int, v: int) -> int:
-    """Number of common in-neighbors of two distinct vertices."""
-    if u == v:
-        raise ValueError("sibling count is undefined for a vertex with itself")
-    return len(set(g.in_neighbors(u).tolist()).intersection(g.in_neighbors(v).tolist()))
-
-
-def neighbor_count(g: Graph, u: int, v: int) -> int:
-    """Number of arcs between two distinct vertices, in {0, 1, 2}."""
-    if u == v:
-        raise ValueError("neighbor count is undefined for a vertex with itself")
-    return int(g.has_arc(u, v)) + int(g.has_arc(v, u))
 
 
 def similarity(g: Graph, u: int, v: int) -> int:
@@ -234,16 +217,6 @@ def locality_score(source: SimilarityLike, order: Sequence[int] | np.ndarray,
         for j in range(i + 1, min(i + w, length - 1) + 1):
             total += src.score(ids[i], ids[j])
     return total
-
-
-def candidate_gain(source: SimilarityLike, recent: Sequence[int] | np.ndarray,
-                   v: int) -> int:
-    """Summed similarity of ``v`` against the recently placed vertices."""
-    src = as_similarity(source)
-    recent = np.asarray(recent, dtype=np.int64)
-    if np.any(recent == v):
-        raise ValueError("candidate vertex is already among the recent ones")
-    return int(sum(src.score(int(u), v) for u in recent))
 
 
 def window_set_score(source: SimilarityLike, members: Sequence[int] | np.ndarray) -> int:

@@ -79,7 +79,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-scale, scale, size=(fan_in, fan_out))
 
 
-def init_scorer(n: int, hidden: int = 64, repr_dim: int = 64, seed: int = 0) -> SetScorer:
+def init_scorer(n: int, hidden: int, repr_dim: int, seed: int) -> SetScorer:
     """Fresh scorer with Glorot-uniform weights and zero biases; ``hidden``
     is the width of both the phi and the rho hidden layer."""
     if n < 1:

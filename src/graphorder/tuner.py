@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .baselines import _greedy_prefix
 from .graph import Graph
 from .locality import SimilarityLike, as_similarity
 from .optim import AdamState, RmspropState
@@ -32,7 +33,6 @@ __all__ = [
     "policy_forward",
     "sample_action",
     "apply_action",
-    "log_prob",
     "log_prob_grad",
     "RewardBaseline",
     "RlConfig",
@@ -104,7 +104,7 @@ class TuningPolicy:
         return {name: getattr(self, name) for name in POLICY_PARAMS}
 
 
-def init_policy(n: int, hidden: int = 64, seed: int = 0) -> TuningPolicy:
+def init_policy(n: int, hidden: int, seed: int) -> TuningPolicy:
     if n < 1 or hidden < 1:
         raise ValueError("sizes must be positive")
     rng = np.random.default_rng(seed)
@@ -142,21 +142,14 @@ def apply_action(state: np.ndarray, action: np.ndarray, rate: float) -> np.ndarr
     return _project_to_floor(state + np.where(action == 0, rate, -rate))
 
 
-def _bernoulli_log_likelihood(q: np.ndarray, action: np.ndarray) -> float:
-    qc = np.clip(q, 1e-12, 1.0 - 1e-12)
-    return float((action * np.log(qc) + (1 - action) * np.log(1.0 - qc)).sum())
-
-
-def log_prob(policy: TuningPolicy, state: np.ndarray, action: np.ndarray) -> float:
-    """Log-likelihood of an action vector under independent Bernoulli outputs."""
-    return _bernoulli_log_likelihood(policy_forward(policy, state), action)
-
-
 def log_prob_grad(policy: TuningPolicy, state: np.ndarray,
                   action: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Log-likelihood and its gradient with respect to the policy parameters."""
+    """Log-likelihood of an action vector under the policy's independent
+    Bernoulli outputs, and its gradient with respect to the policy
+    parameters."""
     z1, h, q = _policy_cache(policy, state)
-    logp = _bernoulli_log_likelihood(q, action)
+    qc = np.clip(q, 1e-12, 1.0 - 1e-12)
+    logp = float((action * np.log(qc) + (1 - action) * np.log(1.0 - qc)).sum())
     d_z2 = action - q                 # d logp / d pre-sigmoid
     d_z1 = (policy.W2 @ d_z2) * (z1 > 0)
     return logp, {"W1": np.outer(state, d_z1), "b1": d_z1,
@@ -214,22 +207,11 @@ class RlConfig:
 def grow_best_neighbor(source: SimilarityLike, start: int, size: int) -> np.ndarray:
     """Grow a vertex set greedily from ``start``: each step adds the vertex
     with the largest summed similarity to the current set (ties to the
-    smallest id)."""
+    smallest id).  This is GO's loop with a window as wide as the set."""
     src = as_similarity(source)
     if size < 1 or size > src.n:
         raise ValueError("size out of range")
-    members = [start]
-    gains = np.zeros(src.n, dtype=np.int64)
-    src.add_scores_of(gains, start, 1)
-    chosen = np.zeros(src.n, dtype=bool)
-    chosen[start] = True
-    while len(members) < size:
-        masked = np.where(chosen, np.int64(-1), gains)
-        v = int(np.argmax(masked))
-        members.append(v)
-        chosen[v] = True
-        src.add_scores_of(gains, v, 1)
-    return np.array(members, dtype=np.int64)
+    return _greedy_prefix(src, start, size, size)
 
 
 def _check_window(w: int, n: int) -> None:

@@ -7,10 +7,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from graphorder.baselines import (brute_force_order, degree_order, greedy_order)
+from graphorder import baselines
+from graphorder.baselines import brute_force_order, degree_order, greedy_order
 from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
-from graphorder.locality import (DENSE_SIMILARITY_CAP, as_similarity, candidate_gain,
-                                 locality_score)
+from graphorder.locality import DENSE_SIMILARITY_CAP, as_similarity, locality_score
 
 from conftest import random_digraph
 
@@ -52,10 +52,9 @@ class TestGreedyOrder:
             src = as_similarity(g)
             order = greedy_order(g, w)
             for i in range(n):
-                recent = order[max(0, i - w):i].tolist()
-                chosen = candidate_gain(src, recent, int(order[i]))
-                rest = [candidate_gain(src, recent, v)
-                        for v in range(n) if v not in order[:i + 1]]
+                gains = src.scores_against(order[max(0, i - w):i].tolist())
+                chosen = gains[order[i]]
+                rest = [gains[v] for v in range(n) if v not in order[:i + 1]]
                 assert all(chosen >= r for r in rest)
 
     def test_approximation_bound_small(self):
@@ -118,6 +117,17 @@ class TestBruteForce:
         perm, score = brute_force_order([[0, 5], [5, 0]], 1)
         assert score == 5
         assert perm.tolist() == [0, 1]
+
+    def test_chunks_that_keep_no_row(self, monkeypatch):
+        # With 1000-permutation chunks at n = 8, the chunks from 36 000 on lie
+        # wholly inside the run that starts with vertex 7, where no
+        # permutation has first < last.
+        g = random_digraph(np.random.default_rng(21), 8, 0.4)
+        whole_perm, whole_score = brute_force_order(g, 3)
+        monkeypatch.setattr(baselines, "BRUTE_FORCE_CHUNK", 1000)
+        perm, score = brute_force_order(g, 3)
+        assert score == whole_score
+        assert perm.tolist() == whole_perm.tolist()
 
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):

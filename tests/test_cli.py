@@ -71,6 +71,13 @@ class TestOrder:
                      "--w", "3"]) == 0
         assert "F=7" in capsys.readouterr().out
 
+    def test_brute_at_the_cap(self, tmp_path, capsys):
+        # n = 10: the last 200 000-permutation chunks keep no first < last row.
+        path = tmp_path / "g10.txt"
+        path.write_text(format_edge_list(gen_erdos_renyi(10, 0.4, seed=1)))
+        assert main(["order", str(path), "--algo", "brute", "--w", "3"]) == 0
+        assert "F=75" in capsys.readouterr().out
+
     def test_degree_needs_graph_input(self, fixture_matrix_file):
         assert main(["order", fixture_matrix_file, "--matrix",
                      "--algo", "degree"]) == 1

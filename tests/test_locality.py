@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from graphorder.baselines import brute_force_order, greedy_order
 from graphorder.graph import Graph, gen_power_law
 from graphorder.locality import (GraphSimilarity, MatrixSimilarity,
-                                 as_similarity, candidate_gain,
-                                 dense_similarity, format_permutation,
-                                 format_similarity_matrix, load_permutation,
-                                 load_similarity_matrix, locality_score,
-                                 neighbor_count, sibling_count, similarity,
-                                 window_set_score)
+                                 as_similarity, dense_similarity,
+                                 format_permutation, format_similarity_matrix,
+                                 load_permutation, load_similarity_matrix,
+                                 locality_score, similarity, window_set_score)
 from graphorder.scorer import soft_label
 
 from conftest import FIVE_VERTEX_SIM, digraphs, naive_locality_score, random_digraph
@@ -25,43 +23,43 @@ from conftest import FIVE_VERTEX_SIM, digraphs, naive_locality_score, random_dig
 class TestPairCounts:
     def test_shared_in_neighbor(self):
         g = Graph(3, [(0, 1), (0, 2)])
-        assert sibling_count(g, 1, 2) == 1
+        assert similarity(g, 1, 2) == 1
 
     def test_disconnected(self):
         g = Graph(4, [(0, 1)])
-        assert sibling_count(g, 2, 3) == 0
-        assert neighbor_count(g, 2, 3) == 0
+        assert similarity(g, 2, 3) == 0
 
     def test_two_shared_in_neighbors(self):
         g = Graph(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
-        assert sibling_count(g, 2, 3) == 2
+        assert similarity(g, 2, 3) == 2
 
     def test_neighbor_single_arc(self):
         g = Graph(2, [(0, 1)])
-        assert neighbor_count(g, 0, 1) == 1
+        assert similarity(g, 0, 1) == 1
 
     def test_neighbor_both_arcs(self):
         g = Graph(2, [(0, 1), (1, 0)])
-        assert neighbor_count(g, 0, 1) == 2
+        assert similarity(g, 0, 1) == 2
 
     def test_same_vertex_rejected(self):
         g = Graph(2, [(0, 1)])
-        for fn in (sibling_count, neighbor_count, similarity):
-            with pytest.raises(ValueError):
-                fn(g, 1, 1)
+        with pytest.raises(ValueError):
+            similarity(g, 1, 1)
 
     @settings(max_examples=150, deadline=None)
     @given(digraphs())
     def test_similarity_is_sibling_plus_neighbor_count(self, g):
-        # The in-list formula against the two counts it replaces: a set
-        # intersection for siblings and two arc searches for neighbors.
+        # The in-list formula against a naive count over the arc list: common
+        # in-neighbors plus the arcs between the two vertices.
+        arcs = set(map(tuple, g.arcs.tolist()))
+        preds = [{u for u, v in arcs if v == x} for x in range(g.n)]
         for u in range(g.n):
             with pytest.raises(ValueError):
                 similarity(g, u, u)
             for v in range(g.n):
                 if u != v:
-                    assert similarity(g, u, v) == (sibling_count(g, u, v)
-                                                   + neighbor_count(g, u, v))
+                    assert similarity(g, u, v) == (len(preds[u] & preds[v])
+                                                   + ((u, v) in arcs) + ((v, u) in arcs))
 
     def test_similarity_symmetric(self):
         rng = np.random.default_rng(3)
@@ -238,17 +236,13 @@ class TestLocalityScore:
 
 class TestCandidateGain:
     def test_empty_recent(self, five_sim):
-        assert candidate_gain(five_sim, [], 2) == 0
+        assert as_similarity(five_sim).scores_against([])[2] == 0
 
     def test_single_recent(self, five_sim):
-        assert candidate_gain(five_sim, [0], 1) == 2
+        assert as_similarity(five_sim).scores_against([0])[1] == 2
 
     def test_three_recent(self, five_sim):
-        assert candidate_gain(five_sim, [0, 1, 3], 4) == 3  # 1 + 1 + 1
-
-    def test_rejects_member(self, five_sim):
-        with pytest.raises(ValueError):
-            candidate_gain(five_sim, [0, 1], 1)
+        assert as_similarity(five_sim).scores_against([0, 1, 3])[4] == 3  # 1 + 1 + 1
 
 
 def test_permutation_file_round_trip():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -7,6 +8,14 @@ import graphorder
 from graphorder.cli import CONFIG_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(graphorder.__file__).resolve().parent
+
+# Public names that no module of the package calls, and why each stays.
+UNCALLED_BY_DESIGN = {
+    "load_policy": "the reader of the OUT.policy.npz checkpoint that train writes",
+    "format_similarity_matrix": "the writer of the --matrix input format",
+    "check_prob": "the sampling-distribution invariant the tests assert",
+}
 
 
 def test_readme_library_import_is_the_package_root():
@@ -22,3 +31,19 @@ def test_readme_config_keys_are_the_cli_keys():
     section = README.read_text().split("### Config files", 1)[1]
     keys = section.split("Keys:", 1)[1].split(".\n", 1)[0]
     assert re.findall(r"`(\w+)`", keys) == list(CONFIG_KEYS)
+
+
+def test_every_public_name_has_a_caller():
+    exported, referenced = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exported.update((elt.value, path.name) for elt in node.value.elts)
+    uncalled = {name: module for name, module in exported.items()
+                if name not in referenced and name not in UNCALLED_BY_DESIGN}
+    assert not uncalled, f"public names no module references: {uncalled}"

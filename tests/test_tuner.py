@@ -15,8 +15,8 @@ from graphorder.scorer import (ScorerConfig, TrainLog, forward_batch, init_score
 from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               build_eval_set, check_prob, default_floor,
                               discounted_returns, grow_best_neighbor,
-                              init_policy, initial_prob, load_policy, log_prob,
-                              log_prob_grad, policy_forward, reinforce_update,
+                              init_policy, initial_prob, load_policy, log_prob_grad,
+                              policy_forward, reinforce_update,
                               sample_action, save_policy, train_scorer_rl)
 
 from conftest import numeric_gradient, random_digraph
@@ -115,7 +115,8 @@ class TestLogProbGradient:
         state = np.array([0.2, 0.3, 0.5])
         action = np.array([1, 0, 1])
         _, grads = log_prob_grad(policy, state, action)
-        numeric = numeric_gradient(lambda: log_prob(policy, state, action), policy.params())
+        numeric = numeric_gradient(lambda: log_prob_grad(policy, state, action)[0],
+                                   policy.params())
         for name, g in grads.items():
             err = np.abs(g - numeric[name]) / np.maximum(np.abs(numeric[name]), 1e-6)
             assert err.max() < 1e-4, name
