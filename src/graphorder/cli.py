@@ -306,11 +306,12 @@ def cmd_render_matrix(args, config) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="master seed; all randomness derives from it")
-    common.add_argument("--w", type=int, default=None, help="window size")
-    common.add_argument("--config", default=None, help="key = value config file")
+    # Each command takes only the shared flags its handler reads.
+    seed, w, config = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=None,
+                      help="master seed; all randomness derives from it")
+    w.add_argument("--w", type=int, default=None, help="window size")
+    config.add_argument("--config", default=None, help="key = value config file")
 
     parser = argparse.ArgumentParser(
         prog="graphorder",
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "downstream compression and partitioning evaluators.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="write a synthetic graph")
+    p = sub.add_parser("generate", parents=[seed, config], help="write a synthetic graph")
     p.add_argument("--kind", choices=["er", "powerlaw"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None, help="edge probability (er)")
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("order", parents=[common], help="order a graph's vertices")
+    p = sub.add_parser("order", parents=[seed, w, config], help="order a graph's vertices")
     p.add_argument("input", help="edge-list file (or matrix fixture with --matrix)")
     p.add_argument("--algo", choices=["go", "degree", "don", "brute"], default="go")
     p.add_argument("--model", default=None, help="scorer checkpoint for --algo don")
@@ -340,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="permutation file to write")
     p.set_defaults(func=cmd_order)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[w, config],
                        help="locality score of a permutation file")
     p.add_argument("input")
     p.add_argument("--perm", required=True)
     p.add_argument("--matrix", action="store_true")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("train", parents=[common], help="train the set scorer")
+    p = sub.add_parser("train", parents=[seed, w, config], help="train the set scorer")
     p.add_argument("input")
     p.add_argument("--algo", choices=["don", "don-rl"], default="don-rl")
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + setting.key.replace("_", "-"), type=setting.type, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("compress-cost", parents=[common],
+    p = sub.add_parser("compress-cost",
                        help="nonempty-block cost of the reordered adjacency")
     p.add_argument("input")
     p.add_argument("--perm", default=None, help="permutation file (default identity)")
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_compress_cost)
 
-    p = sub.add_parser("partition", parents=[common], help="partition the edge set")
+    p = sub.add_parser("partition", parents=[seed, config], help="partition the edge set")
     p.add_argument("input")
     p.add_argument("--method", choices=["order", "random", "greedy"], required=True)
     p.add_argument("--k", type=int, required=True)
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV of u,v,part rows")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("render-matrix", parents=[common],
+    p = sub.add_parser("render-matrix",
                        help="permuted adjacency as a PGM bitmap")
     p.add_argument("input")
     p.add_argument("--perm", default=None)
@@ -392,7 +393,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = read_config(args.config) if args.config else {}
+        path = getattr(args, "config", None)
+        config = read_config(path) if path else {}
         return args.func(args, config)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ vertex pair whose positions are at most ``w`` apart.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -157,15 +157,16 @@ class GraphSimilarity(SimilaritySource):
             acc -= _similarity_row(self.graph, x)
 
 
-SimilarityLike = Union[Graph, SimilaritySource, np.ndarray, Sequence[Sequence[int]]]
+SimilarityLike = Graph | SimilaritySource
 
 
 def as_similarity(source: SimilarityLike,
                   dense_cap: int = DENSE_SIMILARITY_CAP) -> SimilaritySource:
-    """Coerce a Graph, matrix, or existing source into a SimilaritySource.
+    """The similarity source of a Graph; a source is returned unchanged.
 
     Graphs at or below ``dense_cap`` vertices are materialized densely; larger
-    ones are evaluated on demand, one gathered row at a time.
+    ones are evaluated on demand, one gathered row at a time.  A raw matrix
+    is not accepted: wrap it in ``MatrixSimilarity``.
     """
     if isinstance(source, SimilaritySource):
         return source
@@ -173,7 +174,7 @@ def as_similarity(source: SimilarityLike,
         if source.n <= dense_cap:
             return MatrixSimilarity._adopt(dense_similarity(source))
         return GraphSimilarity(source)
-    return MatrixSimilarity(np.asarray(source))
+    raise TypeError(f"expected a Graph or a SimilaritySource, got {type(source).__name__}")
 
 
 def check_permutation(order: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
@@ -205,29 +206,26 @@ def locality_score(source: SimilarityLike, order: Sequence[int] | np.ndarray,
         raise ValueError("window size must be at least 1")
     src = as_similarity(source)
     perm = _check_partial(order, src.n)
-    length = perm.size
     if isinstance(src, MatrixSimilarity):
         total = 0
-        for gap in range(1, min(w, length - 1) + 1):
+        for gap in range(1, min(w, perm.size - 1) + 1):
             total += int(src.matrix[perm[:-gap], perm[gap:]].sum())
         return total
-    ids = perm.tolist()
-    total = 0
-    for i in range(length):
-        for j in range(i + 1, min(i + w, length - 1) + 1):
-            total += src.score(ids[i], ids[j])
-    return total
+    return _pair_sum(src, perm.tolist(), w)
 
 
-def window_set_score(source: SimilarityLike, members: Sequence[int] | np.ndarray) -> int:
+def window_set_score(src: SimilaritySource, members: Sequence[int] | np.ndarray) -> int:
     """Locality contribution of a vertex set occupying one full window:
     the sum of similarities over all unordered pairs, order-free."""
-    src = as_similarity(source)
-    members = np.asarray(members, dtype=np.int64)
+    return _pair_sum(src, np.asarray(members, dtype=np.int64).tolist(), len(members))
+
+
+def _pair_sum(src: SimilaritySource, ids: list[int], w: int) -> int:
+    """Sum of ``src.score`` over the position pairs of ``ids`` at gap 1..w."""
     total = 0
-    for i in range(members.size):
-        for j in range(i + 1, members.size):
-            total += src.score(int(members[i]), int(members[j]))
+    for i in range(len(ids)):
+        for j in range(i + 1, min(i + w, len(ids) - 1) + 1):
+            total += src.score(ids[i], ids[j])
     return total
 
 
@@ -260,7 +258,10 @@ def load_similarity_matrix(source: str | Iterable[str]) -> MatrixSimilarity:
     rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix row length mismatch")
-    return MatrixSimilarity(rows)
+    try:
+        return MatrixSimilarity(rows)
+    except OverflowError:
+        raise ValueError("similarity value out of int64 range") from None
 
 
 def format_similarity_matrix(source: MatrixSimilarity | np.ndarray) -> str:

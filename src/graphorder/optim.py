@@ -47,17 +47,17 @@ class AdamState:
 
 
 class RmspropState:
-    """RMSProp accumulator (decay 0.9, eps=1e-8); supports gradient ascent."""
+    """RMSProp accumulator (decay 0.9, eps=1e-8) for gradient ascent."""
 
     def __init__(self):
         self.cache: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float, maximize: bool = False) -> None:
-        sign = 1.0 if maximize else -1.0
+             lr: float) -> None:
+        """Ascend each parameter array in place along its gradient."""
         for name, p in params.items():
             g = grads[name]
             c = self.cache.setdefault(name, np.zeros_like(p))
             c *= RMSPROP_DECAY
             c += (1 - RMSPROP_DECAY) * g * g
-            p += sign * lr * g / (np.sqrt(c) + RMSPROP_EPS)
+            p += lr * g / (np.sqrt(c) + RMSPROP_EPS)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph
-from .locality import SimilarityLike, as_similarity, window_set_score
+from .locality import SimilaritySource, window_set_score
 from .optim import AdamState
 
 __all__ = [
@@ -51,6 +51,13 @@ class TrainingDiverged(RuntimeError):
     """Raised when a training step produces a non-finite loss or gradient."""
 
 
+def _check_rates(**rates: float) -> None:
+    """Refuse a step size or rate that is not finite and positive."""
+    for name, value in rates.items():
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass
 class ScorerConfig:
     """Network and optimizer settings for the set scorer."""
@@ -59,6 +66,9 @@ class ScorerConfig:
     repr_dim: int = 64
     learning_rate: float = 1e-3
     batch_size: int = 64
+
+    def __post_init__(self):
+        _check_rates(learning_rate=self.learning_rate)
 
 
 class SetScorer:
@@ -144,14 +154,13 @@ class TrainingExample:
     soft_label: np.ndarray
 
 
-def soft_label(source: SimilarityLike, members: Sequence[int] | np.ndarray) -> np.ndarray:
+def soft_label(src: SimilaritySource, members: Sequence[int] | np.ndarray) -> np.ndarray:
     """Target distribution over next vertices for a window set.
 
     Each candidate's raw weight is the full pair-sum locality of the set plus
     that candidate; members get zero.  Weights are normalized to sum to one,
     falling back to uniform over non-members when every weight is zero.
     """
-    src = as_similarity(source)
     members = np.asarray(members, dtype=np.int64)
     if members.size >= src.n:
         raise ValueError(f"a window set of {members.size} vertices leaves no "
@@ -201,11 +210,10 @@ def _weighted_draws_without_replacement(rng: np.random.Generator, prob: np.ndarr
     return sets
 
 
-def sample_training_batch(source: SimilarityLike, prob: np.ndarray, w: int, batch: int,
+def sample_training_batch(src: SimilaritySource, prob: np.ndarray, w: int, batch: int,
                           seed: int | np.random.Generator) -> list[TrainingExample]:
     """Draw ``batch`` window sets of size w-1 (weighted, without replacement)
-    and label each with its extension distribution under ``source``."""
-    src = as_similarity(source)
+    and label each with its extension distribution under ``src``."""
     if batch < 1:
         raise ValueError("batch size must be positive")
     if w - 1 > src.n:
@@ -367,7 +375,7 @@ class TrainLog:
     t0: float = field(default_factory=time.perf_counter)
 
 
-def fit(model: SetScorer, opt: AdamState, src: SimilarityLike,
+def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         prob: np.ndarray, w: int, steps: int, cfg: ScorerConfig,
         rng: np.random.Generator, log: TrainLog,
         eval_set: Sequence[TrainingExample] | None = None,
@@ -396,7 +404,7 @@ def fit(model: SetScorer, opt: AdamState, src: SimilarityLike,
 
 
 def train_scorer(g: Graph, w: int, steps: int, cfg: ScorerConfig, seed: int, *,
-                 source: SimilarityLike,
+                 source: SimilaritySource,
                  eval_set: Sequence[TrainingExample] | None = None,
                  eval_every: int = 50) -> tuple[SetScorer, TrainLog]:
     """Train a fresh scorer for ``steps`` steps on ``g``'s degree-based
@@ -408,7 +416,7 @@ def train_scorer(g: Graph, w: int, steps: int, cfg: ScorerConfig, seed: int, *,
     init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
     model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
     log = TrainLog()
-    log.rmse_points = fit(model, AdamState(), as_similarity(source), initial_prob(g), w,
+    log.rmse_points = fit(model, AdamState(), source, initial_prob(g), w,
                           steps, cfg, np.random.default_rng(batch_seed), log,
                           eval_set, eval_every)
     return model, log

@@ -18,10 +18,11 @@ import numpy as np
 
 from .baselines import _greedy_prefix
 from .graph import Graph
-from .locality import SimilarityLike, as_similarity
+from .locality import SimilaritySource, as_similarity
 from .optim import AdamState, RmspropState
-from .scorer import (ScorerConfig, SetScorer, TrainingExample, TrainLog, _draw,
-                     _glorot, _read_checkpoint, fit, init_scorer, rmse, soft_label)
+from .scorer import (ScorerConfig, SetScorer, TrainingExample, TrainLog, _check_rates,
+                     _draw, _glorot, _read_checkpoint, fit, init_scorer, rmse,
+                     soft_label)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -195,6 +196,9 @@ class RlConfig:
     don_steps_per_t: int | None = None
     warmup_steps: int = 50
 
+    def __post_init__(self):
+        _check_rates(tuning_scale=self.tuning_scale, policy_lr=self.policy_lr)
+
     def resolved_steps_per_t(self) -> int:
         if self.don_steps_per_t is not None:
             return self.don_steps_per_t
@@ -204,11 +208,10 @@ class RlConfig:
         return max(1, self.global_steps // (self.rl_steps * self.trajectory_len))
 
 
-def grow_best_neighbor(source: SimilarityLike, start: int, size: int) -> np.ndarray:
+def grow_best_neighbor(src: SimilaritySource, start: int, size: int) -> np.ndarray:
     """Grow a vertex set greedily from ``start``: each step adds the vertex
     with the largest summed similarity to the current set (ties to the
     smallest id).  This is GO's loop with a window as wide as the set."""
-    src = as_similarity(source)
     if size < 1 or size > src.n:
         raise ValueError("size out of range")
     return _greedy_prefix(src, start, size, size)
@@ -220,22 +223,21 @@ def _check_window(w: int, n: int) -> None:
 
 
 def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
-                   source: SimilarityLike) -> list[TrainingExample]:
+                   source: SimilaritySource) -> list[TrainingExample]:
     """Fixed evaluation set: each example starts from a vertex sampled by
     ``g``'s degrees, grows a window set of w-1 vertices by the best-neighbor
     rule, and is labeled with its extension distribution under ``source``."""
     if size < 1:
         raise ValueError("evaluation set size must be positive")
     _check_window(w, g.n)
-    src = as_similarity(source)
     prob = initial_prob(g)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(prob)
     examples = []
     for _ in range(size):
         start = int(_draw(rng, cdf, None))
-        members = grow_best_neighbor(src, start, w - 1)
-        examples.append(TrainingExample(members, soft_label(src, members)))
+        members = grow_best_neighbor(source, start, w - 1)
+        examples.append(TrainingExample(members, soft_label(source, members)))
     return examples
 
 
@@ -274,7 +276,7 @@ def reinforce_update(policy: TuningPolicy, states: Sequence[np.ndarray],
     for name, g in total.items():
         if not np.all(np.isfinite(g)):
             raise RuntimeError(f"non-finite policy gradient in {name}")
-    opt.step(policy.params(), total, alpha, maximize=True)
+    opt.step(policy.params(), total, alpha)
 
 
 @dataclass

@@ -10,7 +10,8 @@ import pytest
 from graphorder import baselines
 from graphorder.baselines import brute_force_order, degree_order, greedy_order
 from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
-from graphorder.locality import DENSE_SIMILARITY_CAP, as_similarity, locality_score
+from graphorder.locality import (DENSE_SIMILARITY_CAP, MatrixSimilarity, as_similarity,
+                                 locality_score)
 
 from conftest import random_digraph
 
@@ -28,9 +29,10 @@ def naive_best_order(source, w):
 
 class TestGreedyOrder:
     def test_worked_fixture(self, five_sim):
-        order = greedy_order(five_sim, 3)
+        src = MatrixSimilarity(five_sim)
+        order = greedy_order(src, 3)
         assert order.tolist() == [0, 1, 3, 4, 2]
-        assert locality_score(five_sim, order, 3) == 7
+        assert locality_score(src, order, 3) == 7
 
     def test_single_vertex(self):
         assert greedy_order(Graph(1), 3).tolist() == [0]
@@ -92,8 +94,9 @@ class TestGreedyOrder:
 
 class TestBruteForce:
     def test_matches_naive_enumeration(self, five_sim):
-        perm, score = brute_force_order(five_sim, 3)
-        naive_perm, naive_score = naive_best_order(five_sim, 3)
+        src = MatrixSimilarity(five_sim)
+        perm, score = brute_force_order(src, 3)
+        naive_perm, naive_score = naive_best_order(src, 3)
         assert score == naive_score == 7
         assert perm.tolist() == naive_perm.tolist()
 
@@ -109,12 +112,12 @@ class TestBruteForce:
             assert perm.tolist() == naive_perm.tolist()
 
     def test_all_zero_similarity(self):
-        perm, score = brute_force_order(np.zeros((4, 4), dtype=int), 2)
+        perm, score = brute_force_order(MatrixSimilarity(np.zeros((4, 4), dtype=int)), 2)
         assert score == 0
         assert perm.tolist() == [0, 1, 2, 3]
 
     def test_two_vertices(self):
-        perm, score = brute_force_order([[0, 5], [5, 0]], 1)
+        perm, score = brute_force_order(MatrixSimilarity([[0, 5], [5, 0]]), 1)
         assert score == 5
         assert perm.tolist() == [0, 1]
 
@@ -131,7 +134,7 @@ class TestBruteForce:
 
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
-            brute_force_order(np.zeros((11, 11), dtype=int), 2)
+            brute_force_order(MatrixSimilarity(np.zeros((11, 11), dtype=int)), 2)
 
 
 class TestDegreeOrder:

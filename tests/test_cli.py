@@ -403,6 +403,10 @@ class TestRenderMatrix:
     "order {graph} --algo go --model {dir}/m.npz",
     "order {graph} --algo degree --start 0",
     "partition {graph} --method random --k 2 --perm {dir}/p.txt",
+    "order {dir}/big.mat --matrix",
+    "train {graph} --algo don --don-learning-rate -1 --out {dir}/m.npz",
+    "train {graph} --algo don-rl --policy-learning-rate nan --rl-steps 1 --out {dir}/m.npz",
+    "train {graph} --tuning-scale inf --out {dir}/m.npz",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "model-text-file",
         "block-0", "block-neg", "w-covers-graph", "train-n0", "train-don-n0", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
@@ -410,7 +414,8 @@ class TestRenderMatrix:
         "don-rl-steps", "don-trajectory-len", "don-steps-per-t", "don-warmup-steps",
         "don-gamma", "don-tuning-scale", "don-policy-learning-rate", "don-policy-hidden",
         "gamma-exp-nan", "powerlaw-p", "er-gamma-exp", "go-model", "degree-start",
-        "random-perm"])
+        "random-perm", "matrix-int64-overflow", "don-lr-negative", "policy-lr-nan",
+        "tuning-scale-inf"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -419,6 +424,7 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "huge-n.txt").write_text("n 99999999999999999999\n0 1\n")
     (tmp_path / "empty.txt").write_text("n 0\n")
     (tmp_path / "sim.txt").write_text(format_similarity_matrix(FIVE_VERTEX_SIM))
+    (tmp_path / "big.mat").write_text("2\n0 99999999999999999999\n99999999999999999999 0\n")
     params = init_scorer(6, 4, 4, seed=0).params()
     np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=0, **params)
     np.savez(tmp_path / "short.npz", kind="set_scorer", format_version=1, n=6, seed=0,
@@ -426,6 +432,27 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    "generate --kind er --n 5 --p 0.5 --out {dir}/g.txt --w 3",
+    "compress-cost {graph} --w 3",
+    "partition {graph} --method greedy --k 2 --w 3",
+    "render-matrix {graph} --out {dir}/m.pgm --w 3",
+    "eval {graph} --perm {dir}/p.txt --seed 1",
+    "compress-cost {graph} --seed 1",
+    "render-matrix {graph} --out {dir}/m.pgm --seed 1",
+    "compress-cost {graph} --config {dir}/c.cfg",
+    "render-matrix {graph} --out {dir}/m.pgm --config {dir}/c.cfg",
+], ids=["generate-w", "compress-cost-w", "partition-w", "render-matrix-w", "eval-seed",
+        "compress-cost-seed", "render-matrix-seed", "compress-cost-config",
+        "render-matrix-config"])
+def test_shared_flag_the_command_does_not_read_is_refused(argv, small_graph_file, tmp_path,
+                                                          capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(graph=small_graph_file, dir=tmp_path).split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _run_capped_cli(*argv: str) -> subprocess.CompletedProcess:

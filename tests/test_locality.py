@@ -125,9 +125,9 @@ class TestMatrixSource:
         given = five_sim.copy()
         given[np.diag_indices(5)] = 7
         before = given.copy()
-        for src in (as_similarity(given), MatrixSimilarity(given)):
-            assert not np.diagonal(src.matrix).any()
-            assert not src.matrix.flags.writeable
+        src = MatrixSimilarity(given)
+        assert not np.diagonal(src.matrix).any()
+        assert not src.matrix.flags.writeable
         assert np.array_equal(given, before) and given.flags.writeable
 
 
@@ -179,19 +179,24 @@ class TestGraphSource:
         assert isinstance(as_similarity(g), MatrixSimilarity)
         assert isinstance(as_similarity(g, dense_cap=2), GraphSimilarity)
 
+    @pytest.mark.parametrize("raw", [np.zeros((2, 2), dtype=np.int64), [[0, 1], [1, 0]]])
+    def test_as_similarity_refuses_raw_matrices(self, raw):
+        with pytest.raises(TypeError, match="SimilaritySource"):
+            as_similarity(raw)
+
 
 class TestLocalityScore:
     def test_worked_partial_ordering(self, five_sim):
         # S(0,1) + S(0,4) + S(1,4) = 2 + 1 + 1
-        assert locality_score(five_sim, [0, 1, 4], 3) == 4
+        assert locality_score(MatrixSimilarity(five_sim), [0, 1, 4], 3) == 4
 
     def test_single_vertex(self, five_sim):
-        assert locality_score(five_sim, [2], 3) == 0
+        assert locality_score(MatrixSimilarity(five_sim), [2], 3) == 0
 
     def test_best_full_ordering(self, five_sim):
         # exhaustively checked optimum of the fixture at w=3 (see
         # test_baselines for the enumeration)
-        assert locality_score(five_sim, [0, 1, 3, 4, 2], 3) == 7
+        assert locality_score(MatrixSimilarity(five_sim), [0, 1, 3, 4, 2], 3) == 7
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(17)
@@ -205,14 +210,14 @@ class TestLocalityScore:
     def test_monotone_in_window(self, five_sim):
         rng = np.random.default_rng(2)
         perm = rng.permutation(5)
-        scores = [locality_score(five_sim, perm, w) for w in range(1, 6)]
+        scores = [locality_score(MatrixSimilarity(five_sim), perm, w) for w in range(1, 6)]
         assert all(a <= b for a, b in zip(scores, scores[1:]))
 
     def test_saturates_at_total_pair_sum(self, five_sim):
         total = int(FIVE_VERTEX_SIM.sum()) // 2
         for perm in ([0, 1, 2, 3, 4], [4, 2, 0, 1, 3]):
-            assert locality_score(five_sim, perm, 4) == total
-            assert locality_score(five_sim, perm, 9) == total
+            assert locality_score(MatrixSimilarity(five_sim), perm, 4) == total
+            assert locality_score(MatrixSimilarity(five_sim), perm, 9) == total
 
     def test_window_set_identity(self):
         # w consecutive vertices contribute their full pair-sum regardless of
@@ -220,29 +225,29 @@ class TestLocalityScore:
         rng = np.random.default_rng(21)
         g = random_digraph(rng, 10, 0.3)
         members = [1, 4, 7, 9]
-        base = window_set_score(g, members)
+        base = window_set_score(as_similarity(g), members)
         for _ in range(5):
             shuffled = list(rng.permutation(members))
             assert locality_score(g, shuffled, len(members) - 1) == base
 
     def test_rejects_bad_window(self, five_sim):
         with pytest.raises(ValueError):
-            locality_score(five_sim, [0, 1], 0)
+            locality_score(MatrixSimilarity(five_sim), [0, 1], 0)
 
     def test_rejects_duplicate_vertex(self, five_sim):
         with pytest.raises(ValueError):
-            locality_score(five_sim, [0, 0], 2)
+            locality_score(MatrixSimilarity(five_sim), [0, 0], 2)
 
 
 class TestCandidateGain:
     def test_empty_recent(self, five_sim):
-        assert as_similarity(five_sim).scores_against([])[2] == 0
+        assert MatrixSimilarity(five_sim).scores_against([])[2] == 0
 
     def test_single_recent(self, five_sim):
-        assert as_similarity(five_sim).scores_against([0])[1] == 2
+        assert MatrixSimilarity(five_sim).scores_against([0])[1] == 2
 
     def test_three_recent(self, five_sim):
-        assert as_similarity(five_sim).scores_against([0, 1, 3])[4] == 3  # 1 + 1 + 1
+        assert MatrixSimilarity(five_sim).scores_against([0, 1, 3])[4] == 3  # 1 + 1 + 1
 
 
 def test_permutation_file_round_trip():

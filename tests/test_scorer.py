@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphorder.graph import Graph, gen_power_law
-from graphorder.locality import as_similarity, window_set_score
+from graphorder.locality import MatrixSimilarity, as_similarity, window_set_score
 from graphorder.optim import AdamState
 from graphorder.scorer import (PARAM_NAMES, ScorerConfig, TrainingDiverged,
                                TrainingExample, _loss_and_grads,
@@ -88,12 +88,12 @@ class TestForward:
 
 class TestSoftLabel:
     def test_worked_fixture(self, five_sim):
-        label = soft_label(five_sim, [0, 1])
+        label = soft_label(MatrixSimilarity(five_sim), [0, 1])
         # window sets {0,1,v}: pair sums 2, 4, 4 over v in {2,3,4}
         assert np.allclose(label, [0.0, 0.0, 0.2, 0.4, 0.4])
 
     def test_zero_similarity_uniform(self):
-        label = soft_label(np.zeros((5, 5), dtype=int), [1, 3])
+        label = soft_label(MatrixSimilarity(np.zeros((5, 5), dtype=int)), [1, 3])
         assert np.allclose(label, [1 / 3, 0.0, 1 / 3, 0.0, 1 / 3])
 
     def test_members_zero_and_normalized(self):
@@ -122,22 +122,22 @@ class TestSampleBatch:
     def test_deterministic(self):
         g = random_digraph(np.random.default_rng(5), 12, 0.3)
         prob = initial_prob(g)
-        a = sample_training_batch(g, prob, 4, 8, seed=11)
-        b = sample_training_batch(g, prob, 4, 8, seed=11)
+        a = sample_training_batch(as_similarity(g), prob, 4, 8, seed=11)
+        b = sample_training_batch(as_similarity(g), prob, 4, 8, seed=11)
         for xa, xb in zip(a, b):
             assert np.array_equal(xa.input_set, xb.input_set)
             assert np.array_equal(xa.soft_label, xb.soft_label)
 
     def test_sets_have_right_size_and_no_repeats(self):
         g = random_digraph(np.random.default_rng(6), 10, 0.3)
-        for ex in sample_training_batch(g, initial_prob(g), 5, 20, seed=0):
+        for ex in sample_training_batch(as_similarity(g), initial_prob(g), 5, 20, seed=0):
             assert ex.input_set.size == 4
             assert np.unique(ex.input_set).size == 4
 
     def test_uniform_inclusion_frequencies(self):
         g = Graph(10, [(0, 1)])
         prob = np.full(10, 0.1)
-        batch = sample_training_batch(g, prob, 4, 10_000, seed=1)
+        batch = sample_training_batch(as_similarity(g), prob, 4, 10_000, seed=1)
         counts = np.zeros(10)
         for ex in batch:
             counts[ex.input_set] += 1
@@ -149,14 +149,14 @@ class TestSampleBatch:
         g = Graph(6, [(0, 1)])
         prob = np.full(6, 1e-9)
         prob[2] = 1.0 - 5e-9
-        batch = sample_training_batch(g, prob, 3, 200, seed=2)
+        batch = sample_training_batch(as_similarity(g), prob, 3, 200, seed=2)
         hits = sum(2 in ex.input_set for ex in batch)
         assert hits == 200
 
     def test_window_too_large_rejected(self):
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
-            sample_training_batch(g, np.full(3, 1 / 3), 5, 2, seed=0)
+            sample_training_batch(as_similarity(g), np.full(3, 1 / 3), 5, 2, seed=0)
 
 
 def sequential_set_probabilities(prob, k: int) -> dict[tuple[int, ...], float]:
@@ -230,7 +230,7 @@ def tiny_batch(model, rng, size=4, set_size=2):
     idx = np.triu_indices(model.n, 1)
     vals = rng.integers(0, 5, size=idx[0].size)
     src[idx] = vals
-    src += src.T
+    src = MatrixSimilarity(src + src.T)
     examples = []
     for _ in range(size):
         members = rng.choice(model.n, size=set_size, replace=False)
@@ -365,6 +365,7 @@ class TestDecode:
     def test_memorized_fixture_reaches_optimum(self, five_sim):
         # Train on every window set of sizes 1 and 2 with exact labels; the
         # decode should then match the exhaustive optimum (score 7 at w=3).
+        five_sim = MatrixSimilarity(five_sim)
         model = init_scorer(5, 32, 16, seed=8)
         examples = []
         for a in range(5):
@@ -424,7 +425,7 @@ class TestTrainLoop:
     def test_deterministic(self):
         g = gen_power_law(20, 1.8, seed=5)
         cfg = ScorerConfig(hidden=16, repr_dim=16, batch_size=16)
-        m1, log1 = train_scorer(g, 3, 30, cfg, seed=9, source=g)
-        m2, log2 = train_scorer(g, 3, 30, cfg, seed=9, source=g)
+        m1, log1 = train_scorer(g, 3, 30, cfg, seed=9, source=as_similarity(g))
+        m2, log2 = train_scorer(g, 3, 30, cfg, seed=9, source=as_similarity(g))
         assert np.array_equal(flatten_params(m1), flatten_params(m2))
         assert log1.losses == log2.losses

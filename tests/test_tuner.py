@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphorder.graph import Graph, gen_power_law
-from graphorder.locality import as_similarity
+from graphorder.locality import MatrixSimilarity, as_similarity
 from graphorder.optim import RmspropState
 from graphorder.scorer import (ScorerConfig, TrainLog, forward_batch, init_scorer,
                                rmse)
@@ -176,24 +176,24 @@ class TestReinforce:
 class TestEvalSet:
     def test_growth_on_worked_fixture(self, five_sim):
         # from vertex 0 the best neighbor is 1 (similarity 2)
-        grown = grow_best_neighbor(five_sim, 0, 2)
+        grown = grow_best_neighbor(MatrixSimilarity(five_sim), 0, 2)
         assert grown.tolist() == [0, 1]
 
     def test_growth_tie_breaks_small_id(self):
-        grown = grow_best_neighbor(np.zeros((4, 4), dtype=int), 2, 3)
+        grown = grow_best_neighbor(MatrixSimilarity(np.zeros((4, 4), dtype=int)), 2, 3)
         assert grown.tolist() == [2, 0, 1]
 
     def test_examples_distinct_members_and_deterministic(self):
         g = random_digraph(np.random.default_rng(7), 12, 0.3)
-        a = build_eval_set(g, 4, 20, seed=9, source=g)
-        b = build_eval_set(g, 4, 20, seed=9, source=g)
+        a = build_eval_set(g, 4, 20, seed=9, source=as_similarity(g))
+        b = build_eval_set(g, 4, 20, seed=9, source=as_similarity(g))
         for xa, xb in zip(a, b):
             assert np.array_equal(xa.input_set, xb.input_set)
             assert np.unique(xa.input_set).size == 3
 
     def test_fixture_label(self, five_sim):
         # growing from 0 gives {0, 1}; its label is the worked soft label
-        src = as_similarity(five_sim)
+        src = MatrixSimilarity(five_sim)
         members = grow_best_neighbor(src, 0, 2)
         from graphorder.scorer import soft_label
         assert np.allclose(soft_label(src, members), [0, 0, 0.2, 0.4, 0.4])
@@ -273,6 +273,14 @@ def test_rl_config_derives_steps_per_t():
                    don_steps_per_t=None)
     assert cfg.resolved_steps_per_t() == 20
     assert RlConfig(don_steps_per_t=7).resolved_steps_per_t() == 7
+
+
+@pytest.mark.parametrize("cls, field", [(ScorerConfig, "learning_rate"),
+                                        (RlConfig, "policy_lr"), (RlConfig, "tuning_scale")])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_configs_refuse_rates_not_finite_and_positive(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
 
 
 def test_policy_checkpoint_round_trip(tmp_path):
