@@ -3,6 +3,7 @@ ordering-derived edge partitioning, with random and greedy partitioners as
 baselines."""
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -129,7 +130,8 @@ def greedy_partition(g: Graph, k: int) -> EdgePartition:
     edge's endpoints (+2 for both, +1 for one) minus a load penalty of
     size/capacity.  Ties go to the least-loaded, then smallest-id part; a
     hard cap of ceil(m/k)*(1+GREEDY_SLACK) keeps parts from overfilling.
-    """
+    Only the open parts holding u or v, and the least-loaded open part, can
+    win: that part beats every other part that holds neither endpoint."""
     if k < 1:
         raise ValueError("partition count must be positive")
     edges = g.undirected_edges()
@@ -141,20 +143,27 @@ def greedy_partition(g: Graph, k: int) -> EdgePartition:
     # first min(k, m) ids can win: before each edge one of them is still
     # empty, and an empty part beats every higher-numbered one.
     slots = min(k, m)
-    held: list[set[int]] = [set() for _ in range(slots)]
     sizes = [0] * slots
+    open_parts = [(0, pid) for pid in range(slots)]  # (size, id) heap, pruned lazily
+    holding: list[set[int]] = [set() for _ in range(g.n)]  # the parts holding each vertex
     for e, (u, v) in enumerate(edges.tolist()):
-        best_pid, best_key = None, None
-        for pid in range(slots):
-            if sizes[pid] >= hard_cap:
-                continue
-            score = (u in held[pid]) + (v in held[pid]) - sizes[pid] / capacity
-            key = (score, -sizes[pid], -pid)
-            if best_key is None or key > best_key:
-                best_key, best_pid = key, pid
-        parts[e] = best_pid
-        sizes[best_pid] += 1
-        held[best_pid].update((u, v))
+        while sizes[open_parts[0][1]] != open_parts[0][0]:  # grown since pushed
+            heapq.heappop(open_parts)
+        hu, hv = holding[u], holding[v]
+        size, best = open_parts[0]
+        best_score = (best in hu) + (best in hv) - size / capacity
+        for pid in hu | hv:
+            s = sizes[pid]
+            if s < hard_cap:
+                score = (pid in hu) + (pid in hv) - s / capacity
+                if score > best_score or score == best_score and (s, pid) < (size, best):
+                    best, best_score, size = pid, score, s
+        parts[e] = best
+        sizes[best] += 1
+        if sizes[best] < hard_cap:
+            heapq.heappush(open_parts, (sizes[best], best))
+        hu.add(best)
+        hv.add(best)
     return EdgePartition(edges, parts, k)
 
 

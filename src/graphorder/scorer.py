@@ -5,7 +5,8 @@ set: each member is embedded by a two-layer MLP (``phi``), the embeddings are
 sum-pooled, and a second two-layer MLP (``rho``) maps the pooled vector to a
 softmax distribution over all vertices.  Sum pooling makes the output exactly
 invariant to member order.  Training targets are soft labels proportional to
-the windowed locality score of each one-vertex extension.
+the windowed locality score of each one-vertex extension.  ``Network``, shared
+with the tuning policy, holds the parameters, initializer and checkpoint format.
 """
 from __future__ import annotations
 
@@ -18,10 +19,11 @@ import numpy as np
 
 from .graph import Graph
 from .locality import SimilaritySource, window_set_score
-from .optim import AdamState
+from .optim import AdamState, RmspropState
 
 __all__ = [
     "ScorerConfig",
+    "Network",
     "SetScorer",
     "TrainingExample",
     "TrainingDiverged",
@@ -43,8 +45,6 @@ __all__ = [
 ]
 
 LOG_FLOOR = 1e-12
-
-PARAM_NAMES = ("W1", "b1", "W2", "b2", "V1", "c1", "V2", "c2")
 
 
 class TrainingDiverged(RuntimeError):
@@ -71,40 +71,87 @@ class ScorerConfig:
         _check_rates(learning_rate=self.learning_rate)
 
 
-class SetScorer:
-    """Parameters of the set scorer for a fixed vertex count ``n``."""
+CHECKPOINT_VERSION = 1
 
-    def __init__(self, n: int, W1, b1, W2, b2, V1, c1, V2, c2, seed: int = -1):
-        self.n = n
-        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
-        self.V1, self.c1, self.V2, self.c2 = V1, c1, V2, c2
-        self.seed = seed
+
+class Network:
+    """Dense layers chaining width n back to width n: the weight/bias pairs a
+    subclass names in ``NAMES``, saved in checkpoints tagged with its ``KIND``."""
+
+    KIND: str
+    NAMES: tuple[str, ...]
+
+    def __init__(self, n: int, arrays: Sequence[np.ndarray], seed: int):
+        self.n, self.seed = n, seed
+        for name, arr in zip(self.NAMES, arrays, strict=True):
+            setattr(self, name, arr)
 
     def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+        return {name: getattr(self, name) for name in self.NAMES}
+
+    @classmethod
+    def glorot(cls, widths: Sequence[int], seed: int):
+        """Fresh network mapping each width to the next: Glorot-uniform weights
+        and zero biases, drawn layer by layer from one generator."""
+        if min(widths) < 1:
+            raise ValueError(f"layer widths must be positive, got {tuple(widths)}")
+        rng = np.random.default_rng(seed)
+        arrays = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            scale = np.sqrt(6.0 / (fan_in + fan_out))
+            arrays += [rng.uniform(-scale, scale, size=(fan_in, fan_out)), np.zeros(fan_out)]
+        return cls(widths[0], arrays, seed)
+
+    def update(self, opt: AdamState | RmspropState, grads: dict[str, np.ndarray],
+               lr: float) -> None:
+        """One optimizer step, refused with TrainingDiverged on a non-finite gradient."""
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise TrainingDiverged(f"non-finite {self.KIND} gradient in {name}")
+        opt.step(self.params(), grads, lr)
+
+    def save(self, path: str) -> None:
+        """Write a checkpoint that restores the network bit-exactly."""
+        np.savez(path, kind=self.KIND, format_version=CHECKPOINT_VERSION,
+                 n=self.n, seed=self.seed, **self.params())
+
+    @classmethod
+    def load(cls, path: str):
+        """Read a checkpoint of this ``KIND``; any other archive, or arrays
+        that do not chain from width n back to width n, raise ValueError."""
+        try:
+            data = np.load(path)
+        except (EOFError, ValueError, zipfile.BadZipFile):  # ValueError: a pickle or text file
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"not an npz archive: {path}")
+        with data:
+            if "kind" not in data.files or str(data["kind"]) != cls.KIND:
+                raise ValueError(f"not a {cls.KIND} checkpoint: {path}")
+            missing = [key for key in ("format_version", "n", "seed", *cls.NAMES)
+                       if key not in data.files]
+            if missing:
+                raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
+            if int(data["format_version"]) != CHECKPOINT_VERSION:
+                raise ValueError("unsupported checkpoint version")
+            n, seed, arrays = int(data["n"]), int(data["seed"]), [data[k] for k in cls.NAMES]
+        weights, biases = arrays[::2], arrays[1::2]
+        if (any(w.ndim != 2 or b.shape != w.shape[1:] for w, b in zip(weights, biases))
+                or [n] + [w.shape[1] for w in weights] != [w.shape[0] for w in weights] + [n]):
+            raise ValueError(f"{path}: parameter shapes do not fit a model with n={n}")
+        return cls(n, arrays, seed)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    scale = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-scale, scale, size=(fan_in, fan_out))
+class SetScorer(Network):
+    """Parameters of the set scorer for a fixed vertex count ``n``."""
+
+    KIND = "set_scorer"
+    NAMES = ("W1", "b1", "W2", "b2", "V1", "c1", "V2", "c2")
 
 
 def init_scorer(n: int, hidden: int, repr_dim: int, seed: int) -> SetScorer:
-    """Fresh scorer with Glorot-uniform weights and zero biases; ``hidden``
-    is the width of both the phi and the rho hidden layer."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if min(hidden, repr_dim) < 1:
-        raise ValueError("layer sizes must be positive")
-    rng = np.random.default_rng(seed)
-    return SetScorer(
-        n,
-        _glorot(rng, n, hidden), np.zeros(hidden),
-        _glorot(rng, hidden, repr_dim), np.zeros(repr_dim),
-        _glorot(rng, repr_dim, hidden), np.zeros(hidden),
-        _glorot(rng, hidden, n), np.zeros(n),
-        seed=seed,
-    )
+    """Fresh scorer; ``hidden`` is the width of both phi's and rho's hidden layer."""
+    return SetScorer.glorot((n, hidden, repr_dim, hidden, n), seed)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -274,10 +321,7 @@ def train_step(model: SetScorer, batch: Sequence[TrainingExample],
     loss, grads = _loss_and_grads(model, sets, labels)
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss!r}; check inputs and learning rate")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient in {name}")
-    opt.step(model.params(), grads, lr)
+    model.update(opt, grads, lr)
     return loss
 
 
@@ -321,46 +365,12 @@ def model_order(g: Graph, model: SetScorer, w: int,
     return order
 
 
-CHECKPOINT_VERSION = 1
-
-
 def save_scorer(model: SetScorer, path: str) -> None:
-    """Write a checkpoint that restores the model bit-exactly."""
-    np.savez(path, kind="set_scorer", format_version=CHECKPOINT_VERSION,
-             n=model.n, seed=model.seed, **model.params())
-
-
-def _read_checkpoint(path: str, kind: str, version: int,
-                     names: Sequence[str]) -> tuple[int, int, list[np.ndarray]]:
-    """Vertex count, seed and parameter arrays of a checkpoint archive.
-    ``names`` are weight/bias pairs of dense layers that must chain from width
-    n back to width n; any other archive raises ValueError."""
-    try:
-        data = np.load(path)
-    except (EOFError, ValueError, zipfile.BadZipFile):  # ValueError: a pickle or text file
-        data = None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"not an npz archive: {path}")
-    with data:
-        if "kind" not in data.files or str(data["kind"]) != kind:
-            raise ValueError(f"not a {kind} checkpoint: {path}")
-        missing = [key for key in ("format_version", "n", "seed", *names)
-                   if key not in data.files]
-        if missing:
-            raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
-        if int(data["format_version"]) != version:
-            raise ValueError("unsupported checkpoint version")
-        n, seed, arrays = int(data["n"]), int(data["seed"]), [data[k] for k in names]
-    weights, biases = arrays[::2], arrays[1::2]
-    if (any(w.ndim != 2 or b.shape != w.shape[1:] for w, b in zip(weights, biases))
-            or [n] + [w.shape[1] for w in weights] != [w.shape[0] for w in weights] + [n]):
-        raise ValueError(f"{path}: parameter shapes do not fit a model with n={n}")
-    return n, seed, arrays
+    model.save(path)
 
 
 def load_scorer(path: str) -> SetScorer:
-    n, seed, arrays = _read_checkpoint(path, "set_scorer", CHECKPOINT_VERSION, PARAM_NAMES)
-    return SetScorer(n, *arrays, seed=seed)
+    return SetScorer.load(path)
 
 
 @dataclass

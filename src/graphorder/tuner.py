@@ -20,9 +20,8 @@ from .baselines import _greedy_prefix
 from .graph import Graph
 from .locality import SimilaritySource, as_similarity
 from .optim import AdamState, RmspropState
-from .scorer import (ScorerConfig, SetScorer, TrainingExample, TrainLog, _check_rates,
-                     _draw, _glorot, _read_checkpoint, fit, init_scorer, rmse,
-                     soft_label)
+from .scorer import (Network, ScorerConfig, SetScorer, TrainingExample, TrainLog,
+                     _check_rates, _draw, fit, init_scorer, rmse, soft_label)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -50,8 +49,6 @@ __all__ = [
 EPS_FLOOR_SCALE = 1e-6
 # Weight the reward baseline keeps on its old value at each update.
 BASELINE_DECAY = 0.9
-
-POLICY_PARAMS = ("W1", "b1", "W2", "b2")
 
 
 def default_floor(n: int) -> float:
@@ -92,25 +89,16 @@ def initial_prob(g: Graph) -> np.ndarray:
     return _project_to_floor(raw)
 
 
-class TuningPolicy:
+class TuningPolicy(Network):
     """Two-layer MLP mapping the sampling vector to per-vertex action
     probabilities (sigmoid outputs)."""
 
-    def __init__(self, n: int, W1, b1, W2, b2, seed: int = -1):
-        self.n = n
-        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
-        self.seed = seed
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in POLICY_PARAMS}
+    KIND = "tuning_policy"
+    NAMES = ("W1", "b1", "W2", "b2")
 
 
 def init_policy(n: int, hidden: int, seed: int) -> TuningPolicy:
-    if n < 1 or hidden < 1:
-        raise ValueError("sizes must be positive")
-    rng = np.random.default_rng(seed)
-    return TuningPolicy(n, _glorot(rng, n, hidden), np.zeros(hidden),
-                        _glorot(rng, hidden, n), np.zeros(n), seed=seed)
+    return TuningPolicy.glorot((n, hidden, n), seed)
 
 
 def _policy_cache(policy: TuningPolicy, state: np.ndarray):
@@ -226,18 +214,19 @@ def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
                    source: SimilaritySource) -> list[TrainingExample]:
     """Fixed evaluation set: each example starts from a vertex sampled by
     ``g``'s degrees, grows a window set of w-1 vertices by the best-neighbor
-    rule, and is labeled with its extension distribution under ``source``."""
+    rule, and is labeled with its extension distribution under ``source``.
+    The labels fill one (size, n) block, so a size too large fails at once."""
     if size < 1:
         raise ValueError("evaluation set size must be positive")
     _check_window(w, g.n)
-    prob = initial_prob(g)
+    labels = np.empty((size, g.n))
     rng = np.random.default_rng(seed)
-    cdf = np.cumsum(prob)
+    cdf = np.cumsum(initial_prob(g))
     examples = []
-    for _ in range(size):
-        start = int(_draw(rng, cdf, None))
-        members = grow_best_neighbor(source, start, w - 1)
-        examples.append(TrainingExample(members, soft_label(source, members)))
+    for label in labels:
+        members = grow_best_neighbor(source, int(_draw(rng, cdf, None)), w - 1)
+        label[:] = soft_label(source, members)
+        examples.append(TrainingExample(members, label))
     return examples
 
 
@@ -273,10 +262,7 @@ def reinforce_update(policy: TuningPolicy, states: Sequence[np.ndarray],
         for name in total:
             total[name] += advantage * grads[name]
         baseline.update(reward)
-    for name, g in total.items():
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError(f"non-finite policy gradient in {name}")
-    opt.step(policy.params(), total, alpha)
+    policy.update(opt, total, alpha)
 
 
 @dataclass
@@ -346,15 +332,9 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     return model, policy, RlHistory(don_log, rl_rows, prob)
 
 
-POLICY_CHECKPOINT_VERSION = 1
-
-
 def save_policy(policy: TuningPolicy, path: str) -> None:
-    np.savez(path, kind="tuning_policy", format_version=POLICY_CHECKPOINT_VERSION,
-             n=policy.n, seed=policy.seed, **policy.params())
+    policy.save(path)
 
 
 def load_policy(path: str) -> TuningPolicy:
-    n, seed, arrays = _read_checkpoint(path, "tuning_policy",
-                                       POLICY_CHECKPOINT_VERSION, POLICY_PARAMS)
-    return TuningPolicy(n, *arrays, seed=seed)
+    return TuningPolicy.load(path)

@@ -407,6 +407,7 @@ class TestRenderMatrix:
     "train {graph} --algo don --don-learning-rate -1 --out {dir}/m.npz",
     "train {graph} --algo don-rl --policy-learning-rate nan --rl-steps 1 --out {dir}/m.npz",
     "train {graph} --tuning-scale inf --out {dir}/m.npz",
+    "order {graph} --algo don --model {dir}/m.npz.policy.npz",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "model-text-file",
         "block-0", "block-neg", "w-covers-graph", "train-n0", "train-don-n0", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
@@ -415,7 +416,7 @@ class TestRenderMatrix:
         "don-gamma", "don-tuning-scale", "don-policy-learning-rate", "don-policy-hidden",
         "gamma-exp-nan", "powerlaw-p", "er-gamma-exp", "go-model", "degree-start",
         "random-perm", "matrix-int64-overflow", "don-lr-negative", "policy-lr-nan",
-        "tuning-scale-inf"])
+        "tuning-scale-inf", "model-is-policy"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -429,6 +430,7 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=0, **params)
     np.savez(tmp_path / "short.npz", kind="set_scorer", format_version=1, n=6, seed=0,
              **{**params, "W1": params["W1"][:4]})
+    tuner.save_policy(tuner.init_policy(6, 4, seed=0), str(tmp_path / "m.npz.policy.npz"))
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -455,7 +457,7 @@ def test_shared_flag_the_command_does_not_read_is_refused(argv, small_graph_file
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def _run_capped_cli(*argv: str) -> subprocess.CompletedProcess:
+def _run_capped_cli(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run the CLI in a child whose address space is capped at 2 GiB."""
     child = ("import resource, sys; "
              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
@@ -464,7 +466,7 @@ def _run_capped_cli(*argv: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
     return subprocess.run([sys.executable, "-c", child, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_header_too_large_for_memory_is_one_error_line(tmp_path):
@@ -475,6 +477,21 @@ def test_header_too_large_for_memory_is_one_error_line(tmp_path):
     err = done.stderr.splitlines()
     assert done.returncode == 1, done.stderr
     assert len(err) == 1 and err[0].startswith("error: out of memory"), err
+
+
+@pytest.mark.parametrize("size, message", [
+    ("99999999999999999999", "error: Maximum allowed dimension exceeded"),
+    ("1000000000000", "error: out of memory"),
+], ids=["beyond-int64", "beyond-memory"])
+def test_eval_size_too_large_for_memory_is_one_error_line(size, message, tmp_path):
+    # The eval set's labels are reserved as one block before any example
+    # grows; grown one by one they filled the capped address space slowly.
+    (tmp_path / "g.txt").write_text(format_edge_list(gen_power_law(40, 1.8, seed=3)))
+    done = _run_capped_cli("train", str(tmp_path / "g.txt"), "--eval-size", size,
+                           "--out", str(tmp_path / "m.npz"), timeout=30)
+    err = done.stderr.splitlines()
+    assert done.returncode == 1, done.stderr
+    assert len(err) == 1 and err[0].startswith(message), err
 
 
 def test_astral_character_is_one_error_line(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from graphorder.graph import Graph, gen_power_law
 from graphorder.locality import MatrixSimilarity, as_similarity, window_set_score
 from graphorder.optim import AdamState
-from graphorder.scorer import (PARAM_NAMES, ScorerConfig, TrainingDiverged,
+from graphorder.scorer import (ScorerConfig, SetScorer, TrainingDiverged,
                                TrainingExample, _loss_and_grads,
                                _weighted_draws_without_replacement, cross_entropy,
                                forward, forward_batch, init_scorer, load_scorer,
@@ -239,7 +239,7 @@ def tiny_batch(model, rng, size=4, set_size=2):
 
 
 def flatten_params(model):
-    return np.concatenate([getattr(model, p).ravel() for p in PARAM_NAMES])
+    return np.concatenate([getattr(model, p).ravel() for p in SetScorer.NAMES])
 
 
 class TestTrainStep:

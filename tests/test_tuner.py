@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from graphorder.graph import Graph, gen_power_law
 from graphorder.locality import MatrixSimilarity, as_similarity
 from graphorder.optim import RmspropState
-from graphorder.scorer import (ScorerConfig, TrainLog, forward_batch, init_scorer,
-                               rmse)
+from graphorder.scorer import (ScorerConfig, TrainingDiverged, TrainLog, forward_batch,
+                               init_scorer, load_scorer, rmse, save_scorer)
 from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               build_eval_set, check_prob, default_floor,
                               discounted_returns, grow_best_neighbor,
@@ -167,7 +167,7 @@ class TestReinforce:
 
     def test_non_finite_reward_aborts(self):
         policy = init_policy(3, hidden=4, seed=1)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(TrainingDiverged):
             reinforce_update(policy, [np.full(3, 1 / 3)], [np.array([0, 1, 0])],
                              [float("nan")], 0.9, 0.01, RewardBaseline(),
                              RmspropState())
@@ -300,3 +300,15 @@ def test_policy_checkpoint_rejects_missing_key_and_bad_shape(tmp_path):
     for name in ("nokind.npz", "narrow.npz"):
         with pytest.raises(ValueError):
             load_policy(str(tmp_path / name))
+
+
+def test_checkpoint_kinds_refuse_each_other(tmp_path):
+    # With repr_dim == n the scorer's first two layers chain n -> hidden -> n,
+    # as a policy's do, so only the kind tells the two archives apart.
+    scorer_path, policy_path = str(tmp_path / "m.npz"), str(tmp_path / "m.npz.policy.npz")
+    save_scorer(init_scorer(6, 8, 6, seed=0), scorer_path)
+    save_policy(init_policy(6, hidden=8, seed=0), policy_path)
+    with pytest.raises(ValueError, match="^not a set_scorer checkpoint: "):
+        load_scorer(policy_path)
+    with pytest.raises(ValueError, match="^not a tuning_policy checkpoint: "):
+        load_policy(scorer_path)
