@@ -14,40 +14,38 @@ from . import baselines, downstream, graph, locality, scorer, tuner
 
 class TrainSetting(NamedTuple):
     """A ``train`` setting: its config key (the flag is ``--key`` with dashes),
-    its type, the ``ScorerConfig``/``RlConfig`` field it fills, and whether
-    only DON-RL reads it."""
+    its type, and the ``ScorerConfig`` or ``RlConfig`` field it fills.  Both
+    algorithms read ``ScorerConfig``; only DON-RL reads ``RlConfig``."""
 
     key: str
     type: type
-    config: type | None
-    field: str | None
-    rl_only: bool = False
+    config: type
+    field: str
 
 
 _SC, _RL = scorer.ScorerConfig, tuner.RlConfig
-# Defaults live in the dataclasses and FALLBACKS only.  eval_every fills no
-# field: DON reads it, and DON-RL refuses the flag.
+# Every train default lives in these two dataclasses.
 TRAIN_SETTINGS = (
     TrainSetting("hidden", int, _SC, "hidden"),
     TrainSetting("repr_dim", int, _SC, "repr_dim"),
     TrainSetting("don_learning_rate", float, _SC, "learning_rate"),
     TrainSetting("batch_size", int, _SC, "batch_size"),
-    TrainSetting("global_steps", int, _RL, "global_steps"),
-    TrainSetting("eval_every", int, None, None),
-    TrainSetting("policy_learning_rate", float, _RL, "policy_lr", rl_only=True),
-    TrainSetting("policy_hidden", int, _RL, "policy_hidden", rl_only=True),
-    TrainSetting("trajectory_len", int, _RL, "trajectory_len", rl_only=True),
-    TrainSetting("rl_steps", int, _RL, "rl_steps", rl_only=True),
-    TrainSetting("gamma", float, _RL, "gamma", rl_only=True),
-    TrainSetting("tuning_scale", float, _RL, "tuning_scale", rl_only=True),
-    TrainSetting("eval_size", int, _RL, "eval_size"),
-    TrainSetting("don_steps_per_t", int, _RL, "don_steps_per_t", rl_only=True),
-    TrainSetting("warmup_steps", int, _RL, "warmup_steps", rl_only=True),
+    TrainSetting("global_steps", int, _SC, "global_steps"),
+    TrainSetting("eval_size", int, _SC, "eval_size"),
+    TrainSetting("eval_every", int, _SC, "eval_every"),
+    TrainSetting("policy_learning_rate", float, _RL, "policy_lr"),
+    TrainSetting("policy_hidden", int, _RL, "policy_hidden"),
+    TrainSetting("trajectory_len", int, _RL, "trajectory_len"),
+    TrainSetting("rl_steps", int, _RL, "rl_steps"),
+    TrainSetting("gamma", float, _RL, "gamma"),
+    TrainSetting("tuning_scale", float, _RL, "tuning_scale"),
+    TrainSetting("don_steps_per_t", int, _RL, "don_steps_per_t"),
+    TrainSetting("warmup_steps", int, _RL, "warmup_steps"),
 )
 
 # Fallbacks of the settings no dataclass holds: the window and seed every
-# command shares, and DON's evaluation interval.
-FALLBACKS = {"w": 5, "seed": 0, "eval_every": 50}
+# command shares.
+FALLBACKS = {"w": 5, "seed": 0}
 
 CONFIG_KEYS = {"w": int, "seed": int, **{s.key: s.type for s in TRAIN_SETTINGS}}
 
@@ -202,19 +200,17 @@ def _write_loss_csv(path: str, log: scorer.TrainLog, with_wall: bool) -> None:
 
 
 def cmd_train(args, config) -> int:
-    scfg = _train_config(scorer.ScorerConfig, args, config)
-    if _setting(args, config, "repr_dim") is None:  # --repr-dim defaults to --hidden
-        scfg.repr_dim = scfg.hidden
-    rcfg = _train_config(tuner.RlConfig, args, config)
+    scfg = _train_config(_SC, args, config)
     # Flags the chosen algorithm would not read are refused rather than dropped.
-    if args.algo == "don-rl":
+    if args.algo == "don":
+        _refuse(args, [s.key for s in TRAIN_SETTINGS if s.config is _RL], "--algo don-rl")
+    else:
         if args.eval_every is not None:
             raise ValueError("--eval-every applies to --algo don only; don-rl "
                              "evaluates after every tuning step")
+        rcfg = _train_config(_RL, args, config)
         if args.global_steps is not None and rcfg.don_steps_per_t is not None:
             raise ValueError("--global-steps is not read when --don-steps-per-t is set")
-    else:
-        _refuse(args, [s.key for s in TRAIN_SETTINGS if s.rl_only], "--algo don-rl")
     w = _setting(args, config, "w")
     seed = _setting(args, config, "seed")
     g = _load_graph(args.input)
@@ -225,10 +221,8 @@ def cmd_train(args, config) -> int:
 
     if args.algo == "don":
         src = locality.as_similarity(g)
-        eval_set = tuner.build_eval_set(g, w, rcfg.eval_size, seed + 1, source=src)
-        model, log = scorer.train_scorer(
-            g, w, rcfg.global_steps, scfg, seed, eval_set=eval_set,
-            eval_every=_setting(args, config, "eval_every"), source=src)
+        eval_set = tuner.build_eval_set(g, w, scfg.eval_size, seed + 1, source=src)
+        model, log = scorer.train_scorer(g, w, scfg, seed, source=src, eval_set=eval_set)
         scorer.save_scorer(model, args.out)
         _write_loss_csv(metrics, log, args.wall_time)
     else:

@@ -32,6 +32,8 @@ __all__ = [
 
 # Largest n for which a graph's similarity is materialized as a dense matrix.
 DENSE_SIMILARITY_CAP = 2000
+# Most pairs an on-demand source memoizes; later pairs are computed each time.
+MEMO_CAP = 1 << 18
 
 
 def similarity(g: Graph, u: int, v: int) -> int:
@@ -134,8 +136,8 @@ class GraphSimilarity(SimilaritySource):
     densely.
 
     Rows are gathered from the graph's CSR lists by ``_similarity_row``, the
-    same code that fills a dense matrix.  Pair scores come from
-    ``similarity`` and are kept in a memo table keyed by the unordered pair.
+    same code that fills a dense matrix.  Pair scores come from ``similarity``;
+    the first ``MEMO_CAP`` pairs are memoized, keyed by the unordered pair.
     """
 
     def __init__(self, g: Graph):
@@ -147,7 +149,9 @@ class GraphSimilarity(SimilaritySource):
         key = (u, v) if u < v else (v, u)
         value = self._memo.get(key)
         if value is None:
-            value = self._memo[key] = similarity(self.graph, u, v)
+            value = similarity(self.graph, u, v)
+            if len(self._memo) < MEMO_CAP:
+                self._memo[key] = value
         return value
 
     def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:

@@ -60,15 +60,28 @@ def _check_rates(**rates: float) -> None:
 
 @dataclass
 class ScorerConfig:
-    """Network and optimizer settings for the set scorer."""
+    """Every setting scorer training reads; ``repr_dim`` defaults to ``hidden``."""
 
     hidden: int = 64
-    repr_dim: int = 64
+    repr_dim: int | None = None
     learning_rate: float = 1e-3
     batch_size: int = 64
+    global_steps: int = 5000
+    eval_size: int = 2000
+    eval_every: int = 50
 
     def __post_init__(self):
         _check_rates(learning_rate=self.learning_rate)
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be positive, got {self.eval_every}")
+        if self.repr_dim is None:
+            self.repr_dim = self.hidden
+
+
+def _check_window(w: int, n: int) -> None:
+    """Training window sets hold w - 1 vertices and leave a candidate."""
+    if not 2 <= w <= n:
+        raise ValueError(f"training needs 2 <= w <= n, got w={w} with n={n}")
 
 
 CHECKPOINT_VERSION = 1
@@ -260,25 +273,23 @@ def _weighted_draws_without_replacement(rng: np.random.Generator, prob: np.ndarr
 def sample_training_batch(src: SimilaritySource, prob: np.ndarray, w: int, batch: int,
                           seed: int | np.random.Generator) -> list[TrainingExample]:
     """Draw ``batch`` window sets of size w-1 (weighted, without replacement)
-    and label each with its extension distribution under ``src``."""
+    and label each with its extension distribution under ``src``.  The labels
+    fill one (batch, n) block reserved before any set is drawn, so a batch
+    too large fails at once."""
     if batch < 1:
         raise ValueError("batch size must be positive")
-    if w - 1 > src.n:
-        raise ValueError("window exceeds the vertex count")
-    if w < 2:
-        raise ValueError("training sets need w >= 2")
+    _check_window(w, src.n)
+    labels = np.empty((batch, src.n))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sets = _weighted_draws_without_replacement(rng, prob, w - 1, batch)
-    return [TrainingExample(members, soft_label(src, members)) for members in sets]
+    for members, label in zip(sets, labels):
+        label[:] = soft_label(src, members)
+    return [TrainingExample(members, label) for members, label in zip(sets, labels)]
 
 
 def stack_batch(examples: Sequence[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
-    sizes = {ex.input_set.size for ex in examples}
-    if len(sizes) != 1:
-        raise ValueError("batch examples must share one set size")
-    sets = np.stack([ex.input_set for ex in examples])
-    labels = np.stack([ex.soft_label for ex in examples])
-    return sets, labels
+    return (np.stack([ex.input_set for ex in examples]),
+            np.stack([ex.soft_label for ex in examples]))
 
 
 def cross_entropy(pred: np.ndarray, label: np.ndarray) -> float:
@@ -357,7 +368,7 @@ def model_order(g: Graph, model: SetScorer, w: int,
     placed[start] = True
     for i in range(1, n):
         recent = order[max(0, i - window):i]
-        scores = forward(model, recent).copy()
+        scores = forward(model, recent)
         scores[placed] = -np.inf
         v = int(np.argmax(scores))
         order[i] = v
@@ -388,18 +399,15 @@ class TrainLog:
 def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         prob: np.ndarray, w: int, steps: int, cfg: ScorerConfig,
         rng: np.random.Generator, log: TrainLog,
-        eval_set: Sequence[TrainingExample] | None = None,
-        eval_every: int = 50) -> list[tuple[int, float]]:
+        eval_set: Sequence[TrainingExample] | None = None) -> list[tuple[int, float]]:
     """Take ``steps`` scorer steps, each on a fresh batch drawn from ``prob``,
     appending every loss to ``log``.
 
-    When an evaluation set is given, RMSE is measured every ``eval_every``
+    When an evaluation set is given, RMSE is measured every ``cfg.eval_every``
     steps of this call and after its last step.  Returns those (step, rmse)
     points, numbering steps by ``len(log.losses)`` so that they stay global
     across calls sharing a log.
     """
-    if eval_every < 1:
-        raise ValueError(f"eval_every must be positive, got {eval_every}")
     points = []
     for k in range(1, steps + 1):
         batch = sample_training_batch(src, prob, w, cfg.batch_size, rng)
@@ -408,25 +416,24 @@ def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         # allocates, so that two batches never coexist.
         del batch
         log.wall_times.append(time.perf_counter() - log.t0)
-        if eval_set is not None and (k % eval_every == 0 or k == steps):
+        if eval_set is not None and (k % cfg.eval_every == 0 or k == steps):
             points.append((len(log.losses), rmse(model, eval_set)))
     return points
 
 
-def train_scorer(g: Graph, w: int, steps: int, cfg: ScorerConfig, seed: int, *,
-                 source: SimilaritySource,
-                 eval_set: Sequence[TrainingExample] | None = None,
-                 eval_every: int = 50) -> tuple[SetScorer, TrainLog]:
-    """Train a fresh scorer for ``steps`` steps on ``g``'s degree-based
-    sampling distribution, keeping the RMSE points of :func:`fit` in the log.
-    Labels come from ``source``, the similarity of ``g`` that the caller
-    built."""
+def train_scorer(g: Graph, w: int, cfg: ScorerConfig, seed: int, *,
+                 source: SimilaritySource, eval_set: Sequence[TrainingExample] | None = None,
+                 ) -> tuple[SetScorer, TrainLog]:
+    """Train a fresh scorer for ``cfg.global_steps`` steps on ``g``'s
+    degree-based sampling distribution, keeping the RMSE points of :func:`fit`
+    in the log.  Labels come from ``source``, the similarity of ``g`` that the
+    caller built."""
     from .tuner import initial_prob  # degree-based default sampler
 
     init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
     model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
     log = TrainLog()
     log.rmse_points = fit(model, AdamState(), source, initial_prob(g), w,
-                          steps, cfg, np.random.default_rng(batch_seed), log,
-                          eval_set, eval_every)
+                          cfg.global_steps, cfg, np.random.default_rng(batch_seed), log,
+                          eval_set)
     return model, log

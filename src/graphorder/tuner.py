@@ -11,7 +11,7 @@ evolving distribution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +20,8 @@ from .baselines import _greedy_prefix
 from .graph import Graph
 from .locality import SimilaritySource, as_similarity
 from .optim import AdamState, RmspropState
-from .scorer import (Network, ScorerConfig, SetScorer, TrainingExample, TrainLog,
-                     _check_rates, _draw, fit, init_scorer, rmse, soft_label)
+from .scorer import (LOG_FLOOR, Network, ScorerConfig, SetScorer, TrainingExample, TrainLog,
+                     _check_rates, _check_window, _draw, fit, init_scorer, rmse, soft_label)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -137,7 +137,7 @@ def log_prob_grad(policy: TuningPolicy, state: np.ndarray,
     Bernoulli outputs, and its gradient with respect to the policy
     parameters."""
     z1, h, q = _policy_cache(policy, state)
-    qc = np.clip(q, 1e-12, 1.0 - 1e-12)
+    qc = np.clip(q, LOG_FLOOR, 1.0 - LOG_FLOOR)
     logp = float((action * np.log(qc) + (1 - action) * np.log(1.0 - qc)).sum())
     d_z2 = action - q                 # d logp / d pre-sigmoid
     d_z1 = (policy.W2 @ d_z2) * (z1 > 0)
@@ -165,12 +165,12 @@ class RewardBaseline:
 
 @dataclass
 class RlConfig:
-    """Hyper-parameters of the tuning loop.
+    """Hyper-parameters of the tuning loop (the scorer's own: ``ScorerConfig``).
 
     ``tuning_scale`` is the per-entry shift expressed as a multiple of the
     uniform mass: the applied rate is ``tuning_scale / n``.  When
-    ``don_steps_per_t`` is unset it is derived as
-    ``global_steps // (rl_steps * trajectory_len)``.
+    ``don_steps_per_t`` is unset it is derived from the scorer's
+    ``global_steps`` as ``global_steps // (rl_steps * trajectory_len)``.
     """
 
     trajectory_len: int = 5
@@ -179,21 +179,19 @@ class RlConfig:
     tuning_scale: float = 0.15
     policy_lr: float = 1e-3
     policy_hidden: int = 64
-    eval_size: int = 2000
-    global_steps: int = 5000
     don_steps_per_t: int | None = None
     warmup_steps: int = 50
 
     def __post_init__(self):
         _check_rates(tuning_scale=self.tuning_scale, policy_lr=self.policy_lr)
 
-    def resolved_steps_per_t(self) -> int:
+    def resolved_steps_per_t(self, global_steps: int) -> int:
         if self.don_steps_per_t is not None:
             return self.don_steps_per_t
         if self.rl_steps < 1 or self.trajectory_len < 1:
             raise ValueError("deriving don_steps_per_t needs positive rl_steps and "
                              f"trajectory_len, got {self.rl_steps}, {self.trajectory_len}")
-        return max(1, self.global_steps // (self.rl_steps * self.trajectory_len))
+        return max(1, global_steps // (self.rl_steps * self.trajectory_len))
 
 
 def grow_best_neighbor(src: SimilaritySource, start: int, size: int) -> np.ndarray:
@@ -203,11 +201,6 @@ def grow_best_neighbor(src: SimilaritySource, start: int, size: int) -> np.ndarr
     if size < 1 or size > src.n:
         raise ValueError("size out of range")
     return _greedy_prefix(src, start, size, size)
-
-
-def _check_window(w: int, n: int) -> None:
-    if w < 2 or w - 1 > n:
-        raise ValueError("window size out of range")
 
 
 def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
@@ -292,7 +285,7 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     s_init, s_policy, s_batch, s_action, s_eval = ss.spawn(5)
     src = as_similarity(g)
     rate = rl_cfg.tuning_scale / g.n
-    steps_per_t = rl_cfg.resolved_steps_per_t()
+    steps_per_t = rl_cfg.resolved_steps_per_t(scorer_cfg.global_steps)
 
     model = init_scorer(g.n, scorer_cfg.hidden, scorer_cfg.repr_dim,
                         seed=int(s_init.generate_state(1)[0]))
@@ -302,16 +295,16 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     rms = RmspropState()
     batch_rng = np.random.default_rng(s_batch)
     action_rng = np.random.default_rng(s_action)
-    eval_set = build_eval_set(g, w, rl_cfg.eval_size,
+    eval_set = build_eval_set(g, w, scorer_cfg.eval_size,
                               int(s_eval.generate_state(1)[0]), source=src)
     baseline = RewardBaseline()
     don_log = TrainLog()
     rl_rows = []
     prob = initial_prob(g)
 
-    warmup = fit(model, adam, src, prob, w, rl_cfg.warmup_steps, scorer_cfg,
-                 batch_rng, don_log, eval_set,
-                 eval_every=max(1, rl_cfg.warmup_steps // 5))
+    warmup_cfg = replace(scorer_cfg, eval_every=max(1, rl_cfg.warmup_steps // 5))
+    warmup = fit(model, adam, src, prob, w, rl_cfg.warmup_steps, warmup_cfg,
+                 batch_rng, don_log, eval_set)
     for _, err in warmup:
         baseline.update(-err)
 

@@ -210,6 +210,17 @@ class TestTrain:
         assert lines[0] == "step,loss,rmse"
         assert len(lines) == 4  # flag overrides config's 6 steps
 
+    def test_don_ignores_rl_keys_in_config_file(self, small_graph_file, tmp_path):
+        # DON builds no RlConfig, so a value RlConfig refuses cannot stop it.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tuning_scale = inf\nrl_steps = 3\n")
+        assert main(["train", small_graph_file, "--algo", "don", "--w", "3",
+                     "--config", str(cfg), "--global-steps", "2", "--hidden", "4",
+                     "--batch-size", "4", "--eval-size", "4",
+                     "--out", str(tmp_path / "m.npz")]) == 0
+        assert main(["train", small_graph_file, "--algo", "don-rl", "--w", "3",
+                     "--config", str(cfg), "--out", str(tmp_path / "m.npz")]) == 1
+
     def test_baseline_before_first_update_is_empty(self, small_graph_file, tmp_path):
         ck = tmp_path / "m.npz"
         assert main(["train", small_graph_file, "--algo", "don-rl", "--w", "3",
@@ -479,15 +490,19 @@ def test_header_too_large_for_memory_is_one_error_line(tmp_path):
     assert len(err) == 1 and err[0].startswith("error: out of memory"), err
 
 
-@pytest.mark.parametrize("size, message", [
-    ("99999999999999999999", "error: Maximum allowed dimension exceeded"),
-    ("1000000000000", "error: out of memory"),
-], ids=["beyond-int64", "beyond-memory"])
-def test_eval_size_too_large_for_memory_is_one_error_line(size, message, tmp_path):
-    # The eval set's labels are reserved as one block before any example
-    # grows; grown one by one they filled the capped address space slowly.
+@pytest.mark.parametrize("flags, message", [
+    (("--eval-size", "99999999999999999999"), "error: Maximum allowed dimension exceeded"),
+    (("--eval-size", "1000000000000"), "error: out of memory"),
+    (("--batch-size", "99999999999999999999"), "error: Maximum allowed dimension exceeded"),
+    (("--batch-size", "10000000", "--eval-size", "8"), "error: out of memory"),
+], ids=["beyond-int64", "beyond-memory", "batch-beyond-int64", "batch-beyond-memory"])
+def test_eval_size_too_large_for_memory_is_one_error_line(flags, message, tmp_path):
+    # The labels of the eval set and of each batch are reserved as one block
+    # before any example is grown or drawn.  Built one by one, they filled
+    # the capped address space slowly; 10 000 000 sets of 4 still fit, so
+    # only the label block makes that batch fail at once.
     (tmp_path / "g.txt").write_text(format_edge_list(gen_power_law(40, 1.8, seed=3)))
-    done = _run_capped_cli("train", str(tmp_path / "g.txt"), "--eval-size", size,
+    done = _run_capped_cli("train", str(tmp_path / "g.txt"), *flags,
                            "--out", str(tmp_path / "m.npz"), timeout=30)
     err = done.stderr.splitlines()
     assert done.returncode == 1, done.stderr

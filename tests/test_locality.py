@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphorder import locality
 from graphorder.baselines import brute_force_order, greedy_order
 from graphorder.graph import Graph, gen_power_law
 from graphorder.locality import (GraphSimilarity, MatrixSimilarity,
@@ -141,6 +142,17 @@ class TestGraphSource:
                 if u != v:
                     assert src.score(u, v) == similarity(g, u, v)
                     assert src.score(u, v) == src.score(u, v)  # memo hit
+
+    def test_memo_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(locality, "MEMO_CAP", 10)
+        g = random_digraph(np.random.default_rng(9), 12, 0.3)
+        src = GraphSimilarity(g)
+        for _ in range(2):  # the second pass hits the memo, then misses past it
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    assert src.score(v, u) == similarity(g, u, v)
+                    assert len(src._memo) <= 10
+        assert len(src._memo) == 10
 
     @settings(max_examples=150, deadline=None)
     @given(digraphs(), st.data())

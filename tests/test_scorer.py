@@ -20,6 +20,18 @@ from graphorder.tuner import initial_prob
 from conftest import numeric_gradient, random_digraph
 
 
+class TestConfig:
+    def test_repr_dim_defaults_to_hidden(self):
+        assert ScorerConfig(hidden=32).repr_dim == 32
+        assert ScorerConfig(hidden=32, repr_dim=16).repr_dim == 16
+        assert ScorerConfig().repr_dim == 64
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_eval_every_below_one_refused(self, value):
+        with pytest.raises(ValueError, match="^eval_every must be positive"):
+            ScorerConfig(eval_every=value)
+
+
 class TestInit:
     def test_deterministic(self):
         a = init_scorer(6, 8, 4, seed=3)
@@ -416,16 +428,16 @@ class TestTrainLoop:
         from graphorder.tuner import build_eval_set
         src = as_similarity(g)
         eval_set = build_eval_set(g, 4, 64, seed=3, source=src)
-        cfg = ScorerConfig(hidden=32, repr_dim=32, learning_rate=1e-3, batch_size=32)
-        model, log = train_scorer(g, 4, 200, cfg, seed=4, source=src, eval_set=eval_set,
-                                  eval_every=50)
+        cfg = ScorerConfig(hidden=32, repr_dim=32, learning_rate=1e-3, batch_size=32,
+                           global_steps=200, eval_every=50)
+        model, log = train_scorer(g, 4, cfg, seed=4, source=src, eval_set=eval_set)
         assert log.losses[-1] < log.losses[0]
         assert log.rmse_points[-1][1] < log.rmse_points[0][1]
 
     def test_deterministic(self):
         g = gen_power_law(20, 1.8, seed=5)
-        cfg = ScorerConfig(hidden=16, repr_dim=16, batch_size=16)
-        m1, log1 = train_scorer(g, 3, 30, cfg, seed=9, source=as_similarity(g))
-        m2, log2 = train_scorer(g, 3, 30, cfg, seed=9, source=as_similarity(g))
+        cfg = ScorerConfig(hidden=16, repr_dim=16, batch_size=16, global_steps=30)
+        m1, log1 = train_scorer(g, 3, cfg, seed=9, source=as_similarity(g))
+        m2, log2 = train_scorer(g, 3, cfg, seed=9, source=as_similarity(g))
         assert np.array_equal(flatten_params(m1), flatten_params(m2))
         assert log1.losses == log2.losses

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphorder.graph import Graph, gen_power_law
-from graphorder.locality import MatrixSimilarity, as_similarity
+from graphorder import locality
+from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
+from graphorder.locality import GraphSimilarity, MatrixSimilarity, as_similarity
 from graphorder.optim import RmspropState
 from graphorder.scorer import (ScorerConfig, TrainingDiverged, TrainLog, forward_batch,
-                               init_scorer, load_scorer, rmse, save_scorer)
+                               init_scorer, load_scorer, rmse, sample_training_batch,
+                               save_scorer)
 from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               build_eval_set, check_prob, default_floor,
                               discounted_returns, grow_best_neighbor,
@@ -212,10 +214,11 @@ class TestEvalSet:
 @pytest.fixture(scope="module")
 def rl_run():
     g = gen_power_law(24, 1.8, seed=3)
-    scfg = ScorerConfig(hidden=24, repr_dim=24, learning_rate=1e-3, batch_size=16)
+    scfg = ScorerConfig(hidden=24, repr_dim=24, learning_rate=1e-3, batch_size=16,
+                        eval_size=24)
     rcfg = RlConfig(trajectory_len=3, rl_steps=6, gamma=0.9,
                     tuning_scale=0.15, policy_lr=1e-3, policy_hidden=16,
-                    eval_size=24, don_steps_per_t=2, warmup_steps=8)
+                    don_steps_per_t=2, warmup_steps=8)
     return g, train_scorer_rl(g, 3, scfg, rcfg, seed=11)
 
 
@@ -237,8 +240,8 @@ class TestTrainRl:
 
     def test_deterministic(self):
         g = gen_power_law(15, 1.8, seed=4)
-        scfg = ScorerConfig(hidden=12, repr_dim=12, batch_size=8)
-        rcfg = RlConfig(trajectory_len=2, rl_steps=3, eval_size=8,
+        scfg = ScorerConfig(hidden=12, repr_dim=12, batch_size=8, eval_size=8)
+        rcfg = RlConfig(trajectory_len=2, rl_steps=3,
                         don_steps_per_t=1, warmup_steps=4, policy_hidden=8)
         _, _, h1 = train_scorer_rl(g, 3, scfg, rcfg, seed=21)
         _, _, h2 = train_scorer_rl(g, 3, scfg, rcfg, seed=21)
@@ -249,9 +252,9 @@ class TestTrainRl:
     @pytest.mark.parametrize("rl_steps, trajectory_len", [(1, 1), (4, 3)])
     def test_history_holds_one_n_wide_array(self, rl_steps, trajectory_len):
         g = gen_power_law(30, 1.8, seed=4)
-        scfg = ScorerConfig(hidden=8, repr_dim=8, batch_size=4)
+        scfg = ScorerConfig(hidden=8, repr_dim=8, batch_size=4, eval_size=4)
         rcfg = RlConfig(trajectory_len=trajectory_len, rl_steps=rl_steps,
-                        eval_size=4, don_steps_per_t=1, warmup_steps=2,
+                        don_steps_per_t=1, warmup_steps=2,
                         policy_hidden=8)
         _, _, history = train_scorer_rl(g, 3, scfg, rcfg, seed=3)
         # Walk everything the history references, except the scorer's loss log.
@@ -268,11 +271,36 @@ class TestTrainRl:
         assert len(history.rl_rows) == rl_steps * trajectory_len
 
 
+@pytest.mark.parametrize("entry", ["sample_training_batch", "build_eval_set",
+                                   "train_scorer_rl"])
+def test_window_of_n_plus_one_refused_before_any_row(entry, monkeypatch):
+    # A window set of n vertices leaves no candidate to label.  The refusal
+    # comes before any draw or similarity row, however large the graph.
+    g = gen_erdos_renyi(3000, 0.001, seed=1)
+    rows = []
+    gather = locality._similarity_row
+    monkeypatch.setattr(locality, "_similarity_row",
+                        lambda g, x: rows.append(x) or gather(g, x))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    calls = {
+        "sample_training_batch": lambda: sample_training_batch(
+            GraphSimilarity(g), initial_prob(g), g.n + 1, 4, rng),
+        "build_eval_set": lambda: build_eval_set(g, g.n + 1, 4, seed=0,
+                                                 source=GraphSimilarity(g)),
+        "train_scorer_rl": lambda: train_scorer_rl(g, g.n + 1, ScorerConfig(),
+                                                   RlConfig(), seed=0),
+    }
+    with pytest.raises(ValueError, match="2 <= w <= n"):
+        calls[entry]()
+    assert rows == []
+    assert rng.bit_generator.state == before
+
+
 def test_rl_config_derives_steps_per_t():
-    cfg = RlConfig(trajectory_len=5, rl_steps=50, global_steps=5000,
-                   don_steps_per_t=None)
-    assert cfg.resolved_steps_per_t() == 20
-    assert RlConfig(don_steps_per_t=7).resolved_steps_per_t() == 7
+    cfg = RlConfig(trajectory_len=5, rl_steps=50, don_steps_per_t=None)
+    assert cfg.resolved_steps_per_t(5000) == 20
+    assert RlConfig(don_steps_per_t=7).resolved_steps_per_t(5000) == 7
 
 
 @pytest.mark.parametrize("cls, field", [(ScorerConfig, "learning_rate"),
