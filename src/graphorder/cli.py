@@ -205,9 +205,7 @@ def cmd_train(args, config) -> int:
     if args.algo == "don":
         _refuse(args, [s.key for s in TRAIN_SETTINGS if s.config is _RL], "--algo don-rl")
     else:
-        if args.eval_every is not None:
-            raise ValueError("--eval-every applies to --algo don only; don-rl "
-                             "evaluates after every tuning step")
+        _refuse(args, ["eval_every"], "--algo don")
         rcfg = _train_config(_RL, args, config)
         if args.global_steps is not None and rcfg.don_steps_per_t is not None:
             raise ValueError("--global-steps is not read when --don-steps-per-t is set")
@@ -220,9 +218,7 @@ def cmd_train(args, config) -> int:
     metrics = args.metrics or (args.out + ".metrics.csv")
 
     if args.algo == "don":
-        src = locality.as_similarity(g)
-        eval_set = tuner.build_eval_set(g, w, scfg.eval_size, seed + 1, source=src)
-        model, log = scorer.train_scorer(g, w, scfg, seed, source=src, eval_set=eval_set)
+        model, log = tuner.train_scorer(g, w, scfg, seed)
         scorer.save_scorer(model, args.out)
         _write_loss_csv(metrics, log, args.wall_time)
     else:

@@ -41,7 +41,6 @@ __all__ = [
     "load_scorer",
     "TrainLog",
     "fit",
-    "train_scorer",
 ]
 
 LOG_FLOOR = 1e-12
@@ -58,6 +57,13 @@ def _check_rates(**rates: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_counts(**counts: int | None) -> None:
+    """Refuse a count below one; an unset (None) count is not checked."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass
 class ScorerConfig:
     """Every setting scorer training reads; ``repr_dim`` defaults to ``hidden``."""
@@ -72,8 +78,7 @@ class ScorerConfig:
 
     def __post_init__(self):
         _check_rates(learning_rate=self.learning_rate)
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be positive, got {self.eval_every}")
+        _check_counts(eval_every=self.eval_every, global_steps=self.global_steps)
         if self.repr_dim is None:
             self.repr_dim = self.hidden
 
@@ -388,7 +393,7 @@ def load_scorer(path: str) -> SetScorer:
 class TrainLog:
     """Scorer training log: the loss of every step (step k is entry k - 1),
     its wall-clock offset from the log's creation, and the (step, rmse)
-    points the caller chose to keep."""
+    points :func:`fit` measured."""
 
     losses: list[float] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
@@ -399,16 +404,12 @@ class TrainLog:
 def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         prob: np.ndarray, w: int, steps: int, cfg: ScorerConfig,
         rng: np.random.Generator, log: TrainLog,
-        eval_set: Sequence[TrainingExample] | None = None) -> list[tuple[int, float]]:
+        eval_set: Sequence[TrainingExample] | None = None) -> None:
     """Take ``steps`` scorer steps, each on a fresh batch drawn from ``prob``,
-    appending every loss to ``log``.
-
-    When an evaluation set is given, RMSE is measured every ``cfg.eval_every``
-    steps of this call and after its last step.  Returns those (step, rmse)
-    points, numbering steps by ``len(log.losses)`` so that they stay global
-    across calls sharing a log.
-    """
-    points = []
+    appending every loss to ``log``.  Given an evaluation set, also append a
+    (step, rmse) point to ``log.rmse_points`` every ``cfg.eval_every`` steps of
+    this call and after its last; steps are numbered by ``len(log.losses)``, so
+    they stay global across calls sharing a log."""
     for k in range(1, steps + 1):
         batch = sample_training_batch(src, prob, w, cfg.batch_size, rng)
         log.losses.append(train_step(model, batch, opt, cfg.learning_rate))
@@ -417,23 +418,4 @@ def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         del batch
         log.wall_times.append(time.perf_counter() - log.t0)
         if eval_set is not None and (k % cfg.eval_every == 0 or k == steps):
-            points.append((len(log.losses), rmse(model, eval_set)))
-    return points
-
-
-def train_scorer(g: Graph, w: int, cfg: ScorerConfig, seed: int, *,
-                 source: SimilaritySource, eval_set: Sequence[TrainingExample] | None = None,
-                 ) -> tuple[SetScorer, TrainLog]:
-    """Train a fresh scorer for ``cfg.global_steps`` steps on ``g``'s
-    degree-based sampling distribution, keeping the RMSE points of :func:`fit`
-    in the log.  Labels come from ``source``, the similarity of ``g`` that the
-    caller built."""
-    from .tuner import initial_prob  # degree-based default sampler
-
-    init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
-    model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
-    log = TrainLog()
-    log.rmse_points = fit(model, AdamState(), source, initial_prob(g), w,
-                          cfg.global_steps, cfg, np.random.default_rng(batch_seed), log,
-                          eval_set)
-    return model, log
+            log.rmse_points.append((len(log.losses), rmse(model, eval_set)))

@@ -21,7 +21,8 @@ from .graph import Graph
 from .locality import SimilaritySource, as_similarity
 from .optim import AdamState, RmspropState
 from .scorer import (LOG_FLOOR, Network, ScorerConfig, SetScorer, TrainingExample, TrainLog,
-                     _check_rates, _check_window, _draw, fit, init_scorer, rmse, soft_label)
+                     _check_counts, _check_rates, _check_window, _draw, fit, init_scorer,
+                     soft_label)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -41,6 +42,7 @@ __all__ = [
     "build_eval_set",
     "discounted_returns",
     "reinforce_update",
+    "train_scorer",
     "train_scorer_rl",
     "save_policy",
     "load_policy",
@@ -184,13 +186,16 @@ class RlConfig:
 
     def __post_init__(self):
         _check_rates(tuning_scale=self.tuning_scale, policy_lr=self.policy_lr)
+        _check_counts(rl_steps=self.rl_steps, trajectory_len=self.trajectory_len,
+                      don_steps_per_t=self.don_steps_per_t)
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must not be negative, got {self.warmup_steps}")
+        if not 0 <= self.gamma <= 1:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
 
     def resolved_steps_per_t(self, global_steps: int) -> int:
         if self.don_steps_per_t is not None:
             return self.don_steps_per_t
-        if self.rl_steps < 1 or self.trajectory_len < 1:
-            raise ValueError("deriving don_steps_per_t needs positive rl_steps and "
-                             f"trajectory_len, got {self.rl_steps}, {self.trajectory_len}")
         return max(1, global_steps // (self.rl_steps * self.trajectory_len))
 
 
@@ -258,6 +263,21 @@ def reinforce_update(policy: TuningPolicy, states: Sequence[np.ndarray],
     policy.update(opt, total, alpha)
 
 
+def train_scorer(g: Graph, w: int, cfg: ScorerConfig, seed: int) -> tuple[SetScorer, TrainLog]:
+    """Train a fresh scorer for ``cfg.global_steps`` steps on ``g``'s
+    degree-based distribution; its log holds the RMSE points that :func:`fit`
+    measures on an eval set of ``cfg.eval_size`` examples built with ``seed + 1``."""
+    _check_window(w, g.n)
+    src = as_similarity(g)
+    eval_set = build_eval_set(g, w, cfg.eval_size, seed + 1, source=src)
+    init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
+    model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
+    log = TrainLog()
+    fit(model, AdamState(), src, initial_prob(g), w, cfg.global_steps, cfg,
+        np.random.default_rng(batch_seed), log, eval_set)
+    return model, log
+
+
 @dataclass
 class RlHistory:
     """What a run logs: the scorer's training log, one
@@ -276,9 +296,10 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     The scorer first warms up on the degree-based distribution, whose RMSE
     points seed the reward baseline.  Each tuning step then rolls a
     trajectory: sample an action, shift and re-project the distribution,
-    train the scorer on batches drawn from it, and read the reward (the
-    negated RMSE) off the fixed evaluation set; the policy updates once per
-    trajectory, and the trajectory is dropped after its update.
+    train the scorer on batches drawn from it, and take the reward (the
+    negated RMSE on the fixed evaluation set) from the point that training
+    logs after its last step; the policy updates once per trajectory, and the
+    trajectory is dropped after its update.
     """
     _check_window(w, g.n)
     ss = np.random.SeedSequence(seed)
@@ -303,10 +324,11 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     prob = initial_prob(g)
 
     warmup_cfg = replace(scorer_cfg, eval_every=max(1, rl_cfg.warmup_steps // 5))
-    warmup = fit(model, adam, src, prob, w, rl_cfg.warmup_steps, warmup_cfg,
-                 batch_rng, don_log, eval_set)
-    for _, err in warmup:
+    fit(model, adam, src, prob, w, rl_cfg.warmup_steps, warmup_cfg, batch_rng, don_log,
+        eval_set)
+    for _, err in don_log.rmse_points:
         baseline.update(-err)
+    step_cfg = replace(scorer_cfg, eval_every=steps_per_t)
 
     for rl_step in range(rl_cfg.rl_steps):
         states, actions, rewards = [], [], []
@@ -316,8 +338,8 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
             states.append(prob)
             actions.append(action)
             prob = apply_action(prob, action, rate)
-            fit(model, adam, src, prob, w, steps_per_t, scorer_cfg, batch_rng, don_log)
-            rewards.append(-rmse(model, eval_set))
+            fit(model, adam, src, prob, w, steps_per_t, step_cfg, batch_rng, don_log, eval_set)
+            rewards.append(-don_log.rmse_points[-1][1])
             rl_rows.append((rl_step, t, rewards[-1], baseline.value, float(q.mean())))
         reinforce_update(policy, states, actions, rewards, rl_cfg.gamma,
                          rl_cfg.policy_lr, baseline, rms)

@@ -233,6 +233,22 @@ class TestTrain:
         assert [row[3] for row in rows[:2]] == ["", ""]
         assert all(float(row[3]) < 0.0 for row in rows[2:])
 
+    def test_don_rl_loss_log_has_every_rmse_it_measured(self, small_graph_file, tmp_path):
+        # Warm-up of 10 steps evaluates every 10 // 5 = 2; then 2 x 2 tuning
+        # steps of 3 scorer steps, each evaluated after its last, as its reward.
+        assert main(["train", small_graph_file, "--algo", "don-rl", "--w", "3",
+                     "--out", str(tmp_path / "m.npz"), "--hidden", "8", "--batch-size", "8",
+                     "--eval-size", "4", "--warmup-steps", "10", "--rl-steps", "2",
+                     "--trajectory-len", "2", "--don-steps-per-t", "3"]) == 0
+        loss_rows = [line.split(",") for line in
+                     (tmp_path / "m.npz.metrics.csv.don.csv").read_text().splitlines()[1:]]
+        rmse_at = {int(step): float(err) for step, _, err in loss_rows if err}
+        assert len(loss_rows) == 22
+        assert sorted(rmse_at) == [2, 4, 6, 8, 10, 13, 16, 19, 22]
+        rewards = [float(line.split(",")[2]) for line in
+                   (tmp_path / "m.npz.metrics.csv").read_text().splitlines()[1:]]
+        assert rewards == [-rmse_at[step] for step in (13, 16, 19, 22)]
+
     def test_wall_time_column_in_both_loss_csvs(self, small_graph_file, tmp_path):
         for algo, loss_csv, steps in (
                 ("don", "m.npz.metrics.csv", ["--global-steps", "3"]),
@@ -419,6 +435,15 @@ class TestRenderMatrix:
     "train {graph} --algo don-rl --policy-learning-rate nan --rl-steps 1 --out {dir}/m.npz",
     "train {graph} --tuning-scale inf --out {dir}/m.npz",
     "order {graph} --algo don --model {dir}/m.npz.policy.npz",
+    "train {graph} --algo don --global-steps -5 --eval-size 4 --out {dir}/m.npz",
+    "train {graph} --warmup-steps -3 --rl-steps 1 --trajectory-len 1 --don-steps-per-t 1 "
+    "--eval-size 4 --out {dir}/m.npz",
+    "train {graph} --don-steps-per-t -2 --rl-steps 1 --trajectory-len 1 --eval-size 4 "
+    "--out {dir}/m.npz",
+    "train {graph} --rl-steps -1 --don-steps-per-t 1 --eval-size 4 --out {dir}/m.npz",
+    "train {graph} --rl-steps 0 --don-steps-per-t 1 --eval-size 4 --out {dir}/m.npz",
+    "train {graph} --gamma -4 --rl-steps 1 --trajectory-len 1 --don-steps-per-t 1 "
+    "--eval-size 4 --out {dir}/m.npz",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "model-text-file",
         "block-0", "block-neg", "w-covers-graph", "train-n0", "train-don-n0", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
@@ -427,7 +452,9 @@ class TestRenderMatrix:
         "don-gamma", "don-tuning-scale", "don-policy-learning-rate", "don-policy-hidden",
         "gamma-exp-nan", "powerlaw-p", "er-gamma-exp", "go-model", "degree-start",
         "random-perm", "matrix-int64-overflow", "don-lr-negative", "policy-lr-nan",
-        "tuning-scale-inf", "model-is-policy"])
+        "tuning-scale-inf", "model-is-policy", "don-global-steps-negative",
+        "warmup-steps-negative", "don-steps-per-t-negative", "rl-steps-negative",
+        "rl-steps-0-with-steps-per-t", "gamma-negative"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -551,7 +578,7 @@ PINNED_TRAIN_OUTPUTS = {
         "m.npz.policy.npz": "108c08602e5cb5fa171a8f6865a170710c9758a1d7f09d698b37550128c9662d",
         "m.npz.metrics.csv": "ad36303a1528a40c6be6e57eeb3c2c14179bd332c158e409fd22bb62069e71f6",
         "m.npz.metrics.csv.don.csv":
-            "ad8042959f2534985ea32a50aa7a0335f8430b13a2ba6e61d8a95f56fa847451",
+            "32f86459b4b42bec6f7e442ddcbb5e2fbe1c2c240f3abb717f77610bf49987bd",
     },
 }
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import re
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import graphorder
@@ -47,3 +48,21 @@ def test_every_public_name_has_a_caller():
     uncalled = {name: module for name, module in exported.items()
                 if name not in referenced and name not in UNCALLED_BY_DESIGN}
     assert not uncalled, f"public names no module references: {uncalled}"
+
+
+def test_no_import_cycle():
+    # Every relative import, at module level or inside a function body.
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")
+               if path.stem not in ("__init__", "__main__")}
+    imports = {}
+    for name, path in modules.items():
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update([node.module.split(".")[0]] if node.module
+                                else [alias.name for alias in node.names])
+        imports[name] = imported & set(modules)
+    try:
+        tuple(TopologicalSorter(imports).static_order())
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None

@@ -13,9 +13,8 @@ from graphorder.scorer import (ScorerConfig, SetScorer, TrainingDiverged,
                                _weighted_draws_without_replacement, cross_entropy,
                                forward, forward_batch, init_scorer, load_scorer,
                                model_order, rmse, sample_training_batch,
-                               save_scorer, soft_label, stack_batch,
-                               train_scorer, train_step)
-from graphorder.tuner import initial_prob
+                               save_scorer, soft_label, stack_batch, train_step)
+from graphorder.tuner import initial_prob, train_scorer
 
 from conftest import numeric_gradient, random_digraph
 
@@ -30,6 +29,11 @@ class TestConfig:
     def test_eval_every_below_one_refused(self, value):
         with pytest.raises(ValueError, match="^eval_every must be positive"):
             ScorerConfig(eval_every=value)
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_global_steps_below_one_refused(self, value):
+        with pytest.raises(ValueError, match="^global_steps must be positive"):
+            ScorerConfig(global_steps=value)
 
 
 class TestInit:
@@ -425,19 +429,17 @@ class TestCheckpoint:
 class TestTrainLoop:
     def test_loss_and_rmse_improve(self):
         g = gen_power_law(30, 1.8, seed=1)
-        from graphorder.tuner import build_eval_set
-        src = as_similarity(g)
-        eval_set = build_eval_set(g, 4, 64, seed=3, source=src)
         cfg = ScorerConfig(hidden=32, repr_dim=32, learning_rate=1e-3, batch_size=32,
-                           global_steps=200, eval_every=50)
-        model, log = train_scorer(g, 4, cfg, seed=4, source=src, eval_set=eval_set)
+                           global_steps=200, eval_size=64, eval_every=50)
+        model, log = train_scorer(g, 4, cfg, seed=4)
         assert log.losses[-1] < log.losses[0]
         assert log.rmse_points[-1][1] < log.rmse_points[0][1]
 
     def test_deterministic(self):
         g = gen_power_law(20, 1.8, seed=5)
-        cfg = ScorerConfig(hidden=16, repr_dim=16, batch_size=16, global_steps=30)
-        m1, log1 = train_scorer(g, 3, cfg, seed=9, source=as_similarity(g))
-        m2, log2 = train_scorer(g, 3, cfg, seed=9, source=as_similarity(g))
+        cfg = ScorerConfig(hidden=16, repr_dim=16, batch_size=16, global_steps=30, eval_size=8)
+        m1, log1 = train_scorer(g, 3, cfg, seed=9)
+        m2, log2 = train_scorer(g, 3, cfg, seed=9)
         assert np.array_equal(flatten_params(m1), flatten_params(m2))
         assert log1.losses == log2.losses
+        assert log1.rmse_points == log2.rmse_points

@@ -19,7 +19,7 @@ from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               discounted_returns, grow_best_neighbor,
                               init_policy, initial_prob, load_policy, log_prob_grad,
                               policy_forward, reinforce_update,
-                              sample_action, save_policy, train_scorer_rl)
+                              sample_action, save_policy, train_scorer, train_scorer_rl)
 
 from conftest import numeric_gradient, random_digraph
 
@@ -297,10 +297,44 @@ def test_window_of_n_plus_one_refused_before_any_row(entry, monkeypatch):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("trainer", ["train_scorer", "train_scorer_rl"])
+def test_trainers_refuse_a_wide_window_before_the_dense_source(trainer, monkeypatch):
+    # Below the cap, building the source gathers every row, so the window
+    # check must come first.
+    g = gen_power_law(50, 1.8, seed=1)
+    rows = []
+    gather = locality._similarity_row
+    monkeypatch.setattr(locality, "_similarity_row",
+                        lambda g, x: rows.append(x) or gather(g, x))
+    calls = {
+        "train_scorer": lambda: train_scorer(g, g.n + 1, ScorerConfig(), seed=0),
+        "train_scorer_rl": lambda: train_scorer_rl(g, g.n + 1, ScorerConfig(), RlConfig(),
+                                                   seed=0),
+    }
+    with pytest.raises(ValueError, match="2 <= w <= n"):
+        calls[trainer]()
+    assert rows == []
+
+
 def test_rl_config_derives_steps_per_t():
     cfg = RlConfig(trajectory_len=5, rl_steps=50, don_steps_per_t=None)
     assert cfg.resolved_steps_per_t(5000) == 20
     assert RlConfig(don_steps_per_t=7).resolved_steps_per_t(5000) == 7
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rl_steps", 0), ("rl_steps", -1), ("trajectory_len", 0), ("don_steps_per_t", 0),
+    ("don_steps_per_t", -2), ("warmup_steps", -3), ("gamma", -4.0), ("gamma", 1.5),
+    ("gamma", float("nan"))])
+def test_rl_config_refuses_counts_and_discounts_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        RlConfig(**{field: value})
+
+
+def test_rl_config_accepts_the_ends_of_each_range():
+    for fields in ({"warmup_steps": 0}, {"gamma": 0.0}, {"gamma": 1.0},
+                   {"rl_steps": 1, "trajectory_len": 1, "don_steps_per_t": 1}):
+        RlConfig(**fields)
 
 
 @pytest.mark.parametrize("cls, field", [(ScorerConfig, "learning_rate"),
