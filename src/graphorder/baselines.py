@@ -15,6 +15,8 @@ __all__ = ["greedy_order", "degree_order", "brute_force_order", "BRUTE_FORCE_CAP
 BRUTE_FORCE_CAP = 10
 # Permutations scored per vectorized block.
 BRUTE_FORCE_CHUNK = 200_000
+# Added to a vertex's greedy gain when it is placed (see _greedy_prefix).
+PLACED = np.iinfo(np.int64).min
 
 
 def greedy_order(source: SimilarityLike, w: int) -> np.ndarray:
@@ -36,15 +38,20 @@ def _greedy_prefix(src: SimilaritySource, first: int, length: int, w: int) -> np
     summed similarity against the last ``w`` placed ones, ties to the
     smallest id.  The gain vector is maintained incrementally: appending a
     vertex adds its similarity row, and the vertex sliding out of the window
-    subtracts its own."""
+    subtracts its own.
+
+    Placing a vertex also adds ``PLACED`` (-2**63) to its gain, once.  An
+    unplaced gain is a window sum of non-negative similarities, and a placed
+    one is such a sum plus ``PLACED``; so whenever the sums fit in int64, as
+    the gains need anyway, every placed gain is negative, every unplaced one
+    is not, and a plain argmax never picks a placed vertex."""
     order = np.empty(length, dtype=np.int64)
     gain = np.zeros(src.n, dtype=np.int64)
-    placed = np.zeros(src.n, dtype=bool)
     for i in range(length):
         # argmax takes the first max, the smallest id among ties
-        v = first if i == 0 else int(np.argmax(np.where(placed, np.int64(-1), gain)))
+        v = first if i == 0 else int(np.argmax(gain))
         order[i] = v
-        placed[v] = True
+        gain[v] += PLACED
         src.add_scores_of(gain, v, 1)
         if i >= w:
             src.add_scores_of(gain, int(order[i - w]), -1)

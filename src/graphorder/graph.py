@@ -2,6 +2,7 @@
 the degree-1 fan merging preprocessor."""
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -78,15 +79,19 @@ class Graph:
         self.arcs = arr
         # The arcs are sorted by (u, v), so the out-lists are their v column
         # as it stands, and a stable sort by v yields the in-lists sorted too.
+        # The offsets are the standard library's int64 arrays, never written:
+        # an item read from one is a Python int, which slices the indices in
+        # about two thirds of the time a numpy scalar takes (the similarity
+        # rows' hot path), at 8 bytes an entry (a tuple would hold a 28-byte
+        # int object for each).
         out_deg = np.bincount(arr[:, 0], minlength=n)
         in_deg = np.bincount(arr[:, 1], minlength=n)
-        self._out_indptr = np.concatenate(([0], np.cumsum(out_deg)))
+        self._out_indptr = array("q", np.concatenate(([0], np.cumsum(out_deg))).tobytes())
         self._out_indices = np.ascontiguousarray(arr[:, 1])
-        self._in_indptr = np.concatenate(([0], np.cumsum(in_deg)))
+        self._in_indptr = array("q", np.concatenate(([0], np.cumsum(in_deg))).tobytes())
         self._in_indices = arr[np.argsort(arr[:, 1], kind="stable"), 0]
         self._degrees = (out_deg + in_deg).astype(np.int64)
-        for a in (self.arcs, self._out_indptr, self._out_indices,
-                  self._in_indptr, self._in_indices, self._degrees):
+        for a in (self.arcs, self._out_indices, self._in_indices, self._degrees):
             a.flags.writeable = False
 
     @classmethod

@@ -36,13 +36,20 @@ DENSE_SIMILARITY_CAP = 2000
 MEMO_CAP = 1 << 18
 
 
+def _check_pair(u: int, v: int, n: int) -> None:
+    """Refuse a pair that is not two distinct ids in [0, n)."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"vertex id out of range [0, {n})")
+    if u == v:
+        raise ValueError("similarity is undefined for a vertex with itself")
+
+
 def similarity(g: Graph, u: int, v: int) -> int:
     """Pairwise similarity: sibling count plus neighbor count.  Symmetric.
 
     Both counts come from the two in-lists, since an arc u -> v holds
     exactly when u is an in-neighbor of v."""
-    if u == v:
-        raise ValueError("similarity is undefined for a vertex with itself")
+    _check_pair(u, v, g.n)
     preds_u = set(g.in_neighbors(u).tolist())
     preds_v = g.in_neighbors(v).tolist()
     return len(preds_u.intersection(preds_v)) + (v in preds_u) + (u in preds_v)
@@ -55,7 +62,7 @@ def _similarity_row(g: Graph, x: int) -> np.ndarray:
     points at."""
     preds = g.in_neighbors(x)
     row = np.bincount(np.concatenate([g.out_neighbors(x), preds,
-                                      *map(g.out_neighbors, preds)]),
+                                      *map(g.out_neighbors, preds.tolist())]),
                       minlength=g.n)
     row[x] = 0
     return row
@@ -120,8 +127,7 @@ class MatrixSimilarity(SimilaritySource):
         self.n = int(mat.shape[0])
 
     def score(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("similarity is undefined for a vertex with itself")
+        _check_pair(u, v, self.n)
         return int(self.matrix[u, v])
 
     def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:

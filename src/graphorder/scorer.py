@@ -355,9 +355,12 @@ def model_order(g: Graph, model: SetScorer, w: int,
     """Greedy decode: repeatedly append the unplaced vertex the scorer ranks
     highest against the last ``min(placed, w-1)`` placed vertices.
 
-    Placed vertices are masked to -inf before the argmax, so the result is
-    always a bijection.  The first vertex defaults to the highest-degree one
-    (ties to the smallest id) and can be overridden.
+    Placed vertices are masked to -inf before the argmax, by adding an
+    n-vector that holds -inf at each placed vertex and 0 elsewhere, so the
+    result is always a bijection: nan scores (a diverged model) raise
+    ValueError rather than pick a placed vertex.  The first vertex defaults
+    to the highest-degree one (ties to the smallest id) and can be
+    overridden.
     """
     if g.n != model.n:
         raise ValueError(f"model built for n={model.n}, graph has n={g.n}")
@@ -369,15 +372,17 @@ def model_order(g: Graph, model: SetScorer, w: int,
     window = max(1, w - 1)
     order = np.empty(n, dtype=np.int64)
     order[0] = start
-    placed = np.zeros(n, dtype=bool)
-    placed[start] = True
+    mask = np.zeros(n)
+    mask[start] = -np.inf
     for i in range(1, n):
         recent = order[max(0, i - window):i]
         scores = forward(model, recent)
-        scores[placed] = -np.inf
+        scores += mask
         v = int(np.argmax(scores))
+        if mask[v]:  # argmax picks a nan first, and nan + -inf is nan
+            raise ValueError("the model's scores are not finite")
         order[i] = v
-        placed[v] = True
+        mask[v] = -np.inf
     return order
 
 

@@ -2,12 +2,31 @@
 builders, and naive reference oracles the fast paths are checked against."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from graphorder.graph import Graph
 from graphorder.locality import as_similarity
+
+
+@pytest.hookimpl(wrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Ignore one third-party DeprecationWarning while reports are made.
+
+    When a property test fails, hypothesis writes a patch for the failing
+    example from inside this hook, and its import of libcst warns that
+    ``mypy_extensions.TypedDict`` is deprecated.  Under ``-W error`` that
+    warning turns the test's FAILED line into an INTERNALERROR that ends the
+    session.  Command-line ``-W`` filters take precedence over ini ones, so
+    the filter is set here, around the hook."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                                category=DeprecationWarning)
+        return (yield)
+
 
 # Pairwise similarities of a worked 5-vertex instance (0-based ids).  All
 # hand-checkable expectations in the suite are stated against this matrix.

@@ -46,18 +46,43 @@ class TestGreedyOrder:
             assert sorted(order.tolist()) == list(range(n))
 
     def test_each_step_attains_max_gain(self):
+        # Every step after the first takes the smallest id among the
+        # unplaced vertices of largest gain against the last w placed ones.
+        def assert_greedy_steps(src, order, w):
+            unplaced = np.ones(src.n, dtype=bool)
+            unplaced[order[0]] = False
+            for i in range(1, order.size):
+                gains = src.scores_against(order[max(0, i - w):i].tolist())
+                best = gains[unplaced].max()
+                assert order[i] == np.flatnonzero(unplaced & (gains == best))[0]
+                unplaced[order[i]] = False
+
         rng = np.random.default_rng(6)
+        cases = []
         for _ in range(10):
             n = int(rng.integers(2, 15))
-            g = random_digraph(rng, n, 0.3)
-            w = int(rng.integers(1, 5))
-            src = as_similarity(g)
+            cases.append((random_digraph(rng, n, 0.3), int(rng.integers(1, 5))))
+        # Edgeless graphs, where every gain ties, and windows as wide as the
+        # graph or wider.
+        cases += [(Graph(1), 1), (Graph(6), 2), (Graph(6), 9),
+                  (random_digraph(rng, 7, 0.4), 7), (random_digraph(rng, 7, 0.4), 12)]
+        for g, w in cases:
             order = greedy_order(g, w)
-            for i in range(n):
-                gains = src.scores_against(order[max(0, i - w):i].tolist())
-                chosen = gains[order[i]]
-                rest = [gains[v] for v in range(n) if v not in order[:i + 1]]
-                assert all(chosen >= r for r in rest)
+            assert order[0] == 0
+            assert_greedy_steps(as_similarity(g), order, w)
+        # Prefixes grown from a first vertex other than 0.
+        g = random_digraph(rng, 12, 0.3)
+        src = as_similarity(g)
+        for first, length, w in ((5, 12, 3), (11, 6, 2), (3, 4, 4)):
+            prefix = baselines._greedy_prefix(src, first, length, w)
+            assert prefix[0] == first and np.unique(prefix).size == length
+            assert_greedy_steps(src, prefix, w)
+        # The on-demand source above the dense cap, on a sparse graph where
+        # many gains tie at zero.
+        g = gen_erdos_renyi(DENSE_SIMILARITY_CAP + 100, 0.001, seed=4)
+        src = as_similarity(g)
+        assert not isinstance(src, MatrixSimilarity)
+        assert_greedy_steps(src, greedy_order(src, 4), 4)
 
     def test_approximation_bound_small(self):
         rng = np.random.default_rng(77)
@@ -90,6 +115,15 @@ class TestGreedyOrder:
         assert hashlib.sha256(order.tobytes()).hexdigest() == (
             "4f30dd87b1c7540e1d33f26359b2cf0468fd4627e10a0ea1439f935db278c96c")
         assert locality_score(g, order, 5) == 57662
+
+    def test_pinned_above_dense_cap_er(self):
+        # The same on-demand path on an ER graph, which has no hubs.
+        g = gen_erdos_renyi(2500, 0.003, seed=11)
+        assert g.n > DENSE_SIMILARITY_CAP
+        order = greedy_order(g, 5)
+        assert hashlib.sha256(order.tobytes()).hexdigest() == (
+            "d03827893fadfbd7cc90a41db214f0d9ec77db42c311a6763baa8641aaa31f63")
+        assert locality_score(g, order, 5) == 10189
 
 
 class TestBruteForce:

@@ -47,6 +47,15 @@ class TestPairCounts:
         with pytest.raises(ValueError):
             similarity(g, 1, 1)
 
+    @pytest.mark.parametrize("u, v", [(-1, 1), (1, -1), (3, 0), (0, 3), (-1, 3)])
+    def test_out_of_range_id_rejected(self, u, v):
+        # Every pair scorer refuses an id outside [0, n), as it refuses u == v.
+        g = Graph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+        for score in (lambda a, b: similarity(g, a, b), GraphSimilarity(g).score,
+                      MatrixSimilarity(dense_similarity(g)).score):
+            with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
+                score(u, v)
+
     @settings(max_examples=150, deadline=None)
     @given(digraphs())
     def test_similarity_is_sibling_plus_neighbor_count(self, g):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -377,6 +378,24 @@ class TestDecode:
         model = init_scorer(4, 4, 4, seed=2)
         assert model_order(g, model, 3)[0] == 0  # highest degree
         assert model_order(g, model, 3, start=2)[0] == 2
+
+    def test_nan_scores_refused(self):
+        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        model = init_scorer(4, 4, 4, seed=2)
+        model.c2[:] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            model_order(g, model, 3)
+
+    def test_trained_order_pinned(self):
+        # A small trained scorer's decode, by sha256.  Float results depend on
+        # the BLAS build, as test_cli's test_train_outputs_pinned notes.
+        g = gen_power_law(40, 1.8, seed=3)
+        cfg = ScorerConfig(hidden=16, batch_size=8, global_steps=40, eval_size=8,
+                           eval_every=40)
+        model, _ = train_scorer(g, 4, cfg, seed=5)
+        order = model_order(g, model, 4)
+        assert hashlib.sha256(order.tobytes()).hexdigest() == (
+            "3b418d8e3ab36736cb968f85a9f78db068382c271964bbe568e6e227c47aa818")
 
     def test_memorized_fixture_reaches_optimum(self, five_sim):
         # Train on every window set of sizes 1 and 2 with exact labels; the
