@@ -7,7 +7,7 @@ from itertools import chain, islice, permutations
 import numpy as np
 
 from .graph import Graph
-from .locality import SimilarityLike, SimilaritySource, as_similarity
+from .locality import SimilarityLike, SimilaritySource, _window_sums, as_similarity
 
 __all__ = ["greedy_order", "degree_order", "brute_force_order", "BRUTE_FORCE_CAP"]
 
@@ -76,10 +76,8 @@ def brute_force_order(source: SimilarityLike, w: int) -> tuple[np.ndarray, int]:
     n = src.n
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"refusing to enumerate {n}! permutations (cap {BRUTE_FORCE_CAP})")
-    if n == 0:
-        return np.empty(0, dtype=np.int64), 0
-    if n == 1:
-        return np.zeros(1, dtype=np.int64), 0
+    if n < 2:
+        return np.arange(n, dtype=np.int64), 0
     mat = np.stack([src.scores_against([u]) for u in range(n)])
 
     perms = permutations(range(n))  # lexicographic, so ties keep the smallest
@@ -93,10 +91,7 @@ def brute_force_order(source: SimilarityLike, w: int) -> tuple[np.ndarray, int]:
         block = block[block[:, 0] < block[:, -1]]
         if block.shape[0] == 0:  # a chunk inside one first-vertex run may keep none
             continue
-        scores = np.zeros(block.shape[0], dtype=np.int64)
-        for gap in range(1, min(w, n - 1) + 1):
-            for i in range(n - gap):
-                scores += mat[block[:, i], block[:, i + gap]]
+        scores = _window_sums(mat, block, w)
         top = int(scores.max())
         if top > best_score:
             best_score = top

@@ -94,6 +94,13 @@ def _load_source(path: str, use_matrix: bool):
     return _load_graph(path)
 
 
+def _load_perm(path: str | None, n: int) -> np.ndarray:
+    """The permutation file at ``path``, checked against n; identity without one."""
+    if path is None:
+        return np.arange(n)
+    return graph.check_permutation(locality.load_permutation(Path(path).read_text()), n)
+
+
 def _fmt(x) -> str:
     """A CSV field: floats by repr, None as an empty field."""
     if x is None:
@@ -174,8 +181,7 @@ def cmd_order(args, config) -> int:
 def cmd_eval(args, config) -> int:
     w = _setting(args, config, "w")
     source = _load_source(args.input, args.matrix)
-    perm = locality.check_permutation(
-        locality.load_permutation(Path(args.perm).read_text()), source.n)
+    perm = _load_perm(args.perm, source.n)
     print(f"F={locality.locality_score(source, perm, w)}")
     return 0
 
@@ -233,8 +239,7 @@ def cmd_train(args, config) -> int:
 
 def cmd_compress_cost(args, config) -> int:
     g = _load_graph(args.input)
-    perm = (locality.load_permutation(Path(args.perm).read_text())
-            if args.perm else np.arange(g.n))
+    perm = _load_perm(args.perm, g.n)
     widths = [int(tok) for tok in args.b.split(",")]
     lines = ["b,cost_nz,cost_r"]
     for b in widths:
@@ -256,7 +261,7 @@ def cmd_partition(args, config) -> int:
     if args.method == "order":
         if not args.perm:
             raise ValueError("--perm is required for --method order")
-        perm = locality.load_permutation(Path(args.perm).read_text())
+        perm = _load_perm(args.perm, g.n)
         part = downstream.partition_from_order(g, perm, args.k)
     elif args.method == "random":
         part = downstream.random_partition(g, args.k, seed)
@@ -287,8 +292,7 @@ def render_pgm(g: graph.Graph, order, fmt: str = "p2",
 
 def cmd_render_matrix(args, config) -> int:
     g = _load_graph(args.input)
-    perm = (locality.load_permutation(Path(args.perm).read_text())
-            if args.perm else np.arange(g.n))
+    perm = _load_perm(args.perm, g.n)
     data = render_pgm(g, perm, args.format, args.block)
     Path(args.out).write_bytes(data)
     print(f"wrote {args.out}")

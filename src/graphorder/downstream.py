@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _distinct_codes
-from .locality import check_permutation
+from .graph import Graph, _distinct_codes, check_permutation
 
 __all__ = [
     "EdgePartition",

@@ -17,6 +17,8 @@ __all__ = [
     "gen_power_law",
     "merge_degree_one",
     "expand_permutation",
+    "check_ids",
+    "check_permutation",
 ]
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -30,6 +32,37 @@ def _distinct_codes(codes: np.ndarray) -> np.ndarray:
     keep = np.ones(codes.size, dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
     return codes[keep]
+
+
+def _undirected_pairs(arcs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct unordered pairs of a ``(k, 2)`` id array on [0, n), as
+    ``(lo, hi)`` columns with lo < hi, sorted."""
+    codes = _distinct_codes(np.minimum(arcs[:, 0], arcs[:, 1]) * n
+                            + np.maximum(arcs[:, 0], arcs[:, 1]))
+    return codes // n, codes % n
+
+
+def check_ids(ids: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """Return ``ids`` as a 1-D int64 array of distinct vertex ids in [0, n),
+    or raise ValueError.  The test runs on Python ints, which for a window
+    set's few ids is faster than numpy's reductions (one per soft label)."""
+    arr = np.asarray(ids, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("expected a 1-D sequence of vertex ids")
+    values = arr.tolist()
+    if values and (min(values) < 0 or max(values) >= n):
+        raise ValueError(f"vertex id out of range [0, {n})")
+    if len(set(values)) != len(values):
+        raise ValueError("vertex ids repeat")
+    return arr
+
+
+def check_permutation(order: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """Validate and return ``order`` as an int64 bijection on [0, n)."""
+    arr = np.asarray(order, dtype=np.int64)
+    if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
+        raise ValueError(f"not a permutation of [0, {n})")
+    return arr
 
 
 class EdgeListError(ValueError):
@@ -99,13 +132,7 @@ class Graph:
         """Build a bidirected graph: every undirected pair yields both arcs."""
         arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                          dtype=np.int64)
-        if arr.size == 0:
-            return cls(n)
-        arr = arr.reshape(-1, 2)
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        uniq = _distinct_codes(lo * n + hi)
-        lo, hi = uniq // n, uniq % n
+        lo, hi = _undirected_pairs(arr.reshape(-1, 2), n)
         both = np.concatenate([np.stack([lo, hi], axis=1), np.stack([hi, lo], axis=1)])
         return cls(n, both)
 
@@ -127,12 +154,7 @@ class Graph:
 
     def undirected_edges(self) -> np.ndarray:
         """Distinct undirected edges as a ``(k, 2)`` array with u < v, sorted."""
-        if self.arc_count == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        lo = np.minimum(self.arcs[:, 0], self.arcs[:, 1])
-        hi = np.maximum(self.arcs[:, 0], self.arcs[:, 1])
-        uniq = _distinct_codes(lo * self.n + hi)
-        return np.stack([uniq // self.n, uniq % self.n], axis=1)
+        return np.stack(_undirected_pairs(self.arcs, self.n), axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, arcs={self.arc_count})"
@@ -144,8 +166,8 @@ class LoadResult(NamedTuple):
     duplicates_dropped: int
 
 
-def load_edge_list(source: str | Iterable[str]) -> LoadResult:
-    """Parse whitespace-separated ``u v`` lines into a Graph.
+def load_edge_list(source: str) -> LoadResult:
+    """Parse the text of whitespace-separated ``u v`` lines into a Graph.
 
     Lines starting with ``#`` are comments.  An optional first content line
     ``n <int>`` declares the vertex count; otherwise it is one past the
@@ -157,7 +179,7 @@ def load_edge_list(source: str | Iterable[str]) -> LoadResult:
     content, and ids that reader refuses but ``int()`` accepts (``1_000``),
     go through the per-line parser, which gives the same result.
     """
-    lines = source.splitlines() if isinstance(source, str) else list(source)
+    lines = source.splitlines()
     content = [line for line in map(str.strip, lines) if line and line[0] != "#"]
     declared_n: int | None = None
     head = content[0].split() if content else []
@@ -251,21 +273,18 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     # offsets[u] = number of pairs (a, b), a < b, with a < u
     us = np.arange(n, dtype=np.int64)
     offsets = us * n - us * (us + 1) // 2
-    if p == 1.0:
-        codes = np.arange(n_pairs, dtype=np.int64)
-    else:
-        # Bernoulli process over pair codes via geometric gap skipping.
-        rng = np.random.default_rng(seed)
-        chunks: list[np.ndarray] = []
-        pos = -1
-        est = int(n_pairs * p + 10 * np.sqrt(n_pairs * p * (1 - p)) + 16)
-        while pos < n_pairs:
-            gaps = rng.geometric(p, size=est)
-            hits = pos + np.cumsum(gaps)
-            chunks.append(hits)
-            pos = int(hits[-1])
-        codes = np.concatenate(chunks)
-        codes = codes[codes < n_pairs]
+    # Bernoulli process over pair codes via geometric gap skipping (p = 1: all gaps 1).
+    rng = np.random.default_rng(seed)
+    chunks: list[np.ndarray] = []
+    pos = -1
+    est = int(n_pairs * p + 10 * np.sqrt(n_pairs * p * (1 - p)) + 16)
+    while pos < n_pairs:
+        gaps = rng.geometric(p, size=est)
+        hits = pos + np.cumsum(gaps)
+        chunks.append(hits)
+        pos = int(hits[-1])
+    codes = np.concatenate(chunks)
+    codes = codes[codes < n_pairs]
     u = np.searchsorted(offsets, codes, side="right") - 1
     v = codes - offsets[u] + u + 1
     return Graph.from_undirected(n, np.stack([u, v], axis=1))
@@ -334,9 +353,7 @@ def expand_permutation(perm_merged: np.ndarray | Sequence[int],
     sizes = np.bincount(group)  # ValueError on a negative id
     if not sizes.all():
         raise ValueError("group ids must be 0..k-1 without a gap")
-    perm = np.asarray(perm_merged, dtype=np.int64)
-    if perm.shape != sizes.shape or not np.array_equal(np.sort(perm), np.arange(sizes.size)):
-        raise ValueError("permutation does not match the merged vertex set")
+    perm = check_permutation(perm_merged, sizes.size)
     where = np.empty(sizes.size, dtype=np.int64)
     where[perm] = np.arange(sizes.size)
     # A stable sort keeps each group's members ascending; the groups of two

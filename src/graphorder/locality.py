@@ -7,11 +7,11 @@ vertex pair whose positions are at most ``w`` apart.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_ids, check_permutation
 
 __all__ = [
     "DENSE_SIMILARITY_CAP",
@@ -23,7 +23,6 @@ __all__ = [
     "dense_similarity",
     "locality_score",
     "window_set_score",
-    "check_permutation",
     "load_permutation",
     "format_permutation",
     "load_similarity_matrix",
@@ -92,8 +91,8 @@ class SimilaritySource:
     def scores_against(self, members: Sequence[int]) -> np.ndarray:
         """Vector of summed similarities of every vertex against a set."""
         acc = np.zeros(self.n, dtype=np.int64)
-        for u in members:
-            self.add_scores_of(acc, int(u))
+        for u in check_ids(members, self.n).tolist():
+            self.add_scores_of(acc, u)
         return acc
 
 
@@ -187,25 +186,6 @@ def as_similarity(source: SimilarityLike,
     raise TypeError(f"expected a Graph or a SimilaritySource, got {type(source).__name__}")
 
 
-def check_permutation(order: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
-    """Validate and return ``order`` as an int64 bijection on [0, n)."""
-    arr = np.asarray(order, dtype=np.int64)
-    if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
-        raise ValueError(f"not a permutation of [0, {n})")
-    return arr
-
-
-def _check_partial(order, n: int) -> np.ndarray:
-    arr = np.asarray(order, dtype=np.int64)
-    if arr.ndim != 1 or arr.size > n:
-        raise ValueError(f"expected at most {n} distinct vertex ids")
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise ValueError(f"vertex id out of range [0, {n})")
-    if np.unique(arr).size != arr.size:
-        raise ValueError("ordering repeats a vertex")
-    return arr
-
-
 def locality_score(source: SimilarityLike, order: Sequence[int] | np.ndarray,
                    w: int) -> int:
     """Sum of pair similarities over all position pairs at gap 1..w.
@@ -215,19 +195,27 @@ def locality_score(source: SimilarityLike, order: Sequence[int] | np.ndarray,
     if w < 1:
         raise ValueError("window size must be at least 1")
     src = as_similarity(source)
-    perm = _check_partial(order, src.n)
+    perm = check_ids(order, src.n)
     if isinstance(src, MatrixSimilarity):
-        total = 0
-        for gap in range(1, min(w, perm.size - 1) + 1):
-            total += int(src.matrix[perm[:-gap], perm[gap:]].sum())
-        return total
+        return int(_window_sums(src.matrix, perm[None, :], w)[0])
     return _pair_sum(src, perm.tolist(), w)
+
+
+def _window_sums(matrix: np.ndarray, orders: np.ndarray, w: int) -> np.ndarray:
+    """Per row of a (B, L) array of orders, the sum of ``matrix`` over its
+    position pairs at gap 1..w: one gather per gap, over a contiguous transpose."""
+    cols = np.ascontiguousarray(orders.T)
+    total = np.zeros(orders.shape[0], dtype=np.int64)
+    for gap in range(1, min(w, orders.shape[1] - 1) + 1):
+        total += matrix[cols[:-gap], cols[gap:]].sum(axis=0)
+    return total
 
 
 def window_set_score(src: SimilaritySource, members: Sequence[int] | np.ndarray) -> int:
     """Locality contribution of a vertex set occupying one full window:
     the sum of similarities over all unordered pairs, order-free."""
-    return _pair_sum(src, np.asarray(members, dtype=np.int64).tolist(), len(members))
+    ids = check_ids(members, src.n).tolist()
+    return _pair_sum(src, ids, len(ids))
 
 
 def _pair_sum(src: SimilaritySource, ids: list[int], w: int) -> int:
@@ -239,10 +227,9 @@ def _pair_sum(src: SimilaritySource, ids: list[int], w: int) -> int:
     return total
 
 
-def load_permutation(source: str | Iterable[str]) -> np.ndarray:
-    """Read a permutation file: one vertex id per line, position order."""
-    lines = source.splitlines() if isinstance(source, str) else source
-    tokens = [line for line in map(str.strip, lines) if line]
+def load_permutation(source: str) -> np.ndarray:
+    """Read a permutation file's text: one vertex id per line, position order."""
+    tokens = [line for line in map(str.strip, source.splitlines()) if line]
     try:
         ids = np.array(tokens, dtype=np.int64)
     except OverflowError:
@@ -254,12 +241,10 @@ def format_permutation(order: Sequence[int] | np.ndarray) -> str:
     return "\n".join(map(str, np.asarray(order, dtype=np.int64).tolist())) + "\n"
 
 
-def load_similarity_matrix(source: str | Iterable[str]) -> MatrixSimilarity:
-    """Read a similarity-matrix fixture: an ``n`` header line, then n rows of
-    n integers.  The diagonal is ignored."""
-    lines = [ln.strip() for ln in
-             (source.splitlines() if isinstance(source, str) else source)]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+def load_similarity_matrix(source: str) -> MatrixSimilarity:
+    """Read a similarity-matrix fixture's text: an ``n`` header line, then n
+    rows of n integers.  The diagonal is ignored."""
+    lines = [ln for ln in map(str.strip, source.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty similarity matrix")
     n = int(lines[0])
@@ -274,8 +259,8 @@ def load_similarity_matrix(source: str | Iterable[str]) -> MatrixSimilarity:
         raise ValueError("similarity value out of int64 range") from None
 
 
-def format_similarity_matrix(source: MatrixSimilarity | np.ndarray) -> str:
-    mat = source.matrix if isinstance(source, MatrixSimilarity) else np.asarray(source)
-    out = [str(mat.shape[0])]
-    out.extend(" ".join(str(int(x)) for x in row) for row in mat)
+def format_similarity_matrix(matrix: np.ndarray) -> str:
+    """A square integer matrix as the fixture text ``load_similarity_matrix`` reads."""
+    out = [str(matrix.shape[0])]
+    out.extend(" ".join(str(int(x)) for x in row) for row in matrix)
     return "\n".join(out) + "\n"

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_ids
 from .locality import SimilaritySource, window_set_score
 from .optim import AdamState, RmspropState
 
@@ -194,21 +194,18 @@ def _forward_cache(model: SetScorer, sets: np.ndarray):
 
 
 def forward_batch(model: SetScorer, sets: np.ndarray) -> np.ndarray:
-    """Probability rows for a (B, m) batch of equally sized sets."""
+    """Probability rows for a (B, m) batch of equally sized sets of distinct ids."""
     sets = np.asarray(sets, dtype=np.int64)
     if sets.ndim != 2 or sets.shape[1] < 1:
         raise ValueError("expected a (B, m) batch with m >= 1")
+    for row in sets:
+        check_ids(row, model.n)
     return _forward_cache(model, sets)[-1]
 
 
 def forward(model: SetScorer, members: Sequence[int] | np.ndarray) -> np.ndarray:
     """Probability over all vertices of extending the given non-empty set."""
-    members = np.asarray(members, dtype=np.int64)
-    if members.size < 1:
-        raise ValueError("the window set must hold at least one vertex")
-    if np.unique(members).size != members.size:
-        raise ValueError("the window set must not repeat vertices")
-    return forward_batch(model, members[None, :])[0]
+    return forward_batch(model, np.asarray(members, dtype=np.int64)[None, :])[0]
 
 
 @dataclass
@@ -276,7 +273,7 @@ def _weighted_draws_without_replacement(rng: np.random.Generator, prob: np.ndarr
 
 
 def sample_training_batch(src: SimilaritySource, prob: np.ndarray, w: int, batch: int,
-                          seed: int | np.random.Generator) -> list[TrainingExample]:
+                          rng: np.random.Generator) -> list[TrainingExample]:
     """Draw ``batch`` window sets of size w-1 (weighted, without replacement)
     and label each with its extension distribution under ``src``.  The labels
     fill one (batch, n) block reserved before any set is drawn, so a batch
@@ -285,7 +282,6 @@ def sample_training_batch(src: SimilaritySource, prob: np.ndarray, w: int, batch
         raise ValueError("batch size must be positive")
     _check_window(w, src.n)
     labels = np.empty((batch, src.n))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sets = _weighted_draws_without_replacement(rng, prob, w - 1, batch)
     for members, label in zip(sets, labels):
         label[:] = soft_label(src, members)
@@ -367,8 +363,7 @@ def model_order(g: Graph, model: SetScorer, w: int,
     n = g.n
     if start is None:
         start = int(np.argmax(g.total_degrees()))
-    elif not 0 <= start < n:
-        raise ValueError("start vertex out of range")
+    check_ids([start], n)
     window = max(1, w - 1)
     order = np.empty(n, dtype=np.int64)
     order[0] = start
@@ -409,12 +404,12 @@ class TrainLog:
 def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         prob: np.ndarray, w: int, steps: int, cfg: ScorerConfig,
         rng: np.random.Generator, log: TrainLog,
-        eval_set: Sequence[TrainingExample] | None = None) -> None:
+        eval_set: Sequence[TrainingExample]) -> None:
     """Take ``steps`` scorer steps, each on a fresh batch drawn from ``prob``,
-    appending every loss to ``log``.  Given an evaluation set, also append a
-    (step, rmse) point to ``log.rmse_points`` every ``cfg.eval_every`` steps of
-    this call and after its last; steps are numbered by ``len(log.losses)``, so
-    they stay global across calls sharing a log."""
+    appending every loss to ``log``, and a (step, rmse) point on ``eval_set``
+    to ``log.rmse_points`` every ``cfg.eval_every`` steps of this call and
+    after its last; steps are numbered by ``len(log.losses)``, so they stay
+    global across calls sharing a log."""
     for k in range(1, steps + 1):
         batch = sample_training_batch(src, prob, w, cfg.batch_size, rng)
         log.losses.append(train_step(model, batch, opt, cfg.learning_rate))
@@ -422,5 +417,5 @@ def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         # allocates, so that two batches never coexist.
         del batch
         log.wall_times.append(time.perf_counter() - log.t0)
-        if eval_set is not None and (k % cfg.eval_every == 0 or k == steps):
+        if k % cfg.eval_every == 0 or k == steps:
             log.rmse_points.append((len(log.losses), rmse(model, eval_set)))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import _greedy_prefix
-from .graph import Graph
+from .graph import Graph, check_ids
 from .locality import SimilaritySource, as_similarity
 from .optim import AdamState, RmspropState
 from .scorer import (LOG_FLOOR, Network, ScorerConfig, SetScorer, TrainingExample, TrainLog,
@@ -205,6 +205,7 @@ def grow_best_neighbor(src: SimilaritySource, start: int, size: int) -> np.ndarr
     smallest id).  This is GO's loop with a window as wide as the set."""
     if size < 1 or size > src.n:
         raise ValueError("size out of range")
+    check_ids([start], src.n)
     return _greedy_prefix(src, start, size, size)
 
 

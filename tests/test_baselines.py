@@ -37,6 +37,10 @@ class TestGreedyOrder:
     def test_single_vertex(self):
         assert greedy_order(Graph(1), 3).tolist() == [0]
 
+    def test_refuses_window_below_one(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            greedy_order(Graph(3), 0)
+
     def test_always_bijection(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -149,6 +153,11 @@ class TestBruteForce:
         perm, score = brute_force_order(MatrixSimilarity(np.zeros((4, 4), dtype=int)), 2)
         assert score == 0
         assert perm.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices(self, n):
+        perm, score = brute_force_order(Graph(n), 3)
+        assert perm.dtype == np.int64 and perm.tolist() == list(range(n)) and score == 0
 
     def test_two_vertices(self):
         perm, score = brute_force_order(MatrixSimilarity([[0, 5], [5, 0]]), 1)

@@ -92,6 +92,14 @@ class TestOrder:
         perm = load_permutation(out.read_text())
         assert sorted(perm.tolist()) == [0, 1, 2, 3]
 
+    def test_dropped_loops_and_duplicates_reported(self, tmp_path, capsys):
+        path = tmp_path / "messy.txt"
+        path.write_text("0 0\n0 1\n0 1\n1 2\n2 2\n")
+        assert main(["order", str(path), "--w", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "dropped 2 self-loops, 1 duplicate arcs\n"
+        assert captured.out.startswith("F=")
+
     def test_go_builds_one_similarity_source(self, tmp_path, monkeypatch):
         # Below the dense cap, GO and the printed F read one dense matrix.
         path = tmp_path / "g.txt"
@@ -184,6 +192,25 @@ class TestTrain:
         assert main(["order", small_graph_file, "--algo", "don",
                      "--model", str(ck), "--w", "3"]) == 0
         assert "F=" in capsys.readouterr().out
+
+    def test_merged_training_round_trip(self, tmp_path, capsys):
+        # A directed 7-cycle with an out-fan of three leaves on vertex 0 and an
+        # in-fan of two on vertex 4: merging leaves 7 + 1 + 1 vertices, and
+        # the model trained on them decodes the same merged graph.
+        cycle = [0, 4, 7, 8, 9, 10, 11]
+        arcs = list(zip(cycle, cycle[1:] + cycle[:1])) + [(0, 1), (0, 2), (0, 3), (5, 4), (6, 4)]
+        path = tmp_path / "fans.txt"
+        path.write_text(format_edge_list(Graph(12, arcs)))
+        ck = tmp_path / "model.npz"
+        assert main(["train", str(path), "--algo", "don", "--merge", "--w", "3",
+                     "--seed", "1", "--out", str(ck), "--hidden", "8", "--batch-size", "4",
+                     "--global-steps", "3", "--eval-size", "4"]) == 0
+        assert "training on merged graph: n=9\n" in capsys.readouterr().err
+        out = tmp_path / "perm.txt"
+        assert main(["order", str(path), "--algo", "don", "--merge", "--model", str(ck),
+                     "--w", "3", "--seed", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("F=")
+        assert sorted(load_permutation(out.read_text()).tolist()) == list(range(12))
 
     def test_same_seed_byte_identical_outputs(self, small_graph_file, tmp_path):
         outs = []
@@ -493,6 +520,19 @@ def test_shared_flag_the_command_does_not_read_is_refused(argv, small_graph_file
         main(argv.format(graph=small_graph_file, dir=tmp_path).split())
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "eval {graph} --perm {perm}",
+    "compress-cost {graph} --perm {perm}",
+    "partition {graph} --method order --k 2 --perm {perm}",
+    "render-matrix {graph} --perm {perm} --out {dir}/m.pgm",
+], ids=["eval", "compress-cost", "partition", "render-matrix"])
+def test_every_permutation_reader_checks_the_length(argv, small_graph_file, tmp_path, capsys):
+    perm = tmp_path / "p.txt"
+    perm.write_text("1\n0\n2\n")
+    assert main(argv.format(graph=small_graph_file, perm=perm, dir=tmp_path).split()) == 1
+    assert capsys.readouterr().err == "error: not a permutation of [0, 6)\n"
 
 
 def _run_capped_cli(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:

@@ -8,9 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphorder.graph import (EdgeListError, Graph, _distinct_codes, _parse_lines,
-                              expand_permutation, format_edge_list, gen_erdos_renyi,
-                              gen_power_law, load_edge_list, merge_degree_one)
-from graphorder.locality import locality_score
+                              check_ids, expand_permutation, format_edge_list,
+                              gen_erdos_renyi, gen_power_law, load_edge_list,
+                              merge_degree_one)
+from graphorder.locality import (GraphSimilarity, MatrixSimilarity, dense_similarity,
+                                 locality_score, similarity, window_set_score)
+from graphorder.scorer import forward, forward_batch, init_scorer, model_order, soft_label
+from graphorder.tuner import grow_best_neighbor
 
 from conftest import digraphs, random_digraph
 
@@ -444,3 +448,52 @@ def test_distinct_codes_equal_np_unique(values):
     got = _distinct_codes(codes)
     want = np.unique(codes)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestCheckIds:
+    def test_returns_the_ids_as_int64(self):
+        out = check_ids([2, 0], 3)
+        assert out.dtype == np.int64 and out.tolist() == [2, 0]
+        assert check_ids([], 0).tolist() == []
+
+    @pytest.mark.parametrize("ids", [[-1], [3], [1, 0, 1], [[0, 1]], 0],
+                             ids=["negative", "n", "repeat", "2-D", "scalar"])
+    def test_refuses_anything_but_distinct_ids_in_range(self, ids):
+        with pytest.raises(ValueError):
+            check_ids(ids, 3)
+
+
+# Every public entry that takes vertex ids, called on the 3-vertex graph
+# below with one id that is not a vertex.  The entries that read a similarity
+# source run on both backends.
+ID_GRAPH = Graph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+SOURCE_ENTRIES = {
+    "score": lambda src, bad: src.score(0, bad),
+    "scores_against": lambda src, bad: src.scores_against([bad]),
+    "soft_label": lambda src, bad: soft_label(src, [bad]),
+    "window_set_score": lambda src, bad: window_set_score(src, [bad]),
+    "locality_score": lambda src, bad: locality_score(src, [0, bad], 2),
+    "grow_best_neighbor": lambda src, bad: grow_best_neighbor(src, bad, 2),
+}
+MODEL_ENTRIES = {
+    "similarity": lambda model, bad: similarity(ID_GRAPH, 0, bad),
+    "forward": lambda model, bad: forward(model, [bad, 1]),
+    "forward_batch": lambda model, bad: forward_batch(model, [[0, 1], [2, bad]]),
+    "model_order": lambda model, bad: model_order(ID_GRAPH, model, 2, start=bad),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 3], ids=["minus-one", "n"])
+@pytest.mark.parametrize("entry, backend", [
+    *((name, backend) for name in SOURCE_ENTRIES for backend in ("dense", "on-demand")),
+    *((name, None) for name in MODEL_ENTRIES),
+])
+def test_every_id_entry_refuses_an_id_outside_the_graph(entry, backend, bad):
+    if backend is None:
+        call = lambda: MODEL_ENTRIES[entry](init_scorer(3, 4, 4, seed=0), bad)
+    else:
+        src = (MatrixSimilarity(dense_similarity(ID_GRAPH)) if backend == "dense"
+               else GraphSimilarity(ID_GRAPH))
+        call = lambda: SOURCE_ENTRIES[entry](src, bad)
+    with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
+        call()

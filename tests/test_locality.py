@@ -109,6 +109,15 @@ class TestMatrixSource:
         with pytest.raises(ValueError):
             MatrixSimilarity([[0, -1], [-1, 0]])
 
+    @pytest.mark.parametrize("text, message", [
+        ("# only a comment\n", "empty similarity matrix"),
+        ("3\n0 1 1\n1 0 1\n", "expected 3 matrix rows, got 2"),
+        ("2\n0 1\n1 0 0\n", "matrix row length mismatch"),
+    ], ids=["empty", "row-count", "row-length"])
+    def test_fixture_reader_refuses_bad_shapes(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_similarity_matrix(text)
+
     def test_diagonal_ignored(self):
         src = MatrixSimilarity([[9, 1], [1, 9]])
         assert src.score(0, 1) == 1

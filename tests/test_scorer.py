@@ -139,22 +139,23 @@ class TestSampleBatch:
     def test_deterministic(self):
         g = random_digraph(np.random.default_rng(5), 12, 0.3)
         prob = initial_prob(g)
-        a = sample_training_batch(as_similarity(g), prob, 4, 8, seed=11)
-        b = sample_training_batch(as_similarity(g), prob, 4, 8, seed=11)
+        a = sample_training_batch(as_similarity(g), prob, 4, 8, np.random.default_rng(11))
+        b = sample_training_batch(as_similarity(g), prob, 4, 8, np.random.default_rng(11))
         for xa, xb in zip(a, b):
             assert np.array_equal(xa.input_set, xb.input_set)
             assert np.array_equal(xa.soft_label, xb.soft_label)
 
     def test_sets_have_right_size_and_no_repeats(self):
         g = random_digraph(np.random.default_rng(6), 10, 0.3)
-        for ex in sample_training_batch(as_similarity(g), initial_prob(g), 5, 20, seed=0):
+        for ex in sample_training_batch(as_similarity(g), initial_prob(g), 5, 20,
+                                        np.random.default_rng(0)):
             assert ex.input_set.size == 4
             assert np.unique(ex.input_set).size == 4
 
     def test_uniform_inclusion_frequencies(self):
         g = Graph(10, [(0, 1)])
         prob = np.full(10, 0.1)
-        batch = sample_training_batch(as_similarity(g), prob, 4, 10_000, seed=1)
+        batch = sample_training_batch(as_similarity(g), prob, 4, 10_000, np.random.default_rng(1))
         counts = np.zeros(10)
         for ex in batch:
             counts[ex.input_set] += 1
@@ -166,14 +167,15 @@ class TestSampleBatch:
         g = Graph(6, [(0, 1)])
         prob = np.full(6, 1e-9)
         prob[2] = 1.0 - 5e-9
-        batch = sample_training_batch(as_similarity(g), prob, 3, 200, seed=2)
+        batch = sample_training_batch(as_similarity(g), prob, 3, 200, np.random.default_rng(2))
         hits = sum(2 in ex.input_set for ex in batch)
         assert hits == 200
 
     def test_window_too_large_rejected(self):
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
-            sample_training_batch(as_similarity(g), np.full(3, 1 / 3), 5, 2, seed=0)
+            sample_training_batch(as_similarity(g), np.full(3, 1 / 3), 5, 2,
+                                  np.random.default_rng(0))
 
 
 def sequential_set_probabilities(prob, k: int) -> dict[tuple[int, ...], float]:

@@ -88,6 +88,12 @@ class TestApplyAction:
         out = apply_action(s, np.zeros(4, dtype=int), 0.05)
         assert np.allclose(out, s, atol=1e-12)
 
+    def test_every_entry_at_the_floor_gives_uniform(self):
+        # A decrease larger than every entry clamps them all to the floor,
+        # which leaves no mass above it to rescale.
+        out = apply_action(np.full(4, 0.25), np.ones(4, dtype=int), 1.0)
+        assert np.array_equal(out, np.full(4, 0.25))
+
     def test_clamp_then_renormalize(self):
         floor = default_floor(2)
         out = apply_action(np.array([0.9, 0.1]), np.array([0, 1]), 0.2)
