@@ -29,16 +29,17 @@ def greedy_order(source: SimilarityLike, w: int) -> np.ndarray:
     if w < 1:
         raise ValueError("window size must be at least 1")
     src = as_similarity(source)
-    return _greedy_prefix(src, 0, src.n, w)
+    return _greedy_prefix(src, 0, src.n, w)[0]
 
 
-def _greedy_prefix(src: SimilaritySource, first: int, length: int, w: int) -> np.ndarray:
+def _greedy_prefix(src: SimilaritySource, first: int, length: int,
+                   w: int) -> tuple[np.ndarray, np.ndarray]:
     """The first ``length`` vertices of the greedy order that starts at
-    ``first``: each later step appends the unplaced vertex with the largest
-    summed similarity against the last ``w`` placed ones, ties to the
-    smallest id.  The gain vector is maintained incrementally: appending a
-    vertex adds its similarity row, and the vertex sliding out of the window
-    subtracts its own.
+    ``first``, and the final gain vector: each later step appends the
+    unplaced vertex with the largest summed similarity against the last ``w``
+    placed ones, ties to the smallest id.  The gain vector is maintained
+    incrementally: appending a vertex adds its similarity row, and the vertex
+    sliding out of the window subtracts its own (none does when w >= length).
 
     Placing a vertex also adds ``PLACED`` (-2**63) to its gain, once.  An
     unplaced gain is a window sum of non-negative similarities, and a placed
@@ -55,7 +56,7 @@ def _greedy_prefix(src: SimilaritySource, first: int, length: int, w: int) -> np
         src.add_scores_of(gain, v, 1)
         if i >= w:
             src.add_scores_of(gain, int(order[i - w]), -1)
-    return order
+    return order, gain
 
 
 def degree_order(g: Graph) -> np.ndarray:

@@ -78,7 +78,9 @@ class ScorerConfig:
 
     def __post_init__(self):
         _check_rates(learning_rate=self.learning_rate)
-        _check_counts(eval_every=self.eval_every, global_steps=self.global_steps)
+        _check_counts(hidden=self.hidden, repr_dim=self.repr_dim, batch_size=self.batch_size,
+                      global_steps=self.global_steps, eval_size=self.eval_size,
+                      eval_every=self.eval_every)
         if self.repr_dim is None:
             self.repr_dim = self.hidden
 
@@ -179,9 +181,15 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_cache(model: SetScorer, sets: np.ndarray):
-    """Forward pass for a (B, m) batch of member-index sets, keeping the
-    intermediates needed for backprop.  Indexing rows of W1 is the one-hot
-    product written without the multiply."""
+    """Forward pass for a (B, m) batch of sets, each m >= 1 distinct ids in
+    [0, n), keeping the intermediates needed for backprop.  Indexing rows of
+    W1 is the one-hot product written without the multiply, so the ids are
+    checked first."""
+    sets = np.asarray(sets, dtype=np.int64)
+    if sets.ndim != 2 or sets.shape[1] < 1:
+        raise ValueError("expected a (B, m) batch with m >= 1")
+    for row in sets:
+        check_ids(row, model.n)
     z1 = model.W1[sets] + model.b1            # (B, m, hidden)
     h1 = np.maximum(z1, 0.0)
     phi = h1 @ model.W2 + model.b2            # (B, m, repr_dim)
@@ -195,11 +203,6 @@ def _forward_cache(model: SetScorer, sets: np.ndarray):
 
 def forward_batch(model: SetScorer, sets: np.ndarray) -> np.ndarray:
     """Probability rows for a (B, m) batch of equally sized sets of distinct ids."""
-    sets = np.asarray(sets, dtype=np.int64)
-    if sets.ndim != 2 or sets.shape[1] < 1:
-        raise ValueError("expected a (B, m) batch with m >= 1")
-    for row in sets:
-        check_ids(row, model.n)
     return _forward_cache(model, sets)[-1]
 
 
@@ -227,16 +230,22 @@ def soft_label(src: SimilaritySource, members: Sequence[int] | np.ndarray) -> np
     if members.size >= src.n:
         raise ValueError(f"a window set of {members.size} vertices leaves no "
                          f"candidate among {src.n}")
-    pair_base = window_set_score(src, members)
-    raw = src.scores_against(members).astype(np.float64)
-    raw += pair_base
+    return _extension_label(src.scores_against(members), window_set_score(src, members),
+                            members)
+
+
+def _extension_label(gain: np.ndarray, pair_base: int, members: np.ndarray) -> np.ndarray:
+    """``soft_label`` from every vertex's summed similarity against the members
+    (``gain``, whose member entries are ignored) and the members' pair sum."""
+    raw = np.add(gain, pair_base, dtype=np.float64)
     raw[members] = 0.0
     total = raw.sum()
     if total <= 0.0:
-        label = np.full(src.n, 1.0 / (src.n - members.size))
-        label[members] = 0.0
-        return label
-    return raw / total
+        raw[:] = 1.0 / (raw.size - members.size)
+        raw[members] = 0.0
+        return raw
+    raw /= total
+    return raw
 
 
 def _draw(rng: np.random.Generator, cdf: np.ndarray, size) -> np.ndarray:
@@ -337,11 +346,12 @@ def train_step(model: SetScorer, batch: Sequence[TrainingExample],
     return loss
 
 
-def rmse(model: SetScorer, eval_set: Sequence[TrainingExample]) -> float:
-    """Root mean square error over all examples and vector components."""
-    if not eval_set:
-        raise ValueError("evaluation set is empty")
-    sets, labels = stack_batch(eval_set)
+def rmse(model: SetScorer, sets: np.ndarray, labels: np.ndarray) -> float:
+    """Root mean square error of the predictions for a (B, m) batch of sets
+    against their (B, n) labels, over all rows and vector components."""
+    if len(sets) == 0 or labels.shape != (len(sets), model.n):
+        raise ValueError(f"expected a non-empty evaluation set with one {model.n}-wide "
+                         f"label row per set, got {len(sets)} sets and labels {labels.shape}")
     preds = forward_batch(model, sets)
     return float(np.sqrt(np.mean((preds - labels) ** 2)))
 
@@ -404,12 +414,12 @@ class TrainLog:
 def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         prob: np.ndarray, w: int, steps: int, cfg: ScorerConfig,
         rng: np.random.Generator, log: TrainLog,
-        eval_set: Sequence[TrainingExample]) -> None:
+        eval_set: tuple[np.ndarray, np.ndarray]) -> None:
     """Take ``steps`` scorer steps, each on a fresh batch drawn from ``prob``,
-    appending every loss to ``log``, and a (step, rmse) point on ``eval_set``
-    to ``log.rmse_points`` every ``cfg.eval_every`` steps of this call and
-    after its last; steps are numbered by ``len(log.losses)``, so they stay
-    global across calls sharing a log."""
+    appending every loss to ``log``, and a (step, rmse) point on ``eval_set``,
+    a pair of sets and labels, to ``log.rmse_points`` every ``cfg.eval_every``
+    steps of this call and after its last; steps are numbered by
+    ``len(log.losses)``, so they stay global across calls sharing a log."""
     for k in range(1, steps + 1):
         batch = sample_training_batch(src, prob, w, cfg.batch_size, rng)
         log.losses.append(train_step(model, batch, opt, cfg.learning_rate))
@@ -418,4 +428,4 @@ def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         del batch
         log.wall_times.append(time.perf_counter() - log.t0)
         if k % cfg.eval_every == 0 or k == steps:
-            log.rmse_points.append((len(log.losses), rmse(model, eval_set)))
+            log.rmse_points.append((len(log.losses), rmse(model, *eval_set)))

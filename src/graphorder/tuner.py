@@ -17,12 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import _greedy_prefix
-from .graph import Graph, check_ids
-from .locality import SimilaritySource, as_similarity
+from .graph import Graph
+from .locality import SimilaritySource, as_similarity, window_set_score
 from .optim import AdamState, RmspropState
-from .scorer import (LOG_FLOOR, Network, ScorerConfig, SetScorer, TrainingExample, TrainLog,
-                     _check_counts, _check_rates, _check_window, _draw, fit, init_scorer,
-                     soft_label)
+from .scorer import (LOG_FLOOR, Network, ScorerConfig, SetScorer, TrainLog, _check_counts,
+                     _check_rates, _check_window, _draw, _extension_label, fit, init_scorer)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -38,7 +37,6 @@ __all__ = [
     "RewardBaseline",
     "RlConfig",
     "RlHistory",
-    "grow_best_neighbor",
     "build_eval_set",
     "discounted_returns",
     "reinforce_update",
@@ -187,7 +185,7 @@ class RlConfig:
     def __post_init__(self):
         _check_rates(tuning_scale=self.tuning_scale, policy_lr=self.policy_lr)
         _check_counts(rl_steps=self.rl_steps, trajectory_len=self.trajectory_len,
-                      don_steps_per_t=self.don_steps_per_t)
+                      policy_hidden=self.policy_hidden, don_steps_per_t=self.don_steps_per_t)
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must not be negative, got {self.warmup_steps}")
         if not 0 <= self.gamma <= 1:
@@ -199,34 +197,24 @@ class RlConfig:
         return max(1, global_steps // (self.rl_steps * self.trajectory_len))
 
 
-def grow_best_neighbor(src: SimilaritySource, start: int, size: int) -> np.ndarray:
-    """Grow a vertex set greedily from ``start``: each step adds the vertex
-    with the largest summed similarity to the current set (ties to the
-    smallest id).  This is GO's loop with a window as wide as the set."""
-    if size < 1 or size > src.n:
-        raise ValueError("size out of range")
-    check_ids([start], src.n)
-    return _greedy_prefix(src, start, size, size)
-
-
 def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
-                   source: SimilaritySource) -> list[TrainingExample]:
-    """Fixed evaluation set: each example starts from a vertex sampled by
-    ``g``'s degrees, grows a window set of w-1 vertices by the best-neighbor
-    rule, and is labeled with its extension distribution under ``source``.
-    The labels fill one (size, n) block, so a size too large fails at once."""
+                   source: SimilaritySource) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed evaluation set: a (size, w-1) array of window sets and the (size, n)
+    block of their soft labels under ``source``, reserved first.  Each set grows
+    from a start drawn by ``g``'s degrees by GO's loop with a window as wide as
+    the set; its label comes from the gain vector that loop ends with."""
     if size < 1:
         raise ValueError("evaluation set size must be positive")
     _check_window(w, g.n)
+    if source.n != g.n:
+        raise ValueError(f"source has n={source.n}, graph has n={g.n}")
     labels = np.empty((size, g.n))
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(initial_prob(g))
-    examples = []
-    for label in labels:
-        members = grow_best_neighbor(source, int(_draw(rng, cdf, None)), w - 1)
-        label[:] = soft_label(source, members)
-        examples.append(TrainingExample(members, label))
-    return examples
+    sets = np.empty((size, w - 1), dtype=np.int64)
+    starts = _draw(np.random.default_rng(seed), np.cumsum(initial_prob(g)), size)
+    for i, start in enumerate(starts.tolist()):
+        sets[i], gain = _greedy_prefix(source, start, w - 1, w - 1)
+        labels[i] = _extension_label(gain, window_set_score(source, sets[i]), sets[i])
+    return sets, labels
 
 
 def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:

@@ -471,6 +471,11 @@ class TestRenderMatrix:
     "train {graph} --rl-steps 0 --don-steps-per-t 1 --eval-size 4 --out {dir}/m.npz",
     "train {graph} --gamma -4 --rl-steps 1 --trajectory-len 1 --don-steps-per-t 1 "
     "--eval-size 4 --out {dir}/m.npz",
+    "train {graph} --hidden 0 --out {dir}/m.npz",
+    "train {graph} --algo don --repr-dim 0 --out {dir}/m.npz",
+    "train {graph} --batch-size 0 --out {dir}/m.npz",
+    "train {graph} --algo don --eval-size 0 --out {dir}/m.npz",
+    "train {graph} --policy-hidden 0 --out {dir}/m.npz",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "model-text-file",
         "block-0", "block-neg", "w-covers-graph", "train-n0", "train-don-n0", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
@@ -481,7 +486,8 @@ class TestRenderMatrix:
         "random-perm", "matrix-int64-overflow", "don-lr-negative", "policy-lr-nan",
         "tuning-scale-inf", "model-is-policy", "don-global-steps-negative",
         "warmup-steps-negative", "don-steps-per-t-negative", "rl-steps-negative",
-        "rl-steps-0-with-steps-per-t", "gamma-negative"])
+        "rl-steps-0-with-steps-per-t", "gamma-negative", "hidden-0", "repr-dim-0",
+        "batch-size-0", "eval-size-0", "policy-hidden-0"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -499,6 +505,23 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("flags, field", [
+    ("--hidden 0", "hidden"), ("--algo don --repr-dim 0", "repr_dim"),
+    ("--batch-size 0", "batch_size"), ("--algo don --eval-size 0", "eval_size"),
+    ("--policy-hidden 0", "policy_hidden")])
+def test_count_settings_refused_before_any_row(flags, field, small_graph_file, tmp_path,
+                                               monkeypatch, capsys):
+    # Below the cap, building the source gathers every row, and the eval set
+    # is grown before training reads the counts, so the config refuses them.
+    rows = []
+    gather = locality._similarity_row
+    monkeypatch.setattr(locality, "_similarity_row",
+                        lambda g, x: rows.append(x) or gather(g, x))
+    assert main(f"train {small_graph_file} {flags} --out {tmp_path}/m.npz".split()) == 1
+    assert capsys.readouterr().err == f"error: {field} must be positive, got 0\n"
+    assert rows == []
 
 
 @pytest.mark.parametrize("argv", [

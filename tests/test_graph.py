@@ -14,7 +14,6 @@ from graphorder.graph import (EdgeListError, Graph, _distinct_codes, _parse_line
 from graphorder.locality import (GraphSimilarity, MatrixSimilarity, dense_similarity,
                                  locality_score, similarity, window_set_score)
 from graphorder.scorer import forward, forward_batch, init_scorer, model_order, soft_label
-from graphorder.tuner import grow_best_neighbor
 
 from conftest import digraphs, random_digraph
 
@@ -473,7 +472,6 @@ SOURCE_ENTRIES = {
     "soft_label": lambda src, bad: soft_label(src, [bad]),
     "window_set_score": lambda src, bad: window_set_score(src, [bad]),
     "locality_score": lambda src, bad: locality_score(src, [0, bad], 2),
-    "grow_best_neighbor": lambda src, bad: grow_best_neighbor(src, bad, 2),
 }
 MODEL_ENTRIES = {
     "similarity": lambda model, bad: similarity(ID_GRAPH, 0, bad),

@@ -36,6 +36,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="^global_steps must be positive"):
             ScorerConfig(global_steps=value)
 
+    @pytest.mark.parametrize("field", ["hidden", "repr_dim", "batch_size", "eval_size"])
+    def test_width_and_size_below_one_refused(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            ScorerConfig(**{field: 0})
+
 
 class TestInit:
     def test_deterministic(self):
@@ -324,6 +329,22 @@ class TestTrainStep:
         with pytest.raises(TrainingDiverged):
             train_step(model, batch, AdamState(), lr=1e-3)
 
+    @pytest.mark.parametrize("bad", [-1, 5], ids=["minus-one", "n"])
+    def test_ids_outside_the_model_refused_before_any_update(self, bad):
+        model = init_scorer(5, 4, 4, seed=0)
+        opt = AdamState()
+        train_step(model, tiny_batch(model, np.random.default_rng(1)), opt, lr=1e-3)
+        before = flatten_params(model).copy()
+        moments = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in opt.m}
+        batch = [TrainingExample(np.array([0, 1]), np.full(5, 0.2)),
+                 TrainingExample(np.array([bad, 2]), np.full(5, 0.2))]
+        with pytest.raises(ValueError, match=r"out of range \[0, 5\)"):
+            train_step(model, batch, opt, lr=1e-3)
+        assert np.array_equal(flatten_params(model), before)
+        assert opt.t == 1 and set(opt.m) == set(moments)
+        for k, (m, v) in moments.items():
+            assert np.array_equal(opt.m[k], m) and np.array_equal(opt.v[k], v)
+
     def test_loss_strictly_decreases_on_fixed_batch(self):
         rng = np.random.default_rng(40)
         model = init_scorer(10, 16, 8, seed=4)
@@ -343,20 +364,27 @@ class TestRmse:
         model = init_scorer(5, 4, 4, seed=3)
         sets = np.array([[0, 1], [2, 3]])
         labels = forward_batch(model, sets)
-        eval_set = [TrainingExample(s, l) for s, l in zip(sets, labels)]
-        assert rmse(model, eval_set) == 0.0
+        assert rmse(model, sets, labels) == 0.0
 
     def test_hand_value(self):
         # single example over two vertices: prediction uniform, label one-hot
         model = init_scorer(2, 4, 4, seed=0)
         for name in ("W1", "W2", "V1", "V2"):
             getattr(model, name)[:] = 0.0
-        ex = TrainingExample(np.array([0]), np.array([1.0, 0.0]))
-        assert rmse(model, [ex]) == pytest.approx(0.5)
+        assert rmse(model, np.array([[0]]), np.array([[1.0, 0.0]])) == pytest.approx(0.5)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            rmse(init_scorer(3, 4, 4, seed=0), [])
+        with pytest.raises(ValueError, match="empty"):
+            rmse(init_scorer(3, 4, 4, seed=0), np.empty((0, 1), dtype=np.int64),
+                 np.empty((0, 3)))
+
+    @pytest.mark.parametrize("labels", [np.full((1, 3), 1 / 3), np.full((3, 3), 1 / 3),
+                                        np.full((2, 4), 0.25), np.full(3, 1 / 3)],
+                             ids=["fewer-rows", "more-rows", "wider", "1-D"])
+    def test_rejects_labels_that_do_not_match_the_sets(self, labels):
+        # One label row would otherwise broadcast against both sets' predictions.
+        with pytest.raises(ValueError, match="labels"):
+            rmse(init_scorer(3, 4, 4, seed=0), np.array([[0], [1]]), labels)
 
 
 class TestDecode:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphorder import locality
+from graphorder.baselines import _greedy_prefix
 from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
 from graphorder.locality import GraphSimilarity, MatrixSimilarity, as_similarity
 from graphorder.optim import RmspropState
 from graphorder.scorer import (ScorerConfig, TrainingDiverged, TrainLog, forward_batch,
                                init_scorer, load_scorer, rmse, sample_training_batch,
-                               save_scorer)
+                               save_scorer, soft_label)
 from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               build_eval_set, check_prob, default_floor,
-                              discounted_returns, grow_best_neighbor,
+                              discounted_returns,
                               init_policy, initial_prob, load_policy, log_prob_grad,
                               policy_forward, reinforce_update,
                               sample_action, save_policy, train_scorer, train_scorer_rl)
@@ -182,39 +184,88 @@ class TestReinforce:
 
 
 class TestEvalSet:
+    # The eval set grows each window set with GO's loop at a window as wide
+    # as the set: _greedy_prefix(src, start, size, size).
     def test_growth_on_worked_fixture(self, five_sim):
         # from vertex 0 the best neighbor is 1 (similarity 2)
-        grown = grow_best_neighbor(MatrixSimilarity(five_sim), 0, 2)
+        grown, _ = _greedy_prefix(MatrixSimilarity(five_sim), 0, 2, 2)
         assert grown.tolist() == [0, 1]
 
     def test_growth_tie_breaks_small_id(self):
-        grown = grow_best_neighbor(MatrixSimilarity(np.zeros((4, 4), dtype=int)), 2, 3)
+        grown, _ = _greedy_prefix(MatrixSimilarity(np.zeros((4, 4), dtype=int)), 2, 3, 3)
         assert grown.tolist() == [2, 0, 1]
 
     def test_examples_distinct_members_and_deterministic(self):
         g = random_digraph(np.random.default_rng(7), 12, 0.3)
-        a = build_eval_set(g, 4, 20, seed=9, source=as_similarity(g))
-        b = build_eval_set(g, 4, 20, seed=9, source=as_similarity(g))
-        for xa, xb in zip(a, b):
-            assert np.array_equal(xa.input_set, xb.input_set)
-            assert np.unique(xa.input_set).size == 3
+        sets_a, labels_a = build_eval_set(g, 4, 20, seed=9, source=as_similarity(g))
+        sets_b, labels_b = build_eval_set(g, 4, 20, seed=9, source=as_similarity(g))
+        assert sets_a.shape == (20, 3) and labels_a.shape == (20, 12)
+        assert np.array_equal(sets_a, sets_b) and np.array_equal(labels_a, labels_b)
+        for members in sets_a:
+            assert np.unique(members).size == 3
 
     def test_fixture_label(self, five_sim):
         # growing from 0 gives {0, 1}; its label is the worked soft label
         src = MatrixSimilarity(five_sim)
-        members = grow_best_neighbor(src, 0, 2)
-        from graphorder.scorer import soft_label
+        members, _ = _greedy_prefix(src, 0, 2, 2)
         assert np.allclose(soft_label(src, members), [0, 0, 0.2, 0.4, 0.4])
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_digraph(np.random.default_rng(7), 12, 0.3),
+        lambda: gen_erdos_renyi(2100, 0.002, seed=4),
+        lambda: Graph(9),
+    ], ids=["dense", "on-demand", "edgeless"])
+    def test_labels_are_the_soft_labels_of_the_sets(self, make):
+        # Each label comes from the growth's own gain vector; it must equal
+        # the soft label computed from the set alone.
+        g = make()
+        src = as_similarity(g)
+        sets, labels = build_eval_set(g, 4, 6, seed=2, source=src)
+        for members, label in zip(sets, labels):
+            assert np.array_equal(label, soft_label(src, members))
+
+    @pytest.mark.parametrize("make, digests", [
+        (lambda: gen_power_law(300, 1.6, seed=7),
+         ("8631c5b91a46f4874034f675268d4259069556d420d0b49310e2786e2548cf29",
+          "09e9a96ca756a0703498fa606941cab5ad8dc0374ea278f266311a47888a1f01")),
+        (lambda: gen_erdos_renyi(2100, 0.002, seed=4),
+         ("1db0b6b27cede162754ec904ae14349ec86c401204a228b9bee78f514c906524",
+          "6c7f47101a2c631ae1b29c62e21154f9b9435ee29f27735be950f34c6d4120f8")),
+    ], ids=["dense", "on-demand"])
+    def test_pinned(self, make, digests):
+        # sha256 of the sets and labels, recorded from the list of examples
+        # that grew each set and then labeled it with soft_label.  Float
+        # results depend on the platform's numpy build.
+        g = make()
+        sets, labels = build_eval_set(g, 5, 24, seed=3, source=as_similarity(g))
+        assert sets.dtype == np.int64 and labels.dtype == np.float64
+        assert (hashlib.sha256(sets.tobytes()).hexdigest(),
+                hashlib.sha256(labels.tobytes()).hexdigest()) == digests
+
+    def test_one_row_gather_per_member(self, monkeypatch):
+        # The growth sums every member's row, which is what the label needs.
+        g = gen_erdos_renyi(2100, 0.002, seed=4)
+        src = as_similarity(g)
+        assert isinstance(src, GraphSimilarity)
+        rows = []
+        gather = locality._similarity_row
+        monkeypatch.setattr(locality, "_similarity_row",
+                            lambda g, x: rows.append(x) or gather(g, x))
+        sets, _ = build_eval_set(g, 5, 24, seed=3, source=src)
+        assert len(rows) == 24 * (5 - 1)
+        assert rows == sets.ravel().tolist()
+
+    def test_refuses_a_source_of_another_graph(self):
+        g = random_digraph(np.random.default_rng(7), 12, 0.3)
+        with pytest.raises(ValueError, match="n=11"):
+            build_eval_set(g, 4, 3, seed=0, source=as_similarity(Graph(11)))
 
     def test_reward_sign(self):
         model = init_scorer(5, 8, 4, seed=0)
         sets = np.array([[0, 1], [1, 2]])
         labels = forward_batch(model, sets)
-        from graphorder.scorer import TrainingExample
-        exact = [TrainingExample(s, l) for s, l in zip(sets, labels)]
-        assert -rmse(model, exact) == 0.0
-        off = [TrainingExample(sets[0], np.array([0, 0, 0.5, 0.5, 0.0]))]
-        assert -rmse(model, off) < 0.0
+        assert -rmse(model, sets, labels) == 0.0
+        assert -rmse(model, sets[:1], np.array([[0, 0, 0.5, 0.5, 0.0]])) < 0.0
 
 
 @pytest.fixture(scope="module")
@@ -330,8 +381,8 @@ def test_rl_config_derives_steps_per_t():
 
 @pytest.mark.parametrize("field, value", [
     ("rl_steps", 0), ("rl_steps", -1), ("trajectory_len", 0), ("don_steps_per_t", 0),
-    ("don_steps_per_t", -2), ("warmup_steps", -3), ("gamma", -4.0), ("gamma", 1.5),
-    ("gamma", float("nan"))])
+    ("don_steps_per_t", -2), ("policy_hidden", 0), ("warmup_steps", -3), ("gamma", -4.0),
+    ("gamma", 1.5), ("gamma", float("nan"))])
 def test_rl_config_refuses_counts_and_discounts_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):
         RlConfig(**{field: value})
