@@ -7,7 +7,8 @@ from itertools import chain, islice, permutations
 import numpy as np
 
 from .graph import Graph
-from .locality import SimilarityLike, SimilaritySource, _window_sums, as_similarity
+from .locality import (SimilarityLike, SimilaritySource, _check_window_size, _window_sums,
+                       as_similarity)
 
 __all__ = ["greedy_order", "degree_order", "brute_force_order", "BRUTE_FORCE_CAP"]
 
@@ -26,8 +27,7 @@ def greedy_order(source: SimilarityLike, w: int) -> np.ndarray:
     Ties break to the smallest vertex id, which also picks vertex 0 first
     (every candidate starts at zero gain).
     """
-    if w < 1:
-        raise ValueError("window size must be at least 1")
+    _check_window_size(w)
     src = as_similarity(source)
     return _greedy_prefix(src, 0, src.n, w)[0]
 
@@ -43,9 +43,11 @@ def _greedy_prefix(src: SimilaritySource, first: int, length: int,
 
     Placing a vertex also adds ``PLACED`` (-2**63) to its gain, once.  An
     unplaced gain is a window sum of non-negative similarities, and a placed
-    one is such a sum plus ``PLACED``; so whenever the sums fit in int64, as
-    the gains need anyway, every placed gain is negative, every unplaced one
-    is not, and a plain argmax never picks a placed vertex."""
+    one is such a sum plus ``PLACED``.  Each sum is at most the similarity
+    total, which ``MatrixSimilarity`` keeps below 2**63 (a graph's, at most
+    m**2 + m for m arcs, is below it for m < 3e9), so every placed gain is
+    negative, every unplaced one is not, and a plain argmax never picks a
+    placed vertex."""
     order = np.empty(length, dtype=np.int64)
     gain = np.zeros(src.n, dtype=np.int64)
     for i in range(length):
@@ -73,6 +75,7 @@ def brute_force_order(source: SimilarityLike, w: int) -> tuple[np.ndarray, int]:
     same, so only those with first < last are scored; the lexicographically
     smallest optimum always lies in that half.
     """
+    _check_window_size(w)
     src = as_similarity(source)
     n = src.n
     if n > BRUTE_FORCE_CAP:

@@ -4,50 +4,34 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import baselines, downstream, graph, locality, scorer, tuner
 
 
-class TrainSetting(NamedTuple):
-    """A ``train`` setting: its config key (the flag is ``--key`` with dashes),
-    its type, and the ``ScorerConfig`` or ``RlConfig`` field it fills.  Both
-    algorithms read ``ScorerConfig``; only DON-RL reads ``RlConfig``."""
-
-    key: str
-    type: type
-    config: type
-    field: str
+def _flag_type(hint) -> type:
+    """The type a flag parses for a field annotated ``hint``; ``int | None``
+    is read as ``int``."""
+    return (get_args(hint) or (hint,))[0]
 
 
 _SC, _RL = scorer.ScorerConfig, tuner.RlConfig
-# Every train default lives in these two dataclasses.
-TRAIN_SETTINGS = (
-    TrainSetting("hidden", int, _SC, "hidden"),
-    TrainSetting("repr_dim", int, _SC, "repr_dim"),
-    TrainSetting("don_learning_rate", float, _SC, "learning_rate"),
-    TrainSetting("batch_size", int, _SC, "batch_size"),
-    TrainSetting("global_steps", int, _SC, "global_steps"),
-    TrainSetting("eval_size", int, _SC, "eval_size"),
-    TrainSetting("eval_every", int, _SC, "eval_every"),
-    TrainSetting("policy_learning_rate", float, _RL, "policy_lr"),
-    TrainSetting("policy_hidden", int, _RL, "policy_hidden"),
-    TrainSetting("trajectory_len", int, _RL, "trajectory_len"),
-    TrainSetting("rl_steps", int, _RL, "rl_steps"),
-    TrainSetting("gamma", float, _RL, "gamma"),
-    TrainSetting("tuning_scale", float, _RL, "tuning_scale"),
-    TrainSetting("don_steps_per_t", int, _RL, "don_steps_per_t"),
-    TrainSetting("warmup_steps", int, _RL, "warmup_steps"),
-)
+# The train settings of each owning dataclass: a setting's config key is its
+# field's name (the flag is the key with dashes), its default the field's
+# default, and its type the one the field's annotation names.  Both algorithms
+# read ScorerConfig; only DON-RL reads RlConfig.
+TRAIN_SETTINGS = {cls: {f.name: _flag_type(get_type_hints(cls)[f.name]) for f in fields(cls)}
+                  for cls in (_SC, _RL)}
 
 # Fallbacks of the settings no dataclass holds: the window and seed every
 # command shares.
 FALLBACKS = {"w": 5, "seed": 0}
 
-CONFIG_KEYS = {"w": int, "seed": int, **{s.key: s.type for s in TRAIN_SETTINGS}}
+CONFIG_KEYS = {"w": int, "seed": int, **TRAIN_SETTINGS[_SC], **TRAIN_SETTINGS[_RL]}
 
 
 def read_config(path: str) -> dict:
@@ -189,7 +173,7 @@ def cmd_eval(args, config) -> int:
 def _train_config(cls, args, config):
     """``cls`` with the fields that a flag or the config file sets; every
     other field keeps its dataclass default."""
-    given = {s.field: _setting(args, config, s.key) for s in TRAIN_SETTINGS if s.config is cls}
+    given = {key: _setting(args, config, key) for key in TRAIN_SETTINGS[cls]}
     return cls(**{name: value for name, value in given.items() if value is not None})
 
 
@@ -209,7 +193,7 @@ def cmd_train(args, config) -> int:
     scfg = _train_config(_SC, args, config)
     # Flags the chosen algorithm would not read are refused rather than dropped.
     if args.algo == "don":
-        _refuse(args, [s.key for s in TRAIN_SETTINGS if s.config is _RL], "--algo don-rl")
+        _refuse(args, list(TRAIN_SETTINGS[_RL]), "--algo don-rl")
     else:
         _refuse(args, ["eval_every"], "--algo don")
         rcfg = _train_config(_RL, args, config)
@@ -351,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wall-time", action="store_true",
                    help="add a wall_time column to the loss CSV "
                         "(breaks byte-reproducibility)")
-    for setting in TRAIN_SETTINGS:
-        p.add_argument("--" + setting.key.replace("_", "-"), type=setting.type, default=None)
+    for key, typ in {**TRAIN_SETTINGS[_SC], **TRAIN_SETTINGS[_RL]}.items():
+        p.add_argument("--" + key.replace("_", "-"), type=typ, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compress-cost",

@@ -43,6 +43,12 @@ def _check_pair(u: int, v: int, n: int) -> None:
         raise ValueError("similarity is undefined for a vertex with itself")
 
 
+def _check_window_size(w: int, least: int = 1) -> None:
+    """Refuse a window below ``least`` positions."""
+    if w < least:
+        raise ValueError(f"window size must be at least {least}")
+
+
 def similarity(g: Graph, u: int, v: int) -> int:
     """Pairwise similarity: sibling count plus neighbor count.  Symmetric.
 
@@ -98,7 +104,7 @@ class SimilaritySource:
 
 class MatrixSimilarity(SimilaritySource):
     """Similarity backed by an explicit symmetric integer matrix.  The
-    diagonal is ignored."""
+    diagonal is ignored; the other entries must total below 2**63."""
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[int]]):
         mat = np.array(matrix, dtype=np.int64)
@@ -109,6 +115,10 @@ class MatrixSimilarity(SimilaritySource):
             raise ValueError("similarity values must be non-negative")
         if not np.array_equal(mat, mat.T):
             raise ValueError("similarity matrix must be symmetric")
+        # Every gain, window sum and score is at most the total, so a total
+        # that fits keeps them all in int64; summed as Python ints, it is exact.
+        if mat.sum(dtype=object) >= 1 << 63:
+            raise ValueError("similarity matrix total is not below 2**63")
         self._hold(mat)
 
     @classmethod
@@ -192,8 +202,7 @@ def locality_score(source: SimilarityLike, order: Sequence[int] | np.ndarray,
 
     ``order`` may be a full permutation or any prefix of one (distinct ids).
     """
-    if w < 1:
-        raise ValueError("window size must be at least 1")
+    _check_window_size(w)
     src = as_similarity(source)
     perm = check_ids(order, src.n)
     if isinstance(src, MatrixSimilarity):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph, check_ids
-from .locality import SimilaritySource, window_set_score
+from .locality import SimilaritySource, _check_window_size, window_set_score
 from .optim import AdamState, RmspropState
 
 __all__ = [
@@ -70,14 +70,14 @@ class ScorerConfig:
 
     hidden: int = 64
     repr_dim: int | None = None
-    learning_rate: float = 1e-3
+    don_learning_rate: float = 1e-3
     batch_size: int = 64
     global_steps: int = 5000
     eval_size: int = 2000
     eval_every: int = 50
 
     def __post_init__(self):
-        _check_rates(learning_rate=self.learning_rate)
+        _check_rates(don_learning_rate=self.don_learning_rate)
         _check_counts(hidden=self.hidden, repr_dim=self.repr_dim, batch_size=self.batch_size,
                       global_steps=self.global_steps, eval_size=self.eval_size,
                       eval_every=self.eval_every)
@@ -359,7 +359,8 @@ def rmse(model: SetScorer, sets: np.ndarray, labels: np.ndarray) -> float:
 def model_order(g: Graph, model: SetScorer, w: int,
                 start: int | None = None) -> np.ndarray:
     """Greedy decode: repeatedly append the unplaced vertex the scorer ranks
-    highest against the last ``min(placed, w-1)`` placed vertices.
+    highest against the last ``min(placed, w-1)`` placed vertices; like
+    training, it needs w >= 2, so that the window set is never empty.
 
     Placed vertices are masked to -inf before the argmax, by adding an
     n-vector that holds -inf at each placed vertex and 0 elsewhere, so the
@@ -370,17 +371,17 @@ def model_order(g: Graph, model: SetScorer, w: int,
     """
     if g.n != model.n:
         raise ValueError(f"model built for n={model.n}, graph has n={g.n}")
+    _check_window_size(w, 2)
     n = g.n
     if start is None:
         start = int(np.argmax(g.total_degrees()))
     check_ids([start], n)
-    window = max(1, w - 1)
     order = np.empty(n, dtype=np.int64)
     order[0] = start
     mask = np.zeros(n)
     mask[start] = -np.inf
     for i in range(1, n):
-        recent = order[max(0, i - window):i]
+        recent = order[max(0, i - (w - 1)):i]
         scores = forward(model, recent)
         scores += mask
         v = int(np.argmax(scores))
@@ -414,18 +415,18 @@ class TrainLog:
 def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
         prob: np.ndarray, w: int, steps: int, cfg: ScorerConfig,
         rng: np.random.Generator, log: TrainLog,
-        eval_set: tuple[np.ndarray, np.ndarray]) -> None:
+        eval_set: tuple[np.ndarray, np.ndarray], eval_every: int) -> None:
     """Take ``steps`` scorer steps, each on a fresh batch drawn from ``prob``,
     appending every loss to ``log``, and a (step, rmse) point on ``eval_set``,
-    a pair of sets and labels, to ``log.rmse_points`` every ``cfg.eval_every``
+    a pair of sets and labels, to ``log.rmse_points`` every ``eval_every``
     steps of this call and after its last; steps are numbered by
     ``len(log.losses)``, so they stay global across calls sharing a log."""
     for k in range(1, steps + 1):
         batch = sample_training_batch(src, prob, w, cfg.batch_size, rng)
-        log.losses.append(train_step(model, batch, opt, cfg.learning_rate))
+        log.losses.append(train_step(model, batch, opt, cfg.don_learning_rate))
         # Free the batch's n-wide labels before the next batch or the RMSE
         # allocates, so that two batches never coexist.
         del batch
         log.wall_times.append(time.perf_counter() - log.t0)
-        if k % cfg.eval_every == 0 or k == steps:
+        if k % eval_every == 0 or k == steps:
             log.rmse_points.append((len(log.losses), rmse(model, *eval_set)))

@@ -11,7 +11,7 @@ evolving distribution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -173,17 +173,18 @@ class RlConfig:
     ``global_steps`` as ``global_steps // (rl_steps * trajectory_len)``.
     """
 
+    policy_learning_rate: float = 1e-3
+    policy_hidden: int = 64
     trajectory_len: int = 5
     rl_steps: int = 50
     gamma: float = 0.95
     tuning_scale: float = 0.15
-    policy_lr: float = 1e-3
-    policy_hidden: int = 64
     don_steps_per_t: int | None = None
     warmup_steps: int = 50
 
     def __post_init__(self):
-        _check_rates(tuning_scale=self.tuning_scale, policy_lr=self.policy_lr)
+        _check_rates(tuning_scale=self.tuning_scale,
+                     policy_learning_rate=self.policy_learning_rate)
         _check_counts(rl_steps=self.rl_steps, trajectory_len=self.trajectory_len,
                       policy_hidden=self.policy_hidden, don_steps_per_t=self.don_steps_per_t)
         if self.warmup_steps < 0:
@@ -263,7 +264,7 @@ def train_scorer(g: Graph, w: int, cfg: ScorerConfig, seed: int) -> tuple[SetSco
     model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
     log = TrainLog()
     fit(model, AdamState(), src, initial_prob(g), w, cfg.global_steps, cfg,
-        np.random.default_rng(batch_seed), log, eval_set)
+        np.random.default_rng(batch_seed), log, eval_set, cfg.eval_every)
     return model, log
 
 
@@ -312,12 +313,10 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     rl_rows = []
     prob = initial_prob(g)
 
-    warmup_cfg = replace(scorer_cfg, eval_every=max(1, rl_cfg.warmup_steps // 5))
-    fit(model, adam, src, prob, w, rl_cfg.warmup_steps, warmup_cfg, batch_rng, don_log,
-        eval_set)
+    fit(model, adam, src, prob, w, rl_cfg.warmup_steps, scorer_cfg, batch_rng, don_log,
+        eval_set, max(1, rl_cfg.warmup_steps // 5))
     for _, err in don_log.rmse_points:
         baseline.update(-err)
-    step_cfg = replace(scorer_cfg, eval_every=steps_per_t)
 
     for rl_step in range(rl_cfg.rl_steps):
         states, actions, rewards = [], [], []
@@ -327,11 +326,12 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
             states.append(prob)
             actions.append(action)
             prob = apply_action(prob, action, rate)
-            fit(model, adam, src, prob, w, steps_per_t, step_cfg, batch_rng, don_log, eval_set)
+            fit(model, adam, src, prob, w, steps_per_t, scorer_cfg, batch_rng, don_log,
+                eval_set, steps_per_t)
             rewards.append(-don_log.rmse_points[-1][1])
             rl_rows.append((rl_step, t, rewards[-1], baseline.value, float(q.mean())))
         reinforce_update(policy, states, actions, rewards, rl_cfg.gamma,
-                         rl_cfg.policy_lr, baseline, rms)
+                         rl_cfg.policy_learning_rate, baseline, rms)
 
     return model, policy, RlHistory(don_log, rl_rows, prob)
 

@@ -184,6 +184,14 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_order(MatrixSimilarity(np.zeros((11, 11), dtype=int)), 2)
 
+    @pytest.mark.parametrize("n", [0, 4])
+    @pytest.mark.parametrize("w", [0, -3])
+    def test_refuses_window_below_one(self, n, w, monkeypatch):
+        # Refused before any permutation is drawn.
+        monkeypatch.setattr(baselines, "permutations", None)
+        with pytest.raises(ValueError, match="window size must be at least 1"):
+            brute_force_order(Graph(n), w)
+
 
 class TestDegreeOrder:
     def test_star(self):

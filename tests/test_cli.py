@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from graphorder import locality, tuner
-from graphorder.cli import TRAIN_SETTINGS, main, read_config, render_pgm
+from graphorder.cli import (CONFIG_KEYS, FALLBACKS, TRAIN_SETTINGS, _train_config, build_parser,
+                            main, read_config, render_pgm)
 from graphorder.graph import (Graph, format_edge_list, gen_erdos_renyi, gen_power_law,
                               load_edge_list)
 from graphorder.locality import (DENSE_SIMILARITY_CAP, format_similarity_matrix,
                                  load_permutation)
-from graphorder.scorer import ScorerConfig, init_scorer
+from graphorder.scorer import ScorerConfig, init_scorer, save_scorer
 
 from conftest import FIVE_VERTEX_SIM
 
@@ -320,8 +321,26 @@ class TestTrain:
 
     def test_every_config_field_has_one_setting(self):
         for cls in (ScorerConfig, tuner.RlConfig):
-            filled = sorted(s.field for s in TRAIN_SETTINGS if s.config is cls)
+            filled = sorted(TRAIN_SETTINGS[cls])
             assert filled == sorted(f.name for f in dataclasses.fields(cls)), cls
+
+    def test_defaults_written_as_text_rebuild_the_default_configs(self, tmp_path):
+        # Every key written as its field's default (don_steps_per_t, unset by
+        # default, as 7) and read back, from a config file or as flags, fills
+        # the dataclass that owns it with a value of the field's type: the
+        # reprs tell 64 from 64.0.
+        defaults = {**FALLBACKS, **dataclasses.asdict(ScorerConfig()),
+                    **dataclasses.asdict(tuner.RlConfig()), "don_steps_per_t": 7}
+        assert list(defaults) == list(CONFIG_KEYS)
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in defaults.items()))
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in defaults.items()
+                 if key not in FALLBACKS]
+        expected = [ScorerConfig(), tuner.RlConfig(don_steps_per_t=7)]
+        for argv, config in ((["--config", str(cfg)], read_config(str(cfg))), (flags, {})):
+            args = build_parser().parse_args(["train", "g.txt", "--out", "m.npz", *argv])
+            built = [_train_config(cls, args, config) for cls in (ScorerConfig, tuner.RlConfig)]
+            assert repr(built) == repr(expected), argv
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -476,6 +495,11 @@ class TestRenderMatrix:
     "train {graph} --batch-size 0 --out {dir}/m.npz",
     "train {graph} --algo don --eval-size 0 --out {dir}/m.npz",
     "train {graph} --policy-hidden 0 --out {dir}/m.npz",
+    "eval {dir}/huge-total.mat --matrix --perm {dir}/id4.txt --w 3",
+    "order {dir}/huge-total.mat --matrix --w 3",
+    "order {dir}/huge-total.mat --matrix --algo brute --w 3",
+    "order {graph} --algo brute --w 0",
+    "order {graph} --algo don --model {dir}/scorer.npz --w 1",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "model-text-file",
         "block-0", "block-neg", "w-covers-graph", "train-n0", "train-don-n0", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
@@ -487,7 +511,8 @@ class TestRenderMatrix:
         "tuning-scale-inf", "model-is-policy", "don-global-steps-negative",
         "warmup-steps-negative", "don-steps-per-t-negative", "rl-steps-negative",
         "rl-steps-0-with-steps-per-t", "gamma-negative", "hidden-0", "repr-dim-0",
-        "batch-size-0", "eval-size-0", "policy-hidden-0"])
+        "batch-size-0", "eval-size-0", "policy-hidden-0", "matrix-total-eval",
+        "matrix-total-go", "matrix-total-brute", "brute-w-0", "don-decode-w-1"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -497,6 +522,11 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "empty.txt").write_text("n 0\n")
     (tmp_path / "sim.txt").write_text(format_similarity_matrix(FIVE_VERTEX_SIM))
     (tmp_path / "big.mat").write_text("2\n0 99999999999999999999\n99999999999999999999 0\n")
+    huge = np.zeros((4, 4), dtype=np.int64)
+    huge[:3, :3] = 1 << 62  # fits in int64; the rows and the total do not
+    (tmp_path / "huge-total.mat").write_text(format_similarity_matrix(huge))
+    (tmp_path / "id4.txt").write_text("0\n1\n2\n3\n")
+    save_scorer(init_scorer(6, 4, 4, seed=0), str(tmp_path / "scorer.npz"))
     params = init_scorer(6, 4, 4, seed=0).params()
     np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=0, **params)
     np.savez(tmp_path / "short.npz", kind="set_scorer", format_version=1, n=6, seed=0,
@@ -510,7 +540,9 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
 @pytest.mark.parametrize("flags, field", [
     ("--hidden 0", "hidden"), ("--algo don --repr-dim 0", "repr_dim"),
     ("--batch-size 0", "batch_size"), ("--algo don --eval-size 0", "eval_size"),
-    ("--policy-hidden 0", "policy_hidden")])
+    ("--policy-hidden 0", "policy_hidden"), ("--global-steps 0", "global_steps"),
+    ("--algo don --eval-every 0", "eval_every"), ("--rl-steps 0", "rl_steps"),
+    ("--trajectory-len 0", "trajectory_len"), ("--don-steps-per-t 0", "don_steps_per_t")])
 def test_count_settings_refused_before_any_row(flags, field, small_graph_file, tmp_path,
                                                monkeypatch, capsys):
     # Below the cap, building the source gathers every row, and the eval set
@@ -521,6 +553,26 @@ def test_count_settings_refused_before_any_row(flags, field, small_graph_file, t
                         lambda g, x: rows.append(x) or gather(g, x))
     assert main(f"train {small_graph_file} {flags} --out {tmp_path}/m.npz".split()) == 1
     assert capsys.readouterr().err == f"error: {field} must be positive, got 0\n"
+    assert rows == []
+
+
+@pytest.mark.parametrize("flags, key", [
+    ("--algo don --don-learning-rate -1", "don_learning_rate"),
+    ("--don-learning-rate nan", "don_learning_rate"),
+    ("--policy-learning-rate nan", "policy_learning_rate"),
+    ("--policy-learning-rate 0", "policy_learning_rate"),
+    ("--tuning-scale inf", "tuning_scale"), ("--tuning-scale -0.1", "tuning_scale"),
+    ("--warmup-steps -1", "warmup_steps"), ("--gamma 1.5", "gamma"), ("--gamma nan", "gamma")])
+def test_rate_and_range_settings_named_by_their_key(flags, key, small_graph_file, tmp_path,
+                                                    monkeypatch, capsys):
+    # The error names the config key, the flag with underscores.
+    rows = []
+    gather = locality._similarity_row
+    monkeypatch.setattr(locality, "_similarity_row",
+                        lambda g, x: rows.append(x) or gather(g, x))
+    assert main(f"train {small_graph_file} {flags} --out {tmp_path}/m.npz".split()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} "), err
     assert rows == []
 
 

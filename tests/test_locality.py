@@ -118,6 +118,43 @@ class TestMatrixSource:
         with pytest.raises(ValueError, match=message):
             load_similarity_matrix(text)
 
+    @staticmethod
+    def near_total_bound(extra: int) -> np.ndarray:
+        """Entries x among vertices 0-2 and x + extra between 0 and 1, where
+        6x = 2**63 - 2: the total is 2**63 - 2 + 2 * extra."""
+        mat = np.zeros((4, 4), dtype=np.int64)
+        mat[:3, :3] = (2**63 - 2) // 6
+        mat[0, 1] = mat[1, 0] = mat[0, 1] + extra
+        return mat
+
+    def test_total_just_under_the_bound_scores_exactly(self):
+        # Each vertex pair among 0-2 sits within every window of 3, so the
+        # window sums and the best score are (2**63 - 2) / 2 and no int64
+        # step wraps.
+        src = MatrixSimilarity(self.near_total_bound(0))
+        half = 2**62 - 1
+        assert locality_score(src, [0, 1, 2, 3], 3) == half
+        assert window_set_score(src, [0, 1, 2]) == half
+        go = greedy_order(src, 3)
+        assert sorted(go.tolist()) == [0, 1, 2, 3]
+        assert locality_score(src, go, 3) == half
+        perm, best = brute_force_order(src, 3)
+        assert perm.tolist() == [0, 1, 2, 3] and best == half
+
+    @pytest.mark.parametrize("fill", ["at-bound", "rows-wrap"])
+    def test_total_of_2_to_the_63_refused(self, fill):
+        # A total one step above the accepted one (float64 cannot tell the
+        # two apart), and entries of 2**62 whose row sums wrap in int64.
+        if fill == "at-bound":
+            mat = self.near_total_bound(1)
+        else:
+            mat = np.zeros((4, 4), dtype=np.int64)
+            mat[:3, :3] = 2**62
+        with pytest.raises(ValueError, match=r"not below 2\*\*63"):
+            MatrixSimilarity(mat)
+        with pytest.raises(ValueError, match=r"not below 2\*\*63"):
+            load_similarity_matrix(format_similarity_matrix(mat))
+
     def test_diagonal_ignored(self):
         src = MatrixSimilarity([[9, 1], [1, 9]])
         assert src.score(0, 1) == 1

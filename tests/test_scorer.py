@@ -409,6 +409,13 @@ class TestDecode:
         assert model_order(g, model, 3)[0] == 0  # highest degree
         assert model_order(g, model, 3, start=2)[0] == 2
 
+    @pytest.mark.parametrize("w", [1, 0, -2])
+    def test_refuses_window_below_two(self, w):
+        # Training's window sets hold w - 1 >= 1 vertices; so does the decode's.
+        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        with pytest.raises(ValueError, match="window size must be at least 2"):
+            model_order(g, init_scorer(4, 4, 4, seed=2), w)
+
     def test_nan_scores_refused(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         model = init_scorer(4, 4, 4, seed=2)
@@ -478,7 +485,7 @@ class TestCheckpoint:
 class TestTrainLoop:
     def test_loss_and_rmse_improve(self):
         g = gen_power_law(30, 1.8, seed=1)
-        cfg = ScorerConfig(hidden=32, repr_dim=32, learning_rate=1e-3, batch_size=32,
+        cfg = ScorerConfig(hidden=32, repr_dim=32, don_learning_rate=1e-3, batch_size=32,
                            global_steps=200, eval_size=64, eval_every=50)
         model, log = train_scorer(g, 4, cfg, seed=4)
         assert log.losses[-1] < log.losses[0]

@@ -271,10 +271,10 @@ class TestEvalSet:
 @pytest.fixture(scope="module")
 def rl_run():
     g = gen_power_law(24, 1.8, seed=3)
-    scfg = ScorerConfig(hidden=24, repr_dim=24, learning_rate=1e-3, batch_size=16,
+    scfg = ScorerConfig(hidden=24, repr_dim=24, don_learning_rate=1e-3, batch_size=16,
                         eval_size=24)
     rcfg = RlConfig(trajectory_len=3, rl_steps=6, gamma=0.9,
-                    tuning_scale=0.15, policy_lr=1e-3, policy_hidden=16,
+                    tuning_scale=0.15, policy_learning_rate=1e-3, policy_hidden=16,
                     don_steps_per_t=2, warmup_steps=8)
     return g, train_scorer_rl(g, 3, scfg, rcfg, seed=11)
 
@@ -394,8 +394,11 @@ def test_rl_config_accepts_the_ends_of_each_range():
         RlConfig(**fields)
 
 
-@pytest.mark.parametrize("cls, field", [(ScorerConfig, "learning_rate"),
-                                        (RlConfig, "policy_lr"), (RlConfig, "tuning_scale")])
+@pytest.mark.parametrize("cls, field", [(ScorerConfig, "don_learning_rate"),
+                                        (RlConfig, "policy_learning_rate"),
+                                        (RlConfig, "tuning_scale")],
+                         ids=["ScorerConfig-learning_rate", "RlConfig-policy_lr",
+                              "RlConfig-tuning_scale"])
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
 def test_configs_refuse_rates_not_finite_and_positive(cls, field, value):
     with pytest.raises(ValueError, match=field):
