@@ -120,14 +120,15 @@ def cmd_generate(args, config) -> int:
 
 def cmd_order(args, config) -> int:
     w = _setting(args, config, "w")
+    locality._check_window_size(w, 2 if args.algo == "don" else 1)
     seed = _setting(args, config, "seed")
-    source = _load_source(args.input, args.matrix)
     if args.matrix and args.algo not in ("go", "brute"):
         raise ValueError("matrix input supports only --algo go or brute")
     if args.merge and args.matrix:
         raise ValueError("--merge needs a graph input")
     if args.algo != "don":
         _refuse(args, ["model", "start"], "--algo don")
+    source = _load_source(args.input, args.matrix)
 
     work = source
     group = None
@@ -164,6 +165,7 @@ def cmd_order(args, config) -> int:
 
 def cmd_eval(args, config) -> int:
     w = _setting(args, config, "w")
+    locality._check_window_size(w)
     source = _load_source(args.input, args.matrix)
     perm = _load_perm(args.perm, source.n)
     print(f"F={locality.locality_score(source, perm, w)}")

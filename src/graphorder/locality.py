@@ -251,19 +251,22 @@ def format_permutation(order: Sequence[int] | np.ndarray) -> str:
 
 
 def load_similarity_matrix(source: str) -> MatrixSimilarity:
-    """Read a similarity-matrix fixture's text: an ``n`` header line, then n
+    """Read a similarity-matrix fixture's text: an ``n >= 0`` header line, then n
     rows of n integers.  The diagonal is ignored."""
     lines = [ln for ln in map(str.strip, source.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty similarity matrix")
     n = int(lines[0])
+    if n < 0:
+        raise ValueError(f"similarity matrix header must be a vertex count of at least 0, "
+                         f"got {n}")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, got {len(lines) - 1}")
     rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix row length mismatch")
-    try:
-        return MatrixSimilarity(rows)
+    try:  # reshaped so that a 0 header gives a (0, 0) matrix, not an empty row list
+        return MatrixSimilarity(np.array(rows, dtype=np.int64).reshape(n, n))
     except OverflowError:
         raise ValueError("similarity value out of int64 range") from None
 

@@ -7,6 +7,8 @@ softmax distribution over all vertices.  Sum pooling makes the output exactly
 invariant to member order.  Training targets are soft labels proportional to
 the windowed locality score of each one-vertex extension.  ``Network``, shared
 with the tuning policy, holds the parameters, initializer and checkpoint format.
+Both networks compute in ``DTYPE``: their parameters, gradients, optimizer
+moments, label blocks and the decode's mask.
 """
 from __future__ import annotations
 
@@ -44,6 +46,9 @@ __all__ = [
 ]
 
 LOG_FLOOR = 1e-12
+# The float type of both networks, written once.  Float32 halves the bytes of
+# every n-wide array a training or decode step reads.
+DTYPE = np.float32
 
 
 class TrainingDiverged(RuntimeError):
@@ -91,7 +96,7 @@ def _check_window(w: int, n: int) -> None:
         raise ValueError(f"training needs 2 <= w <= n, got w={w} with n={n}")
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class Network:
@@ -112,14 +117,16 @@ class Network:
     @classmethod
     def glorot(cls, widths: Sequence[int], seed: int):
         """Fresh network mapping each width to the next: Glorot-uniform weights
-        and zero biases, drawn layer by layer from one generator."""
+        and zero biases, drawn layer by layer from one generator in float64 and
+        held as ``DTYPE``."""
         if min(widths) < 1:
             raise ValueError(f"layer widths must be positive, got {tuple(widths)}")
         rng = np.random.default_rng(seed)
         arrays = []
         for fan_in, fan_out in zip(widths, widths[1:]):
             scale = np.sqrt(6.0 / (fan_in + fan_out))
-            arrays += [rng.uniform(-scale, scale, size=(fan_in, fan_out)), np.zeros(fan_out)]
+            arrays += [rng.uniform(-scale, scale, size=(fan_in, fan_out)).astype(DTYPE),
+                       np.zeros(fan_out, dtype=DTYPE)]
         return cls(widths[0], arrays, seed)
 
     def update(self, opt: AdamState | RmspropState, grads: dict[str, np.ndarray],
@@ -137,8 +144,9 @@ class Network:
 
     @classmethod
     def load(cls, path: str):
-        """Read a checkpoint of this ``KIND``; any other archive, or arrays
-        that do not chain from width n back to width n, raise ValueError."""
+        """Read a checkpoint of this ``KIND``; any other archive, another
+        version, arrays not of ``DTYPE``, or arrays that do not chain from
+        width n back to width n, raise ValueError."""
         try:
             data = np.load(path)
         except (EOFError, ValueError, zipfile.BadZipFile):  # ValueError: a pickle or text file
@@ -153,8 +161,13 @@ class Network:
             if missing:
                 raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
             if int(data["format_version"]) != CHECKPOINT_VERSION:
-                raise ValueError("unsupported checkpoint version")
+                raise ValueError(f"{path}: unsupported checkpoint version "
+                                 f"{int(data['format_version'])}, expected {CHECKPOINT_VERSION}")
             n, seed, arrays = int(data["n"]), int(data["seed"]), [data[k] for k in cls.NAMES]
+        wrong = [f"{k} is {a.dtype}" for k, a in zip(cls.NAMES, arrays) if a.dtype != DTYPE]
+        if wrong:
+            raise ValueError(f"{path}: parameters must be {np.dtype(DTYPE)}, "
+                             f"but {', '.join(wrong)}")
         weights, biases = arrays[::2], arrays[1::2]
         if (any(w.ndim != 2 or b.shape != w.shape[1:] for w, b in zip(weights, biases))
                 or [n] + [w.shape[1] for w in weights] != [w.shape[0] for w in weights] + [n]):
@@ -236,16 +249,17 @@ def soft_label(src: SimilaritySource, members: Sequence[int] | np.ndarray) -> np
 
 def _extension_label(gain: np.ndarray, pair_base: int, members: np.ndarray) -> np.ndarray:
     """``soft_label`` from every vertex's summed similarity against the members
-    (``gain``, whose member entries are ignored) and the members' pair sum."""
+    (``gain``, whose member entries are ignored) and the members' pair sum,
+    summed and normalized in float64 and returned as ``DTYPE``."""
     raw = np.add(gain, pair_base, dtype=np.float64)
     raw[members] = 0.0
     total = raw.sum()
     if total <= 0.0:
         raw[:] = 1.0 / (raw.size - members.size)
         raw[members] = 0.0
-        return raw
-    raw /= total
-    return raw
+    else:
+        raw /= total
+    return raw.astype(DTYPE)
 
 
 def _draw(rng: np.random.Generator, cdf: np.ndarray, size) -> np.ndarray:
@@ -290,7 +304,7 @@ def sample_training_batch(src: SimilaritySource, prob: np.ndarray, w: int, batch
     if batch < 1:
         raise ValueError("batch size must be positive")
     _check_window(w, src.n)
-    labels = np.empty((batch, src.n))
+    labels = np.empty((batch, src.n), dtype=DTYPE)
     sets = _weighted_draws_without_replacement(rng, prob, w - 1, batch)
     for members, label in zip(sets, labels):
         label[:] = soft_label(src, members)
@@ -348,12 +362,13 @@ def train_step(model: SetScorer, batch: Sequence[TrainingExample],
 
 def rmse(model: SetScorer, sets: np.ndarray, labels: np.ndarray) -> float:
     """Root mean square error of the predictions for a (B, m) batch of sets
-    against their (B, n) labels, over all rows and vector components."""
+    against their (B, n) labels, over all rows and vector components; the
+    squared errors are averaged in float64."""
     if len(sets) == 0 or labels.shape != (len(sets), model.n):
         raise ValueError(f"expected a non-empty evaluation set with one {model.n}-wide "
                          f"label row per set, got {len(sets)} sets and labels {labels.shape}")
     preds = forward_batch(model, sets)
-    return float(np.sqrt(np.mean((preds - labels) ** 2)))
+    return float(np.sqrt(np.mean((preds - labels) ** 2, dtype=np.float64)))
 
 
 def model_order(g: Graph, model: SetScorer, w: int,
@@ -378,7 +393,7 @@ def model_order(g: Graph, model: SetScorer, w: int,
     check_ids([start], n)
     order = np.empty(n, dtype=np.int64)
     order[0] = start
-    mask = np.zeros(n)
+    mask = np.zeros(n, dtype=DTYPE)
     mask[start] = -np.inf
     for i in range(1, n):
         recent = order[max(0, i - (w - 1)):i]

@@ -20,8 +20,9 @@ from .baselines import _greedy_prefix
 from .graph import Graph
 from .locality import SimilaritySource, as_similarity, window_set_score
 from .optim import AdamState, RmspropState
-from .scorer import (LOG_FLOOR, Network, ScorerConfig, SetScorer, TrainLog, _check_counts,
-                     _check_rates, _check_window, _draw, _extension_label, fit, init_scorer)
+from .scorer import (DTYPE, LOG_FLOOR, Network, ScorerConfig, SetScorer, TrainLog,
+                     _check_counts, _check_rates, _check_window, _draw, _extension_label, fit,
+                     init_scorer)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -102,20 +103,23 @@ def init_policy(n: int, hidden: int, seed: int) -> TuningPolicy:
 
 
 def _policy_cache(policy: TuningPolicy, state: np.ndarray):
+    """The policy's input, the float64 sampling vector cast once to ``DTYPE``,
+    and the intermediates backprop needs."""
     # Imported here so that only training pays scipy's import time.  A numpy
     # 1 / (1 + exp(-x)) differs from expit in the last bit of some values,
     # which would change every trained policy and checkpoint.
     from scipy.special import expit
 
-    z1 = state @ policy.W1 + policy.b1
+    x = np.asarray(state, dtype=DTYPE)
+    z1 = x @ policy.W1 + policy.b1
     h = np.maximum(z1, 0.0)
     q = expit(h @ policy.W2 + policy.b2)
-    return z1, h, q
+    return x, z1, h, q
 
 
 def policy_forward(policy: TuningPolicy, state: np.ndarray) -> np.ndarray:
-    """Per-vertex probability of the decrease action, strictly inside (0, 1)."""
-    return _policy_cache(policy, state)[2]
+    """Per-vertex probability of the decrease action, inside [0, 1]."""
+    return _policy_cache(policy, state)[3]
 
 
 def sample_action(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -135,13 +139,14 @@ def log_prob_grad(policy: TuningPolicy, state: np.ndarray,
                   action: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """Log-likelihood of an action vector under the policy's independent
     Bernoulli outputs, and its gradient with respect to the policy
-    parameters."""
-    z1, h, q = _policy_cache(policy, state)
-    qc = np.clip(q, LOG_FLOOR, 1.0 - LOG_FLOOR)
+    parameters.  The log-likelihood is taken in float64: in float32,
+    ``1 - LOG_FLOOR`` rounds to 1, and a saturated ``q`` would give nan."""
+    x, z1, h, q = _policy_cache(policy, state)
+    qc = np.clip(q, LOG_FLOOR, 1.0 - LOG_FLOOR, dtype=np.float64)
     logp = float((action * np.log(qc) + (1 - action) * np.log(1.0 - qc)).sum())
-    d_z2 = action - q                 # d logp / d pre-sigmoid
+    d_z2 = np.subtract(action, q, dtype=q.dtype)  # d logp / d pre-sigmoid
     d_z1 = (policy.W2 @ d_z2) * (z1 > 0)
-    return logp, {"W1": np.outer(state, d_z1), "b1": d_z1,
+    return logp, {"W1": np.outer(x, d_z1), "b1": d_z1,
                   "W2": np.outer(h, d_z2), "b2": d_z2}
 
 
@@ -209,7 +214,7 @@ def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
     _check_window(w, g.n)
     if source.n != g.n:
         raise ValueError(f"source has n={source.n}, graph has n={g.n}")
-    labels = np.empty((size, g.n))
+    labels = np.empty((size, g.n), dtype=DTYPE)
     sets = np.empty((size, w - 1), dtype=np.int64)
     starts = _draw(np.random.default_rng(seed), np.cumsum(initial_prob(g)), size)
     for i, start in enumerate(starts.tolist()):

@@ -80,6 +80,13 @@ def two_cliques_graph(size: int = 6) -> Graph:
     return Graph.from_undirected(2 * size, pairs)
 
 
+def float64_copy(net):
+    """The same network with every parameter array cast to float64, where
+    finite differences and 1e-9 sums are meaningful; the production code
+    follows the parameters' dtype."""
+    return type(net)(net.n, [a.astype(np.float64) for a in net.params().values()], net.seed)
+
+
 def numeric_gradient(loss, params: dict[str, np.ndarray], step: float = 1e-4):
     """Central finite differences of ``loss()`` for every entry of every
     parameter array, each perturbed in place and restored."""

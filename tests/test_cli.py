@@ -10,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphorder import locality, tuner
+from graphorder import cli, locality, tuner
 from graphorder.cli import (CONFIG_KEYS, FALLBACKS, TRAIN_SETTINGS, _train_config, build_parser,
                             main, read_config, render_pgm)
 from graphorder.graph import (Graph, format_edge_list, gen_erdos_renyi, gen_power_law,
                               load_edge_list)
 from graphorder.locality import (DENSE_SIMILARITY_CAP, format_similarity_matrix,
                                  load_permutation)
-from graphorder.scorer import ScorerConfig, init_scorer, save_scorer
+from graphorder.scorer import CHECKPOINT_VERSION, ScorerConfig, init_scorer, save_scorer
 
-from conftest import FIVE_VERTEX_SIM
+from conftest import FIVE_VERTEX_SIM, float64_copy
 
 
 @pytest.fixture
@@ -500,6 +500,8 @@ class TestRenderMatrix:
     "order {dir}/huge-total.mat --matrix --algo brute --w 3",
     "order {graph} --algo brute --w 0",
     "order {graph} --algo don --model {dir}/scorer.npz --w 1",
+    "order {graph} --algo don --model {dir}/v1.npz",
+    "order {graph} --algo don --model {dir}/f64.npz",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "model-text-file",
         "block-0", "block-neg", "w-covers-graph", "train-n0", "train-don-n0", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
@@ -512,7 +514,8 @@ class TestRenderMatrix:
         "warmup-steps-negative", "don-steps-per-t-negative", "rl-steps-negative",
         "rl-steps-0-with-steps-per-t", "gamma-negative", "hidden-0", "repr-dim-0",
         "batch-size-0", "eval-size-0", "policy-hidden-0", "matrix-total-eval",
-        "matrix-total-go", "matrix-total-brute", "brute-w-0", "don-decode-w-1"])
+        "matrix-total-go", "matrix-total-brute", "brute-w-0", "don-decode-w-1",
+        "model-version-1", "model-float64"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -528,13 +531,55 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "id4.txt").write_text("0\n1\n2\n3\n")
     save_scorer(init_scorer(6, 4, 4, seed=0), str(tmp_path / "scorer.npz"))
     params = init_scorer(6, 4, 4, seed=0).params()
-    np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=0, **params)
-    np.savez(tmp_path / "short.npz", kind="set_scorer", format_version=1, n=6, seed=0,
-             **{**params, "W1": params["W1"][:4]})
+    np.savez(tmp_path / "nokind.npz", format_version=CHECKPOINT_VERSION, n=6, seed=0, **params)
+    np.savez(tmp_path / "short.npz", kind="set_scorer", format_version=CHECKPOINT_VERSION,
+             n=6, seed=0, **{**params, "W1": params["W1"][:4]})
+    np.savez(tmp_path / "v1.npz", kind="set_scorer", format_version=1, n=6, seed=0, **params)
+    save_scorer(float64_copy(init_scorer(6, 4, 4, seed=0)), str(tmp_path / "f64.npz"))
     tuner.save_policy(tuner.init_policy(6, 4, seed=0), str(tmp_path / "m.npz.policy.npz"))
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("order {graph} --algo degree --w 0", "window size must be at least 1"),
+    ("order {graph} --algo go --w -2", "window size must be at least 1"),
+    ("order {graph} --algo brute --w 0", "window size must be at least 1"),
+    ("order {graph} --algo don --model {dir}/missing.npz --w 1",
+     "window size must be at least 2"),
+    ("order {dir}/sim.txt --matrix --w 0", "window size must be at least 1"),
+    ("order {dir}/sim.txt --matrix --algo degree", "matrix input supports only --algo go or brute"),
+    ("order {dir}/sim.txt --matrix --merge", "--merge needs a graph input"),
+    ("order {graph} --algo go --start 0", "--start: read by --algo don only"),
+    ("eval {graph} --perm {dir}/p.txt --w 0", "window size must be at least 1"),
+], ids=["w-degree", "w-go", "w-brute", "w-don", "w-matrix", "matrix-degree", "matrix-merge",
+        "go-start", "eval-w"])
+def test_refuses_flags_before_reading_any_file(argv, message, small_graph_file,
+                                                         tmp_path, capsys, monkeypatch):
+    def no_read(*args):
+        raise AssertionError("read an input before checking the flags")
+
+    monkeypatch.setattr(cli, "_load_source", no_read)
+    assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ("order {mat} --matrix --out {dir}/z.perm", 0, "F=0\n", ""),
+    ("order {mat} --matrix --algo brute --out {dir}/z.perm", 0, "F=0\n", ""),
+    ("order {mat} --matrix", 1, "",
+     "error: similarity matrix header must be a vertex count of at least 0, got -1\n"),
+], ids=["zero-go", "zero-brute", "negative"])
+def test_matrix_header_counts(argv, code, out, err, tmp_path, capsys):
+    # A 0 header is an empty matrix, as a 0-vertex graph orders fine.
+    (tmp_path / "h.mat").write_text("0\n" if code == 0 else "-1\n")
+    assert main(argv.format(mat=tmp_path / "h.mat", dir=tmp_path).split()) == code
+    assert capsys.readouterr() == (out, err)
+    if code == 0:
+        assert main(["eval", str(tmp_path / "h.mat"), "--matrix",
+                     "--perm", str(tmp_path / "z.perm")]) == 0
+        assert capsys.readouterr().out == "F=0\n"
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -684,16 +729,16 @@ def test_scoring_commands_never_import_scipy(tmp_path):
 TRAIN_FLAGS = "--w 3 --seed 5 --hidden 8 --batch-size 8 --eval-size 6"
 PINNED_TRAIN_OUTPUTS = {
     "--algo don --global-steps 12 --eval-every 5": {
-        "m.npz": "476965553c5861a3569360fb0e813cbc3fb016635462d173c7e8317c36e56e31",
-        "m.npz.metrics.csv": "4a7fe6a8e53abae777d613fc0f568fb0f9948919f7d223ef735286b418ae8937",
+        "m.npz": "34491115a5162c6aff840cf89b4386ccb91f6c061ac1a660c57a4fdae9f075c5",
+        "m.npz.metrics.csv": "41b850667c1ba7708700934599ee4cd934ede715c2c638d94e60db7ab74b1486",
     },
     "--algo don-rl --warmup-steps 12 --rl-steps 2 --trajectory-len 3 "
     "--don-steps-per-t 2 --policy-hidden 8": {
-        "m.npz": "58fcc4c433a058adf749c6058ebb2e6eca8e91ec7e70cff853df5fa83fae5f76",
-        "m.npz.policy.npz": "108c08602e5cb5fa171a8f6865a170710c9758a1d7f09d698b37550128c9662d",
-        "m.npz.metrics.csv": "ad36303a1528a40c6be6e57eeb3c2c14179bd332c158e409fd22bb62069e71f6",
+        "m.npz": "ebca82eeeb82a8835dfcfd2bbf7925e04e2dcfd308d0abb44efaca3d649f5b22",
+        "m.npz.policy.npz": "cbaca2aa0e221a4ce37c4c67a416718e616f44d7cfc309b9c9aea49d1d8ad82f",
+        "m.npz.metrics.csv": "0702f90549acb07911c77febff87a66021bc1cbfe83d1eb655ed6845249f21bd",
         "m.npz.metrics.csv.don.csv":
-            "32f86459b4b42bec6f7e442ddcbb5e2fbe1c2c240f3abb717f77610bf49987bd",
+            "4d68c6874ea1fcfaa6ea175c230de31d7de60b567ed0859ea404a4e3c4fe43b4",
     },
 }
 

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphorder import locality
+from graphorder import locality, tuner
 from graphorder.baselines import _greedy_prefix
 from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
 from graphorder.locality import GraphSimilarity, MatrixSimilarity, as_similarity
-from graphorder.optim import RmspropState
-from graphorder.scorer import (ScorerConfig, TrainingDiverged, TrainLog, forward_batch,
-                               init_scorer, load_scorer, rmse, sample_training_batch,
-                               save_scorer, soft_label)
+from graphorder.optim import AdamState, RmspropState
+from graphorder.scorer import (CHECKPOINT_VERSION, DTYPE, ScorerConfig, TrainingDiverged,
+                               TrainLog, forward, forward_batch, init_scorer, load_scorer,
+                               rmse, sample_training_batch, save_scorer, soft_label,
+                               stack_batch)
 from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               build_eval_set, check_prob, default_floor,
                               discounted_returns,
@@ -23,7 +24,7 @@ from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               policy_forward, reinforce_update,
                               sample_action, save_policy, train_scorer, train_scorer_rl)
 
-from conftest import numeric_gradient, random_digraph
+from conftest import float64_copy, numeric_gradient, random_digraph
 
 
 class TestInitialProb:
@@ -121,7 +122,7 @@ class TestApplyAction:
 
 class TestLogProbGradient:
     def test_matches_finite_differences_three_vertices(self):
-        policy = init_policy(3, hidden=5, seed=4)
+        policy = float64_copy(init_policy(3, hidden=5, seed=4))
         state = np.array([0.2, 0.3, 0.5])
         action = np.array([1, 0, 1])
         _, grads = log_prob_grad(policy, state, action)
@@ -130,6 +131,19 @@ class TestLogProbGradient:
         for name, g in grads.items():
             err = np.abs(g - numeric[name]) / np.maximum(np.abs(numeric[name]), 1e-6)
             assert err.max() < 1e-4, name
+
+    def test_finite_when_q_saturates(self):
+        # In float32, 1 - LOG_FLOOR rounds to 1, so a log-likelihood taken in
+        # float32 would be log(0) at a saturated q: -inf, and 0 * -inf = nan.
+        policy = init_policy(3, hidden=5, seed=4)
+        policy.b2[:] = 40.0
+        state = np.array([0.2, 0.3, 0.5])
+        assert np.all(policy_forward(policy, state) == 1.0)
+        for action in (np.array([0, 0, 0]), np.array([1, 0, 1])):
+            logp, grads = log_prob_grad(policy, state, action)
+            assert np.isfinite(logp)
+            assert all(g.dtype == DTYPE and np.all(np.isfinite(g)) for g in grads.values())
+        assert log_prob_grad(policy, state, np.array([1, 1, 1]))[0] == pytest.approx(-3e-12)
 
 
 class TestReturnsAndBaseline:
@@ -227,10 +241,10 @@ class TestEvalSet:
     @pytest.mark.parametrize("make, digests", [
         (lambda: gen_power_law(300, 1.6, seed=7),
          ("8631c5b91a46f4874034f675268d4259069556d420d0b49310e2786e2548cf29",
-          "09e9a96ca756a0703498fa606941cab5ad8dc0374ea278f266311a47888a1f01")),
+          "af2c818a842380a8e52e6dd03fcbc51a419029ea65827812bd1f0594ae326dde")),
         (lambda: gen_erdos_renyi(2100, 0.002, seed=4),
          ("1db0b6b27cede162754ec904ae14349ec86c401204a228b9bee78f514c906524",
-          "6c7f47101a2c631ae1b29c62e21154f9b9435ee29f27735be950f34c6d4120f8")),
+          "079ebb9635a0322302825810e082753aff89bf5f1feadac97fbb10ffcbfbf0eb")),
     ], ids=["dense", "on-demand"])
     def test_pinned(self, make, digests):
         # sha256 of the sets and labels, recorded from the list of examples
@@ -238,7 +252,7 @@ class TestEvalSet:
         # results depend on the platform's numpy build.
         g = make()
         sets, labels = build_eval_set(g, 5, 24, seed=3, source=as_similarity(g))
-        assert sets.dtype == np.int64 and labels.dtype == np.float64
+        assert sets.dtype == np.int64 and labels.dtype == DTYPE
         assert (hashlib.sha256(sets.tobytes()).hexdigest(),
                 hashlib.sha256(labels.tobytes()).hexdigest()) == digests
 
@@ -294,6 +308,41 @@ class TestTrainRl:
         for _, _, reward, _, mean_action_prob in history.rl_rows:
             assert reward <= 0.0
             assert 0.0 < mean_action_prob < 1.0
+
+    def test_no_silent_float64(self, monkeypatch):
+        # Every network array a run holds is DTYPE; only the sampling
+        # distribution stays float64.
+        made = []
+
+        def recording(base):
+            class Recording(base):
+                def __init__(self):
+                    super().__init__()
+                    made.append(self)
+            return Recording
+
+        for base in (AdamState, RmspropState):
+            monkeypatch.setattr(tuner, base.__name__, recording(base))
+        g = gen_power_law(30, 1.8, seed=4)
+        scfg = ScorerConfig(hidden=8, batch_size=4, eval_size=4)
+        rcfg = RlConfig(trajectory_len=2, rl_steps=2, don_steps_per_t=2, warmup_steps=2,
+                        policy_hidden=8)
+        model, policy, history = train_scorer_rl(g, 3, scfg, rcfg, seed=3)
+        adam, rms = made
+        arrays = {**{f"scorer {k}": a for k, a in model.params().items()},
+                  **{f"policy {k}": a for k, a in policy.params().items()},
+                  **{f"adam m {k}": a for k, a in adam.m.items()},
+                  **{f"adam v {k}": a for k, a in adam.v.items()},
+                  **{f"rmsprop {k}": a for k, a in rms.cache.items()}}
+        assert len(arrays) == 8 * 3 + 4 * 2
+        src = as_similarity(g)
+        batch = sample_training_batch(src, history.final_prob, 3, 4, np.random.default_rng(0))
+        arrays["forward"] = forward(model, batch[0].input_set)
+        arrays["policy_forward"] = policy_forward(policy, history.final_prob)
+        arrays["batch labels"] = stack_batch(batch)[1]
+        arrays["eval labels"] = build_eval_set(g, 3, 4, seed=1, source=src)[1]
+        assert {k: a.dtype for k, a in arrays.items() if a.dtype != DTYPE} == {}
+        assert history.final_prob.dtype == initial_prob(g).dtype == np.float64
 
     def test_deterministic(self):
         g = gen_power_law(15, 1.8, seed=4)
@@ -416,12 +465,23 @@ def test_policy_checkpoint_round_trip(tmp_path):
 
 def test_policy_checkpoint_rejects_missing_key_and_bad_shape(tmp_path):
     params = init_policy(6, hidden=8, seed=3).params()
-    np.savez(tmp_path / "nokind.npz", format_version=1, n=6, seed=3, **params)
-    np.savez(tmp_path / "narrow.npz", kind="tuning_policy", format_version=1, n=6,
-             seed=3, **{**params, "W2": params["W2"][:, :5]})
+    np.savez(tmp_path / "nokind.npz", format_version=CHECKPOINT_VERSION, n=6, seed=3, **params)
+    np.savez(tmp_path / "narrow.npz", kind="tuning_policy", format_version=CHECKPOINT_VERSION,
+             n=6, seed=3, **{**params, "W2": params["W2"][:, :5]})
     for name in ("nokind.npz", "narrow.npz"):
         with pytest.raises(ValueError):
             load_policy(str(tmp_path / name))
+
+
+def test_policy_checkpoint_refuses_version_1_and_float64(tmp_path):
+    policy = init_policy(6, hidden=8, seed=3)
+    np.savez(tmp_path / "v1.npz", kind="tuning_policy", format_version=1, n=6, seed=3,
+             **policy.params())
+    save_policy(float64_copy(policy), str(tmp_path / "f64.npz"))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1, expected 2$"):
+        load_policy(str(tmp_path / "v1.npz"))
+    with pytest.raises(ValueError, match="parameters must be float32, but W1 is float64"):
+        load_policy(str(tmp_path / "f64.npz"))
 
 
 def test_checkpoint_kinds_refuse_each_other(tmp_path):
