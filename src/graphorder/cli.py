@@ -120,7 +120,7 @@ def cmd_generate(args, config) -> int:
 
 def cmd_order(args, config) -> int:
     w = _setting(args, config, "w")
-    locality._check_window_size(w, 2 if args.algo == "don" else 1)
+    locality._check_window_size(w, scorer.DECODE_MIN_WINDOW if args.algo == "don" else 1)
     seed = _setting(args, config, "seed")
     if args.matrix and args.algo not in ("go", "brute"):
         raise ValueError("matrix input supports only --algo go or brute")
@@ -128,6 +128,8 @@ def cmd_order(args, config) -> int:
         raise ValueError("--merge needs a graph input")
     if args.algo != "don":
         _refuse(args, ["model", "start"], "--algo don")
+    elif not args.model:
+        raise ValueError("--model is required for --algo don")
     source = _load_source(args.input, args.matrix)
 
     work = source
@@ -149,8 +151,6 @@ def cmd_order(args, config) -> int:
     elif args.algo == "brute":
         perm, _ = baselines.brute_force_order(work, w)
     else:  # don
-        if not args.model:
-            raise ValueError("--model is required for --algo don")
         model = scorer.load_scorer(args.model)
         perm = scorer.model_order(work, model, w, start=args.start)
 

@@ -49,6 +49,9 @@ LOG_FLOOR = 1e-12
 # The float type of both networks, written once.  Float32 halves the bytes of
 # every n-wide array a training or decode step reads.
 DTYPE = np.float32
+# The decode's window set holds the last w - 1 placed vertices and must not be
+# empty.
+DECODE_MIN_WINDOW = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -386,7 +389,7 @@ def model_order(g: Graph, model: SetScorer, w: int,
     """
     if g.n != model.n:
         raise ValueError(f"model built for n={model.n}, graph has n={g.n}")
-    _check_window_size(w, 2)
+    _check_window_size(w, DECODE_MIN_WINDOW)
     n = g.n
     if start is None:
         start = int(np.argmax(g.total_degrees()))

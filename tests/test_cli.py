@@ -552,9 +552,10 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     ("order {dir}/sim.txt --matrix --algo degree", "matrix input supports only --algo go or brute"),
     ("order {dir}/sim.txt --matrix --merge", "--merge needs a graph input"),
     ("order {graph} --algo go --start 0", "--start: read by --algo don only"),
+    ("order {graph} --algo don", "--model is required for --algo don"),
     ("eval {graph} --perm {dir}/p.txt --w 0", "window size must be at least 1"),
 ], ids=["w-degree", "w-go", "w-brute", "w-don", "w-matrix", "matrix-degree", "matrix-merge",
-        "go-start", "eval-w"])
+        "go-start", "don-no-model", "eval-w"])
 def test_refuses_flags_before_reading_any_file(argv, message, small_graph_file,
                                                          tmp_path, capsys, monkeypatch):
     def no_read(*args):

@@ -135,11 +135,14 @@ class TestSoftLabel:
             members = rng.choice(15, size=4, replace=False)
             label = soft_label(src, members)
             assert np.all(label[members] == 0)
-            # Normalized in float64, then each entry rounded to the nearest
-            # float32 (relative error at most eps / 2), so the sum is off by
-            # at most eps / 2.
+            # An independent float64 normalization of the same exact integer
+            # weights; the label is that reference rounded entry by entry.
+            raws = np.array([0 if v in members else window_set_score(src, list(members) + [v])
+                             for v in range(15)])
+            ref = raws / raws.sum()
+            assert abs(ref.sum() - 1.0) < 1e-9
             assert label.dtype == DTYPE
-            assert abs(label.sum(dtype=np.float64) - 1.0) <= np.finfo(DTYPE).eps / 2
+            assert np.array_equal(label, ref.astype(DTYPE))
             assert np.all(label >= 0)
 
     def test_proportional_to_window_score(self):
