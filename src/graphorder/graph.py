@@ -34,12 +34,23 @@ def _distinct_codes(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
+def _arc_codes(u: np.ndarray, v: np.ndarray, n: int, top: int) -> np.ndarray:
+    """``u * n + v`` for id arrays on [0, n) whose largest id is ``top``, or
+    ValueError when a code could pass int64: every code is at most
+    ``top * (n + 1)``, which is checked on Python ints."""
+    if top * (n + 1) > INT64_MAX:
+        raise ValueError(f"arc codes overflow int64: largest id {top} times n + 1 = {n + 1} "
+                         f"is not below 2**63")
+    return u * n + v
+
+
 def _undirected_pairs(arcs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct unordered pairs of a ``(k, 2)`` id array on [0, n), as
     ``(lo, hi)`` columns with lo < hi, sorted."""
-    codes = _distinct_codes(np.minimum(arcs[:, 0], arcs[:, 1]) * n
-                            + np.maximum(arcs[:, 0], arcs[:, 1]))
-    return codes // n, codes % n
+    hi = np.maximum(arcs[:, 0], arcs[:, 1])
+    codes = _distinct_codes(_arc_codes(np.minimum(arcs[:, 0], arcs[:, 1]), hi, n,
+                                       int(hi.max()) if hi.size else 0))
+    return np.divmod(codes, n)
 
 
 def check_ids(ids: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
@@ -96,34 +107,33 @@ class Graph:
             arr = np.empty((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("arcs must be pairs (u, v)")
+        top = int(arr.max()) if arr.size else 0
         if arr.size:
-            if arr.min() < 0 or arr.max() >= n:
+            if arr.min() < 0 or top >= n:
                 raise ValueError("arc endpoint out of range [0, n)")
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise ValueError("self-loops are not allowed")
-        codes = arr[:, 0] * n + arr[:, 1]
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        if codes.size and np.any(np.diff(codes) == 0):
+        # One sort of the (u, v) codes gives the arcs and the out-lists, and
+        # one of the (v, u) codes the in-lists, each sorted.
+        codes = np.sort(_arc_codes(arr[:, 0], arr[:, 1], n, top))
+        if np.any(codes[1:] == codes[:-1]):
             raise ValueError("duplicate arcs are not allowed")
-        arr = arr[order]
+        tails, heads = np.divmod(codes, n)
 
         self.n = int(n)
-        self.arcs = arr
-        # The arcs are sorted by (u, v), so the out-lists are their v column
-        # as it stands, and a stable sort by v yields the in-lists sorted too.
+        self.arcs = np.stack([tails, heads], axis=1)
         # The offsets are the standard library's int64 arrays, never written:
         # an item read from one is a Python int, which slices the indices in
         # about two thirds of the time a numpy scalar takes (the similarity
         # rows' hot path), at 8 bytes an entry (a tuple would hold a 28-byte
         # int object for each).
-        out_deg = np.bincount(arr[:, 0], minlength=n)
-        in_deg = np.bincount(arr[:, 1], minlength=n)
+        out_deg = np.bincount(tails, minlength=n)
+        in_deg = np.bincount(heads, minlength=n)
         self._out_indptr = array("q", np.concatenate(([0], np.cumsum(out_deg))).tobytes())
-        self._out_indices = np.ascontiguousarray(arr[:, 1])
+        self._out_indices = heads
         self._in_indptr = array("q", np.concatenate(([0], np.cumsum(in_deg))).tobytes())
-        self._in_indices = arr[np.argsort(arr[:, 1], kind="stable"), 0]
-        self._degrees = (out_deg + in_deg).astype(np.int64)
+        self._in_indices = np.sort(_arc_codes(heads, tails, n, top)) % n
+        self._degrees = out_deg + in_deg
         for a in (self.arcs, self._out_indices, self._in_indices, self._degrees):
             a.flags.writeable = False
 
@@ -131,8 +141,10 @@ class Graph:
     def from_undirected(cls, n: int, pairs: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
         """Build a bidirected graph: every undirected pair yields both arcs."""
         arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
-                         dtype=np.int64)
-        lo, hi = _undirected_pairs(arr.reshape(-1, 2), n)
+                         dtype=np.int64).reshape(-1, 2)
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            raise ValueError("arc endpoint out of range [0, n)")
+        lo, hi = _undirected_pairs(arr, n)
         both = np.concatenate([np.stack([lo, hi], axis=1), np.stack([hi, lo], axis=1)])
         return cls(n, both)
 
@@ -173,30 +185,37 @@ def load_edge_list(source: str) -> LoadResult:
     ``n <int>`` declares the vertex count; otherwise it is one past the
     largest id seen.  Ids are integers as ``int()`` reads them that fit in
     int64.  Self-loops and duplicate arcs are dropped and counted.  A
-    malformed file raises EdgeListError naming its first bad line.
+    malformed file raises EdgeListError naming its first bad line, and ids
+    whose arc codes ``u * n + v`` would pass int64 raise ValueError.
 
-    ASCII content is read by numpy's C text reader in one call.  Any other
-    content, and ids that reader refuses but ``int()`` accepts (``1_000``),
-    go through the per-line parser, which gives the same result.
+    An ASCII text's lines after its first content line, or after its ``n``
+    header, are read by numpy's C text reader in one call, as they stand.
+    That reader skips blank lines but refuses a ``#`` line, so a file with
+    comments past its first content line, a non-ASCII file, and ids the
+    reader refuses but ``int()`` accepts (``1_000``) go through the per-line
+    parser, which gives the same result.
     """
     lines = source.splitlines()
-    content = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    first = next((i for i, line in enumerate(map(str.strip, lines))
+                  if line and line[0] != "#"), len(lines))
     declared_n: int | None = None
-    head = content[0].split() if content else []
+    head = lines[first].split() if first < len(lines) else []
     if len(head) == 2 and head[0] == "n":
         try:
             declared_n = int(head[1])
         except ValueError:
             declared_n = -1  # out of range below, so the per-line parser names the line
-        del content[0]
+        first += 1
+    body = lines[first:]
 
     ids = None
     # numpy's loadtxt can crash the interpreter on lines holding astral code
-    # points (numpy 2.4.6 segfaulted on "1\U0009c6ca2"), so it sees ASCII only.
-    if (content and all(map(str.isascii, content))
+    # points (numpy 2.4.6 segfaulted on "1\U0009c6ca2"), so it sees ASCII
+    # only; it warns when no line holds data, so it is not called then.
+    if (source.isascii() and any(map(str.strip, body))
             and (declared_n is None or 0 <= declared_n <= INT64_MAX)):
         try:
-            ids = np.loadtxt(content, dtype=np.int64, comments=None, ndmin=2)
+            ids = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
         except ValueError:
             pass
     if (ids is None or ids.shape[1] != 2 or ids.min() < 0
@@ -205,12 +224,10 @@ def load_edge_list(source: str) -> LoadResult:
 
     loops = ids[:, 0] == ids[:, 1]
     pairs = ids[~loops]
-    if declared_n is not None:
-        n = declared_n
-    else:
-        n = int(pairs.max()) + 1 if pairs.size else 0
-    codes = _distinct_codes(pairs[:, 0] * n + pairs[:, 1])
-    graph = Graph(n, np.stack([codes // n, codes % n], axis=1))
+    top = int(pairs.max()) if pairs.size else -1
+    n = declared_n if declared_n is not None else top + 1
+    codes = _distinct_codes(_arc_codes(pairs[:, 0], pairs[:, 1], n, top))
+    graph = Graph(n, np.stack(np.divmod(codes, n), axis=1))
     return LoadResult(graph, int(loops.sum()), pairs.shape[0] - codes.size)
 
 

@@ -74,9 +74,13 @@ def _similarity_row(g: Graph, x: int) -> np.ndarray:
 
 
 def dense_similarity(g: Graph) -> np.ndarray:
-    """Full n-by-n similarity matrix (int64, zero diagonal), one gathered row
-    at a time."""
-    mat = np.empty((g.n, g.n), dtype=np.int64)
+    """Full n-by-n similarity matrix (zero diagonal), one gathered row at a
+    time, in the narrowest signed integer type that holds n.
+
+    An entry S(u, v) is at most (n - 2) common in-neighbors plus 2 arcs, so n
+    bounds it: at the dense cap (n = 2000) the matrix is int16, 8 MB instead
+    of int64's 32 MB.  Every reader sums its entries in int64."""
+    mat = np.empty((g.n, g.n), dtype=np.min_scalar_type(-(g.n + 1)))
     for x in range(g.n):
         mat[x] = _similarity_row(g, x)
     return mat
@@ -123,9 +127,11 @@ class MatrixSimilarity(SimilaritySource):
 
     @classmethod
     def _adopt(cls, mat: np.ndarray) -> MatrixSimilarity:
-        """Wrap a fresh matrix from ``dense_similarity`` without copying or
-        re-checking it: the row gather makes it a symmetric, non-negative
-        int64 matrix with a zero diagonal, and no one else holds it."""
+        """Wrap a fresh matrix from ``dense_similarity`` without copying,
+        widening or re-checking it: the row gather makes it a symmetric,
+        non-negative matrix with a zero diagonal, its entries at most n, in
+        the narrow integer type it was filled in, and no one else holds it.
+        A matrix given to the constructor is held as int64."""
         src = cls.__new__(cls)
         src._hold(mat)
         return src
@@ -216,7 +222,7 @@ def _window_sums(matrix: np.ndarray, orders: np.ndarray, w: int) -> np.ndarray:
     cols = np.ascontiguousarray(orders.T)
     total = np.zeros(orders.shape[0], dtype=np.int64)
     for gap in range(1, min(w, orders.shape[1] - 1) + 1):
-        total += matrix[cols[:-gap], cols[gap:]].sum(axis=0)
+        total += matrix[cols[:-gap], cols[gap:]].sum(axis=0, dtype=np.int64)
     return total
 
 

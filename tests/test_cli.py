@@ -678,6 +678,18 @@ def test_header_too_large_for_memory_is_one_error_line(tmp_path):
     assert len(err) == 1 and err[0].startswith("error: out of memory"), err
 
 
+def test_arc_codes_past_int64_are_one_error_line(tmp_path):
+    # 3e9 * n + 1 passes 2**63, so the arc's code u * n + v would wrap: the
+    # wrapped code was read back as an arc out of range.  The refusal comes
+    # before any n-length array, so the capped child has memory to spare.
+    (tmp_path / "wide.txt").write_text("n 4000000000\n3000000000 1\n")
+    done = _run_capped_cli("order", str(tmp_path / "wide.txt"), "--algo", "degree")
+    err = done.stderr.splitlines()
+    assert done.returncode == 1, done.stderr
+    assert err == ["error: arc codes overflow int64: largest id 3000000000 times "
+                   "n + 1 = 4000000001 is not below 2**63"], err
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--eval-size", "99999999999999999999"), "error: Maximum allowed dimension exceeded"),
     (("--eval-size", "1000000000000"), "error: out of memory"),

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphorder.graph import (EdgeListError, Graph, _distinct_codes, _parse_lines,
-                              check_ids, expand_permutation, format_edge_list,
+from graphorder.graph import (INT64_MAX, EdgeListError, Graph, _arc_codes, _distinct_codes,
+                              _parse_lines, check_ids, expand_permutation, format_edge_list,
                               gen_erdos_renyi, gen_power_law, load_edge_list,
                               merge_degree_one)
 from graphorder.locality import (GraphSimilarity, MatrixSimilarity, dense_similarity,
@@ -77,6 +77,57 @@ class TestGraph:
     def test_degrees(self):
         g = Graph(3, [(0, 1), (1, 0), (1, 2)])
         assert g.total_degrees().tolist() == [2, 3, 1]
+
+    @staticmethod
+    def reference_csr(n: int, arcs: list[tuple[int, int]]) -> list[np.ndarray]:
+        """Arcs, out- and in-offsets and out- and in-indices as stable
+        argsorts build them: arcs ordered by their u * n + v codes, then the
+        in-lists gathered by a stable sort of the heads."""
+        arr = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+        arr = arr[np.argsort(arr[:, 0] * n + arr[:, 1], kind="stable")]
+        offsets = [np.concatenate(([0], np.cumsum(np.bincount(arr[:, col], minlength=n))))
+                   for col in (0, 1)]
+        return [arr, offsets[0], offsets[1], arr[:, 1],
+                arr[np.argsort(arr[:, 1], kind="stable"), 0]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda uv: uv[0] != uv[1]),
+        max_size=3 * n, unique=True) if n > 1 else st.just([]))), st.randoms())
+    @example((0, []), None)
+    @example((1, []), None)
+    @example((6, []), None)
+    def test_csr_matches_stable_argsorts(self, n_arcs, rnd):
+        n, arcs = n_arcs
+        if rnd is not None:
+            rnd.shuffle(arcs)
+        g = Graph(n, arcs)
+        got = [g.arcs, np.array(g._out_indptr), np.array(g._in_indptr),
+               g._out_indices, g._in_indices]
+        for have, want in zip(got, self.reference_csr(n, arcs)):
+            assert have.dtype == np.int64 and np.array_equal(have, want)
+        if arcs:
+            with pytest.raises(ValueError, match="duplicate arcs"):
+                Graph(n, arcs + [arcs[len(arcs) // 2]])
+
+    def test_from_undirected_refuses_ids_outside_the_graph(self):
+        # The pair codes once folded (0, 5) on 3 vertices into the edge (1, 2).
+        for pair in [(0, 5), (3, 1), (-1, 2)]:
+            with pytest.raises(ValueError, match=r"out of range \[0, n\)"):
+                Graph.from_undirected(3, [pair])
+
+    def test_arc_codes_refuse_int64_overflow(self):
+        # Every code is at most top * (n + 1): that product at 2**63 - 1 is
+        # accepted, and one more is refused before any code wraps.
+        ids = np.array([0], dtype=np.int64)
+        n = 2**32
+        top = INT64_MAX // (n + 1)
+        assert _arc_codes(ids, ids, n, top).tolist() == [0]
+        with pytest.raises(ValueError, match="arc codes overflow int64"):
+            _arc_codes(ids, ids, n, top + 1)
+        with pytest.raises(ValueError, match="arc codes overflow int64"):
+            _arc_codes(ids, ids, 4_000_000_000, 3_000_000_000)
 
 
 class TestLoadEdgeList:
@@ -166,6 +217,7 @@ class TestLoadEdgeList:
     @example("1\x1f2\x0b3\u30004\n")
     @example("1\U0009c6ca2\n")
     @example("1 2 # note\n0 1#2\n")
+    @example("n 3\n0 1\n# c\n1 2\n")
     def test_matches_per_line_parser(self, text):
         try:
             declared_n, ids = _parse_lines(text.splitlines())
@@ -194,6 +246,12 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError, match="line 1: expected two ids"):
             load_edge_list("1\U0009c6ca2\n")
         assert seen == [["0 1", "1 2"]]
+        # A non-ASCII comment keeps the whole file from the C reader.  Leading
+        # comments and blank lines, and the header, stay out of its one call;
+        # the lines after the header reach it as they stand, blank ones too.
+        assert load_edge_list("# é\n0 1\n").graph.arc_count == 1
+        assert load_edge_list("# c\n\n  # d\nn 3\n0 1\n\n 1\t2 \n").graph.arc_count == 2
+        assert seen == [["0 1", "1 2"], ["0 1", "", " 1\t2 "]]
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs())

@@ -86,12 +86,26 @@ class TestPairCounts:
         for g in edge_cases + [random_digraph(rng, int(rng.integers(2, 20)), 0.3)
                                for _ in range(10)]:
             mat = dense_similarity(g)
-            assert mat.shape == (g.n, g.n) and mat.dtype == np.int64
+            # The narrowest signed type that holds n, which bounds every entry.
+            assert mat.shape == (g.n, g.n) and mat.dtype == np.min_scalar_type(-(g.n + 1))
             assert not np.diagonal(mat).any()
             assert np.array_equal(mat, mat.T)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     assert mat[u, v] == similarity(g, u, v)
+
+    @pytest.mark.parametrize("n, dtype", [(127, np.int8), (128, np.int16)])
+    def test_complete_digraph_reaches_the_bound(self, n, dtype):
+        # In the complete digraph every pair has n - 2 common in-neighbors and
+        # both arcs, so every entry is n, the largest a graph on n vertices
+        # can give: 127 is int8's top, and 128 needs int16.
+        g = Graph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        mat = dense_similarity(g)
+        assert mat.dtype == dtype
+        assert np.array_equal(mat, n * (1 - np.eye(n, dtype=np.int64)))
+        src = as_similarity(g)
+        assert src.matrix.dtype == dtype and src.score(0, n - 1) == n
+        assert locality_score(src, np.arange(n), n) == n * n * (n - 1) // 2
 
 
 class TestMatrixSource:
@@ -172,7 +186,8 @@ class TestMatrixSource:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * g.n * g.n * 8
+        # The matrix is int16 at this n: an int64 one (8 bytes an entry) fails.
+        assert peak <= 1.25 * g.n * g.n * np.min_scalar_type(-(g.n + 1)).itemsize
         assert not src.matrix.flags.writeable
         assert not np.diagonal(src.matrix).any()
         assert np.array_equal(src.matrix, dense_similarity(g))
@@ -185,6 +200,8 @@ class TestMatrixSource:
         assert not np.diagonal(src.matrix).any()
         assert not src.matrix.flags.writeable
         assert np.array_equal(given, before) and given.flags.writeable
+        # A given matrix is held as int64, whatever type it came in.
+        assert MatrixSimilarity(given.astype(np.int16)).matrix.dtype == np.int64
 
 
 class TestGraphSource:
