@@ -216,7 +216,7 @@ def cmd_train(args, config) -> int:
     else:
         model, policy, history = tuner.train_scorer_rl(g, w, scfg, rcfg, seed)
         scorer.save_scorer(model, args.out)
-        tuner.save_policy(policy, args.out + ".policy.npz")
+        policy.save(args.out + ".policy.npz")
         _write_csv(metrics, "rl_step,t,reward,baseline,mean_action_prob", history.rl_rows)
         _write_loss_csv(metrics + ".don.csv", history.don_log, args.wall_time)
     print(f"checkpoint written to {args.out}")

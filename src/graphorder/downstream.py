@@ -76,9 +76,6 @@ class EdgePartition:
         self.edges.flags.writeable = False
         self.parts.flags.writeable = False
 
-    def sizes(self) -> list[int]:
-        return np.bincount(self.parts, minlength=self.k).tolist()
-
 
 def replication_factor(g: Graph, part: EdgePartition) -> float:
     """Average number of parts each vertex appears in: the count of distinct

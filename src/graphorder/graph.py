@@ -44,15 +44,6 @@ def _arc_codes(u: np.ndarray, v: np.ndarray, n: int, top: int) -> np.ndarray:
     return u * n + v
 
 
-def _undirected_pairs(arcs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct unordered pairs of a ``(k, 2)`` id array on [0, n), as
-    ``(lo, hi)`` columns with lo < hi, sorted."""
-    hi = np.maximum(arcs[:, 0], arcs[:, 1])
-    codes = _distinct_codes(_arc_codes(np.minimum(arcs[:, 0], arcs[:, 1]), hi, n,
-                                       int(hi.max()) if hi.size else 0))
-    return np.divmod(codes, n)
-
-
 def check_ids(ids: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
     """Return ``ids`` as a 1-D int64 array of distinct vertex ids in [0, n),
     or raise ValueError.  The test runs on Python ints, which for a window
@@ -86,6 +77,9 @@ class Graph:
     Arcs are stored as a read-only ``(m, 2)`` int64 array sorted by
     ``(u, v)``; in/out adjacency are CSR views derived from the arcs, so the
     two are consistent by construction.  Safe for concurrent readers.
+
+    An arc given more than once is kept once; a self-loop or an endpoint
+    outside [0, n) is refused before any arc code is formed.
     """
 
     __slots__ = (
@@ -113,12 +107,9 @@ class Graph:
                 raise ValueError("arc endpoint out of range [0, n)")
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise ValueError("self-loops are not allowed")
-        # One sort of the (u, v) codes gives the arcs and the out-lists, and
-        # one of the (v, u) codes the in-lists, each sorted.
-        codes = np.sort(_arc_codes(arr[:, 0], arr[:, 1], n, top))
-        if np.any(codes[1:] == codes[:-1]):
-            raise ValueError("duplicate arcs are not allowed")
-        tails, heads = np.divmod(codes, n)
+        # One sort of the (u, v) codes gives the distinct arcs and the
+        # out-lists, and one of the (v, u) codes the in-lists, each sorted.
+        tails, heads = np.divmod(_distinct_codes(_arc_codes(arr[:, 0], arr[:, 1], n, top)), n)
 
         self.n = int(n)
         self.arcs = np.stack([tails, heads], axis=1)
@@ -142,11 +133,7 @@ class Graph:
         """Build a bidirected graph: every undirected pair yields both arcs."""
         arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                          dtype=np.int64).reshape(-1, 2)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise ValueError("arc endpoint out of range [0, n)")
-        lo, hi = _undirected_pairs(arr, n)
-        both = np.concatenate([np.stack([lo, hi], axis=1), np.stack([hi, lo], axis=1)])
-        return cls(n, both)
+        return cls(n, np.concatenate([arr, arr[:, ::-1]]))
 
     @property
     def arc_count(self) -> int:
@@ -166,7 +153,10 @@ class Graph:
 
     def undirected_edges(self) -> np.ndarray:
         """Distinct undirected edges as a ``(k, 2)`` array with u < v, sorted."""
-        return np.stack(_undirected_pairs(self.arcs, self.n), axis=1)
+        hi = np.maximum(self.arcs[:, 0], self.arcs[:, 1])
+        codes = _distinct_codes(_arc_codes(np.minimum(self.arcs[:, 0], self.arcs[:, 1]), hi,
+                                           self.n, int(hi.max()) if hi.size else 0))
+        return np.stack(np.divmod(codes, self.n), axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, arcs={self.arc_count})"
@@ -224,11 +214,10 @@ def load_edge_list(source: str) -> LoadResult:
 
     loops = ids[:, 0] == ids[:, 1]
     pairs = ids[~loops]
-    top = int(pairs.max()) if pairs.size else -1
-    n = declared_n if declared_n is not None else top + 1
-    codes = _distinct_codes(_arc_codes(pairs[:, 0], pairs[:, 1], n, top))
-    graph = Graph(n, np.stack(np.divmod(codes, n), axis=1))
-    return LoadResult(graph, int(loops.sum()), pairs.shape[0] - codes.size)
+    if declared_n is None:
+        declared_n = int(pairs.max()) + 1 if pairs.size else 0
+    graph = Graph(declared_n, pairs)
+    return LoadResult(graph, int(loops.sum()), pairs.shape[0] - graph.arc_count)
 
 
 def _parse_lines(lines: list[str]) -> tuple[int | None, np.ndarray]:
@@ -355,10 +344,7 @@ def merge_degree_one(g: Graph) -> tuple[Graph, np.ndarray]:
     is_rep = rep == np.arange(n)
     group = (np.cumsum(is_rep) - 1)[rep]
     group.flags.writeable = False
-    k = int(is_rep.sum())
-    mapped = group[g.arcs]
-    codes = _distinct_codes(mapped[:, 0] * k + mapped[:, 1])
-    return Graph(k, np.stack([codes // k, codes % k], axis=1)), group
+    return Graph(int(is_rep.sum()), group[g.arcs]), group
 
 
 def expand_permutation(perm_merged: np.ndarray | Sequence[int],

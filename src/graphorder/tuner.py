@@ -43,8 +43,6 @@ __all__ = [
     "reinforce_update",
     "train_scorer",
     "train_scorer_rl",
-    "save_policy",
-    "load_policy",
 ]
 
 EPS_FLOOR_SCALE = 1e-6
@@ -203,23 +201,23 @@ class RlConfig:
         return max(1, global_steps // (self.rl_steps * self.trajectory_len))
 
 
-def build_eval_set(g: Graph, w: int, size: int, seed: int, *,
-                   source: SimilaritySource) -> tuple[np.ndarray, np.ndarray]:
+def build_eval_set(src: SimilaritySource, prob: np.ndarray, w: int, size: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed evaluation set: a (size, w-1) array of window sets and the (size, n)
-    block of their soft labels under ``source``, reserved first.  Each set grows
-    from a start drawn by ``g``'s degrees by GO's loop with a window as wide as
-    the set; its label comes from the gain vector that loop ends with."""
+    block of their soft labels under ``src``, reserved first.  Each set grows
+    from a start drawn from ``prob`` by GO's loop with a window as wide as the
+    set; its label comes from the gain vector that loop ends with."""
     if size < 1:
         raise ValueError("evaluation set size must be positive")
-    _check_window(w, g.n)
-    if source.n != g.n:
-        raise ValueError(f"source has n={source.n}, graph has n={g.n}")
-    labels = np.empty((size, g.n), dtype=DTYPE)
+    _check_window(w, src.n)
+    if prob.shape != (src.n,):
+        raise ValueError(f"prob has shape {prob.shape}, source has n={src.n}")
+    labels = np.empty((size, src.n), dtype=DTYPE)
     sets = np.empty((size, w - 1), dtype=np.int64)
-    starts = _draw(np.random.default_rng(seed), np.cumsum(initial_prob(g)), size)
+    starts = _draw(np.random.default_rng(seed), np.cumsum(prob), size)
     for i, start in enumerate(starts.tolist()):
-        sets[i], gain = _greedy_prefix(source, start, w - 1, w - 1)
-        labels[i] = _extension_label(gain, window_set_score(source, sets[i]), sets[i])
+        sets[i], gain = _greedy_prefix(src, start, w - 1, w - 1)
+        labels[i] = _extension_label(gain, window_set_score(src, sets[i]), sets[i])
     return sets, labels
 
 
@@ -264,11 +262,12 @@ def train_scorer(g: Graph, w: int, cfg: ScorerConfig, seed: int) -> tuple[SetSco
     measures on an eval set of ``cfg.eval_size`` examples built with ``seed + 1``."""
     _check_window(w, g.n)
     src = as_similarity(g)
-    eval_set = build_eval_set(g, w, cfg.eval_size, seed + 1, source=src)
+    prob = initial_prob(g)
+    eval_set = build_eval_set(src, prob, w, cfg.eval_size, seed + 1)
     init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
     model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
     log = TrainLog()
-    fit(model, AdamState(), src, initial_prob(g), w, cfg.global_steps, cfg,
+    fit(model, AdamState(), src, prob, w, cfg.global_steps, cfg,
         np.random.default_rng(batch_seed), log, eval_set, cfg.eval_every)
     return model, log
 
@@ -311,12 +310,12 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     rms = RmspropState()
     batch_rng = np.random.default_rng(s_batch)
     action_rng = np.random.default_rng(s_action)
-    eval_set = build_eval_set(g, w, scorer_cfg.eval_size,
-                              int(s_eval.generate_state(1)[0]), source=src)
+    prob = initial_prob(g)
+    eval_set = build_eval_set(src, prob, w, scorer_cfg.eval_size,
+                              int(s_eval.generate_state(1)[0]))
     baseline = RewardBaseline()
     don_log = TrainLog()
     rl_rows = []
-    prob = initial_prob(g)
 
     fit(model, adam, src, prob, w, rl_cfg.warmup_steps, scorer_cfg, batch_rng, don_log,
         eval_set, max(1, rl_cfg.warmup_steps // 5))
@@ -339,11 +338,3 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
                          rl_cfg.policy_learning_rate, baseline, rms)
 
     return model, policy, RlHistory(don_log, rl_rows, prob)
-
-
-def save_policy(policy: TuningPolicy, path: str) -> None:
-    policy.save(path)
-
-
-def load_policy(path: str) -> TuningPolicy:
-    return TuningPolicy.load(path)

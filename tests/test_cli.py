@@ -297,7 +297,7 @@ class TestTrain:
                                                 monkeypatch):
         sizes = []
 
-        def record(g, w, size, seed, **kwargs):
+        def record(src, prob, w, size, seed):
             sizes.append(size)
             raise RuntimeError("stop after the eval-set size is read")
 
@@ -536,7 +536,7 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
              n=6, seed=0, **{**params, "W1": params["W1"][:4]})
     np.savez(tmp_path / "v1.npz", kind="set_scorer", format_version=1, n=6, seed=0, **params)
     save_scorer(float64_copy(init_scorer(6, 4, 4, seed=0)), str(tmp_path / "f64.npz"))
-    tuner.save_policy(tuner.init_policy(6, 4, seed=0), str(tmp_path / "m.npz.policy.npz"))
+    tuner.init_policy(6, 4, seed=0).save(str(tmp_path / "m.npz.policy.npz"))
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

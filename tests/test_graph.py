@@ -58,8 +58,7 @@ class TestGraph:
             Graph(3, [(0, 0)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
-        with pytest.raises(ValueError):
-            Graph(3, [(0, 1), (0, 1)])
+        assert Graph(3, [(0, 1), (0, 1)]).arc_count == 1
 
     def test_adjacency_rebuild_consistency(self):
         rng = np.random.default_rng(7)
@@ -102,20 +101,35 @@ class TestGraph:
         n, arcs = n_arcs
         if rnd is not None:
             rnd.shuffle(arcs)
-        g = Graph(n, arcs)
-        got = [g.arcs, np.array(g._out_indptr), np.array(g._in_indptr),
-               g._out_indices, g._in_indices]
+        def csr(g):
+            return [g.arcs, np.array(g._out_indptr), np.array(g._in_indptr),
+                    g._out_indices, g._in_indices]
+
+        got = csr(Graph(n, arcs))
         for have, want in zip(got, self.reference_csr(n, arcs)):
             assert have.dtype == np.int64 and np.array_equal(have, want)
         if arcs:
-            with pytest.raises(ValueError, match="duplicate arcs"):
-                Graph(n, arcs + [arcs[len(arcs) // 2]])
+            # Each repeated arc is kept once: the graph is the one built
+            # from the distinct arcs, array for array.
+            repeated = arcs + arcs[::2]
+            rnd.shuffle(repeated)
+            for have, want in zip(csr(Graph(n, repeated)), got):
+                assert np.array_equal(have, want)
 
     def test_from_undirected_refuses_ids_outside_the_graph(self):
         # The pair codes once folded (0, 5) on 3 vertices into the edge (1, 2).
         for pair in [(0, 5), (3, 1), (-1, 2)]:
             with pytest.raises(ValueError, match=r"out of range \[0, n\)"):
                 Graph.from_undirected(3, [pair])
+
+    def test_from_undirected_refuses_self_loops(self):
+        with pytest.raises(ValueError, match="self-loops"):
+            Graph.from_undirected(3, [(1, 1)])
+
+    def test_pair_listed_twice_in_both_orders_is_one_edge(self):
+        g = Graph.from_undirected(3, [(0, 2), (2, 0), (0, 2), (1, 2)])
+        assert g.arcs.tolist() == [[0, 2], [1, 2], [2, 0], [2, 1]]
+        assert g.undirected_edges().tolist() == [[0, 2], [1, 2]]
 
     def test_arc_codes_refuse_int64_overflow(self):
         # Every code is at most top * (n + 1): that product at 2**63 - 1 is

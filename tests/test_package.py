@@ -13,7 +13,6 @@ PACKAGE = Path(graphorder.__file__).resolve().parent
 
 # Public names that no module of the package calls, and why each stays.
 UNCALLED_BY_DESIGN = {
-    "load_policy": "the reader of the OUT.policy.npz checkpoint that train writes",
     "format_similarity_matrix": "the writer of the --matrix input format",
     "check_prob": "the sampling-distribution invariant the tests assert",
 }
@@ -48,6 +47,22 @@ def test_every_public_name_has_a_caller():
     uncalled = {name: module for name, module in exported.items()
                 if name not in referenced and name not in UNCALLED_BY_DESIGN}
     assert not uncalled, f"public names no module references: {uncalled}"
+
+
+def test_every_public_method_has_a_caller():
+    # Only attribute references count: a method is called as obj.name, and a
+    # local variable of the same name (greedy_partition's sizes) is no caller.
+    methods, referenced = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                methods.update((f"{node.name}.{item.name}", item.name) for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
+    uncalled = sorted(qualified for qualified, name in methods.items() if name not in referenced)
+    assert not uncalled, f"public methods no module calls: {uncalled}"
 
 
 def test_no_import_cycle():

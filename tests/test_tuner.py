@@ -20,9 +20,9 @@ from graphorder.scorer import (CHECKPOINT_VERSION, DTYPE, ScorerConfig, Training
 from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               build_eval_set, check_prob, default_floor,
                               discounted_returns,
-                              init_policy, initial_prob, load_policy, log_prob_grad,
+                              TuningPolicy, init_policy, initial_prob, log_prob_grad,
                               policy_forward, reinforce_update,
-                              sample_action, save_policy, train_scorer, train_scorer_rl)
+                              sample_action, train_scorer, train_scorer_rl)
 
 from conftest import float64_copy, numeric_gradient, random_digraph
 
@@ -211,8 +211,8 @@ class TestEvalSet:
 
     def test_examples_distinct_members_and_deterministic(self):
         g = random_digraph(np.random.default_rng(7), 12, 0.3)
-        sets_a, labels_a = build_eval_set(g, 4, 20, seed=9, source=as_similarity(g))
-        sets_b, labels_b = build_eval_set(g, 4, 20, seed=9, source=as_similarity(g))
+        sets_a, labels_a = build_eval_set(as_similarity(g), initial_prob(g), 4, 20, seed=9)
+        sets_b, labels_b = build_eval_set(as_similarity(g), initial_prob(g), 4, 20, seed=9)
         assert sets_a.shape == (20, 3) and labels_a.shape == (20, 12)
         assert np.array_equal(sets_a, sets_b) and np.array_equal(labels_a, labels_b)
         for members in sets_a:
@@ -234,7 +234,7 @@ class TestEvalSet:
         # the soft label computed from the set alone.
         g = make()
         src = as_similarity(g)
-        sets, labels = build_eval_set(g, 4, 6, seed=2, source=src)
+        sets, labels = build_eval_set(src, initial_prob(g), 4, 6, seed=2)
         for members, label in zip(sets, labels):
             assert np.array_equal(label, soft_label(src, members))
 
@@ -251,7 +251,7 @@ class TestEvalSet:
         # that grew each set and then labeled it with soft_label.  Float
         # results depend on the platform's numpy build.
         g = make()
-        sets, labels = build_eval_set(g, 5, 24, seed=3, source=as_similarity(g))
+        sets, labels = build_eval_set(as_similarity(g), initial_prob(g), 5, 24, seed=3)
         assert sets.dtype == np.int64 and labels.dtype == DTYPE
         assert (hashlib.sha256(sets.tobytes()).hexdigest(),
                 hashlib.sha256(labels.tobytes()).hexdigest()) == digests
@@ -265,14 +265,16 @@ class TestEvalSet:
         gather = locality._similarity_row
         monkeypatch.setattr(locality, "_similarity_row",
                             lambda g, x: rows.append(x) or gather(g, x))
-        sets, _ = build_eval_set(g, 5, 24, seed=3, source=src)
+        sets, _ = build_eval_set(src, initial_prob(g), 5, 24, seed=3)
         assert len(rows) == 24 * (5 - 1)
         assert rows == sets.ravel().tolist()
 
     def test_refuses_a_source_of_another_graph(self):
+        # A start drawn from the 12-vertex prob could name a vertex the
+        # 11-vertex source does not hold.
         g = random_digraph(np.random.default_rng(7), 12, 0.3)
-        with pytest.raises(ValueError, match="n=11"):
-            build_eval_set(g, 4, 3, seed=0, source=as_similarity(Graph(11)))
+        with pytest.raises(ValueError, match=r"prob has shape \(12,\), source has n=11"):
+            build_eval_set(as_similarity(Graph(11)), initial_prob(g), 4, 3, seed=0)
 
     def test_reward_sign(self):
         model = init_scorer(5, 8, 4, seed=0)
@@ -340,7 +342,7 @@ class TestTrainRl:
         arrays["forward"] = forward(model, batch[0].input_set)
         arrays["policy_forward"] = policy_forward(policy, history.final_prob)
         arrays["batch labels"] = stack_batch(batch)[1]
-        arrays["eval labels"] = build_eval_set(g, 3, 4, seed=1, source=src)[1]
+        arrays["eval labels"] = build_eval_set(src, initial_prob(g), 3, 4, seed=1)[1]
         assert {k: a.dtype for k, a in arrays.items() if a.dtype != DTYPE} == {}
         assert history.final_prob.dtype == initial_prob(g).dtype == np.float64
 
@@ -392,8 +394,8 @@ def test_window_of_n_plus_one_refused_before_any_row(entry, monkeypatch):
     calls = {
         "sample_training_batch": lambda: sample_training_batch(
             GraphSimilarity(g), initial_prob(g), g.n + 1, 4, rng),
-        "build_eval_set": lambda: build_eval_set(g, g.n + 1, 4, seed=0,
-                                                 source=GraphSimilarity(g)),
+        "build_eval_set": lambda: build_eval_set(GraphSimilarity(g), initial_prob(g), g.n + 1,
+                                                 4, seed=0),
         "train_scorer_rl": lambda: train_scorer_rl(g, g.n + 1, ScorerConfig(),
                                                    RlConfig(), seed=0),
     }
@@ -457,8 +459,8 @@ def test_configs_refuse_rates_not_finite_and_positive(cls, field, value):
 def test_policy_checkpoint_round_trip(tmp_path):
     policy = init_policy(6, hidden=8, seed=3)
     path = str(tmp_path / "policy.npz")
-    save_policy(policy, path)
-    again = load_policy(path)
+    policy.save(path)
+    again = TuningPolicy.load(path)
     for name, arr in policy.params().items():
         assert np.array_equal(arr, again.params()[name])
 
@@ -470,18 +472,18 @@ def test_policy_checkpoint_rejects_missing_key_and_bad_shape(tmp_path):
              n=6, seed=3, **{**params, "W2": params["W2"][:, :5]})
     for name in ("nokind.npz", "narrow.npz"):
         with pytest.raises(ValueError):
-            load_policy(str(tmp_path / name))
+            TuningPolicy.load(str(tmp_path / name))
 
 
 def test_policy_checkpoint_refuses_version_1_and_float64(tmp_path):
     policy = init_policy(6, hidden=8, seed=3)
     np.savez(tmp_path / "v1.npz", kind="tuning_policy", format_version=1, n=6, seed=3,
              **policy.params())
-    save_policy(float64_copy(policy), str(tmp_path / "f64.npz"))
+    float64_copy(policy).save(str(tmp_path / "f64.npz"))
     with pytest.raises(ValueError, match="unsupported checkpoint version 1, expected 2$"):
-        load_policy(str(tmp_path / "v1.npz"))
+        TuningPolicy.load(str(tmp_path / "v1.npz"))
     with pytest.raises(ValueError, match="parameters must be float32, but W1 is float64"):
-        load_policy(str(tmp_path / "f64.npz"))
+        TuningPolicy.load(str(tmp_path / "f64.npz"))
 
 
 def test_checkpoint_kinds_refuse_each_other(tmp_path):
@@ -489,8 +491,8 @@ def test_checkpoint_kinds_refuse_each_other(tmp_path):
     # as a policy's do, so only the kind tells the two archives apart.
     scorer_path, policy_path = str(tmp_path / "m.npz"), str(tmp_path / "m.npz.policy.npz")
     save_scorer(init_scorer(6, 8, 6, seed=0), scorer_path)
-    save_policy(init_policy(6, hidden=8, seed=0), policy_path)
+    init_policy(6, hidden=8, seed=0).save(policy_path)
     with pytest.raises(ValueError, match="^not a set_scorer checkpoint: "):
         load_scorer(policy_path)
     with pytest.raises(ValueError, match="^not a tuning_policy checkpoint: "):
-        load_policy(scorer_path)
+        TuningPolicy.load(scorer_path)
