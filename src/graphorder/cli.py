@@ -6,25 +6,18 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
 from . import baselines, downstream, graph, locality, scorer, tuner
-
-
-def _flag_type(hint) -> type:
-    """The type a flag parses for a field annotated ``hint``; ``int | None``
-    is read as ``int``."""
-    return (get_args(hint) or (hint,))[0]
-
 
 _SC, _RL = scorer.ScorerConfig, tuner.RlConfig
 # The train settings of each owning dataclass: a setting's config key is its
 # field's name (the flag is the key with dashes), its default the field's
 # default, and its type the one the field's annotation names.  Both algorithms
 # read ScorerConfig; only DON-RL reads RlConfig.
-TRAIN_SETTINGS = {cls: {f.name: _flag_type(get_type_hints(cls)[f.name]) for f in fields(cls)}
+TRAIN_SETTINGS = {cls: {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
                   for cls in (_SC, _RL)}
 
 # Fallbacks of the settings no dataclass holds: the window and seed every
@@ -92,6 +85,13 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
+def _check_out_dirs(*paths: str | None) -> None:
+    """Refuse, before any input is read, a path to write whose directory is missing."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _refuse(args, names, reader: str) -> None:
     """Refuse, rather than drop, the flags among ``names`` that were given
     although only ``reader`` reads them."""
@@ -103,6 +103,7 @@ def _refuse(args, names, reader: str) -> None:
 
 def cmd_generate(args, config) -> int:
     seed = _setting(args, config, "seed")
+    _check_out_dirs(args.out)
     if args.kind == "er":
         _refuse(args, ["gamma_exp"], "--kind powerlaw")
         if args.p is None:
@@ -127,9 +128,10 @@ def cmd_order(args, config) -> int:
     if args.merge and args.matrix:
         raise ValueError("--merge needs a graph input")
     if args.algo != "don":
-        _refuse(args, ["model", "start"], "--algo don")
+        _refuse(args, ["model"], "--algo don")
     elif not args.model:
         raise ValueError("--model is required for --algo don")
+    _check_out_dirs(args.out)
     source = _load_source(args.input, args.matrix)
 
     work = source
@@ -152,7 +154,7 @@ def cmd_order(args, config) -> int:
         perm, _ = baselines.brute_force_order(work, w)
     else:  # don
         model = scorer.load_scorer(args.model)
-        perm = scorer.model_order(work, model, w, start=args.start)
+        perm = scorer.model_order(work, model, w)
 
     if group is not None:
         perm = graph.expand_permutation(perm, group, seed)
@@ -197,17 +199,16 @@ def cmd_train(args, config) -> int:
     if args.algo == "don":
         _refuse(args, list(TRAIN_SETTINGS[_RL]), "--algo don-rl")
     else:
-        _refuse(args, ["eval_every"], "--algo don")
+        _refuse(args, ["global_steps", "eval_every"], "--algo don")
         rcfg = _train_config(_RL, args, config)
-        if args.global_steps is not None and rcfg.don_steps_per_t is not None:
-            raise ValueError("--global-steps is not read when --don-steps-per-t is set")
     w = _setting(args, config, "w")
     seed = _setting(args, config, "seed")
+    metrics = args.metrics or (args.out + ".metrics.csv")
+    _check_out_dirs(args.out, metrics)  # OUT.policy.npz and METRICS.don.csv sit beside them
     g = _load_graph(args.input)
     if args.merge:
         g, _ = graph.merge_degree_one(g)
         print(f"training on merged graph: n={g.n}", file=sys.stderr)
-    metrics = args.metrics or (args.out + ".metrics.csv")
 
     if args.algo == "don":
         model, log = tuner.train_scorer(g, w, scfg, seed)
@@ -224,9 +225,13 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_compress_cost(args, config) -> int:
+    try:
+        widths = [int(tok) for tok in args.b.split(",")]
+    except ValueError:
+        raise ValueError(f"--b {args.b!r}: expected comma-separated integers") from None
+    _check_out_dirs(args.out)
     g = _load_graph(args.input)
     perm = _load_perm(args.perm, g.n)
-    widths = [int(tok) for tok in args.b.split(",")]
     lines = ["b,cost_nz,cost_r"]
     for b in widths:
         nz, ratio = downstream.compression_cost(g, perm, b)
@@ -243,6 +248,7 @@ def cmd_partition(args, config) -> int:
     seed = _setting(args, config, "seed")
     if args.method != "order":
         _refuse(args, ["perm"], "--method order")
+    _check_out_dirs(args.out)
     g = _load_graph(args.input)
     if args.method == "order":
         if not args.perm:
@@ -277,6 +283,7 @@ def render_pgm(g: graph.Graph, order, fmt: str = "p2",
 
 
 def cmd_render_matrix(args, config) -> int:
+    _check_out_dirs(args.out)
     g = _load_graph(args.input)
     perm = _load_perm(args.perm, g.n)
     data = render_pgm(g, perm, args.format, args.block)
@@ -312,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="edge-list file (or matrix fixture with --matrix)")
     p.add_argument("--algo", choices=["go", "degree", "don", "brute"], default="go")
     p.add_argument("--model", default=None, help="scorer checkpoint for --algo don")
-    p.add_argument("--start", type=int, default=None,
-                   help="first vertex for --algo don (default: highest degree)")
     p.add_argument("--merge", action="store_true",
                    help="merge degree-1 fans before ordering, expand after")
     p.add_argument("--matrix", action="store_true",

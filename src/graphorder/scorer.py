@@ -65,19 +65,18 @@ def _check_rates(**rates: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _check_counts(**counts: int | None) -> None:
-    """Refuse a count below one; an unset (None) count is not checked."""
+def _check_counts(**counts: int) -> None:
+    """Refuse a count below one."""
     for name, value in counts.items():
-        if value is not None and value < 1:
+        if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
 class ScorerConfig:
-    """Every setting scorer training reads; ``repr_dim`` defaults to ``hidden``."""
+    """Every setting scorer training reads."""
 
     hidden: int = 64
-    repr_dim: int | None = None
     don_learning_rate: float = 1e-3
     batch_size: int = 64
     global_steps: int = 5000
@@ -86,11 +85,9 @@ class ScorerConfig:
 
     def __post_init__(self):
         _check_rates(don_learning_rate=self.don_learning_rate)
-        _check_counts(hidden=self.hidden, repr_dim=self.repr_dim, batch_size=self.batch_size,
+        _check_counts(hidden=self.hidden, batch_size=self.batch_size,
                       global_steps=self.global_steps, eval_size=self.eval_size,
                       eval_every=self.eval_every)
-        if self.repr_dim is None:
-            self.repr_dim = self.hidden
 
 
 def _check_window(w: int, n: int) -> None:
@@ -185,9 +182,10 @@ class SetScorer(Network):
     NAMES = ("W1", "b1", "W2", "b2", "V1", "c1", "V2", "c2")
 
 
-def init_scorer(n: int, hidden: int, repr_dim: int, seed: int) -> SetScorer:
-    """Fresh scorer; ``hidden`` is the width of both phi's and rho's hidden layer."""
-    return SetScorer.glorot((n, hidden, repr_dim, hidden, n), seed)
+def init_scorer(n: int, hidden: int, seed: int) -> SetScorer:
+    """Fresh scorer; ``hidden`` is the width of phi's hidden layer, of the
+    member embedding and of rho's hidden layer."""
+    return SetScorer.glorot((n, hidden, hidden, hidden, n), seed)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -208,8 +206,8 @@ def _forward_cache(model: SetScorer, sets: np.ndarray):
         check_ids(row, model.n)
     z1 = model.W1[sets] + model.b1            # (B, m, hidden)
     h1 = np.maximum(z1, 0.0)
-    phi = h1 @ model.W2 + model.b2            # (B, m, repr_dim)
-    pooled = phi.sum(axis=1)                  # (B, repr_dim)
+    phi = h1 @ model.W2 + model.b2            # (B, m, hidden)
+    pooled = phi.sum(axis=1)                  # (B, hidden)
     z2 = pooled @ model.V1 + model.c1         # (B, hidden)
     h2 = np.maximum(z2, 0.0)
     logits = h2 @ model.V2 + model.c2         # (B, n)
@@ -338,7 +336,7 @@ def _loss_and_grads(model: SetScorer, sets: np.ndarray,
     d_z2 = (d_logits @ model.V2.T) * (z2 > 0)
     d_V1 = pooled.T @ d_z2
     d_c1 = d_z2.sum(axis=0)
-    d_pooled = d_z2 @ model.V1.T             # (B, repr_dim)
+    d_pooled = d_z2 @ model.V1.T             # (B, hidden)
     d_phi = np.broadcast_to(d_pooled[:, None, :], h1.shape[:2] + (d_pooled.shape[1],))
     flat_h1 = h1.reshape(-1, h1.shape[2])
     flat_dphi = d_phi.reshape(-1, d_phi.shape[2])
@@ -374,8 +372,7 @@ def rmse(model: SetScorer, sets: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sqrt(np.mean((preds - labels) ** 2, dtype=np.float64)))
 
 
-def model_order(g: Graph, model: SetScorer, w: int,
-                start: int | None = None) -> np.ndarray:
+def model_order(g: Graph, model: SetScorer, w: int) -> np.ndarray:
     """Greedy decode: repeatedly append the unplaced vertex the scorer ranks
     highest against the last ``min(placed, w-1)`` placed vertices; like
     training, it needs w >= 2, so that the window set is never empty.
@@ -383,17 +380,14 @@ def model_order(g: Graph, model: SetScorer, w: int,
     Placed vertices are masked to -inf before the argmax, by adding an
     n-vector that holds -inf at each placed vertex and 0 elsewhere, so the
     result is always a bijection: nan scores (a diverged model) raise
-    ValueError rather than pick a placed vertex.  The first vertex defaults
-    to the highest-degree one (ties to the smallest id) and can be
-    overridden.
+    ValueError rather than pick a placed vertex.  The first vertex is the
+    highest-degree one, ties to the smallest id.
     """
     if g.n != model.n:
         raise ValueError(f"model built for n={model.n}, graph has n={g.n}")
     _check_window_size(w, DECODE_MIN_WINDOW)
     n = g.n
-    if start is None:
-        start = int(np.argmax(g.total_degrees()))
-    check_ids([start], n)
+    start = int(np.argmax(g.total_degrees()))
     order = np.empty(n, dtype=np.int64)
     order[0] = start
     mask = np.zeros(n, dtype=DTYPE)

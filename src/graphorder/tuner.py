@@ -171,9 +171,8 @@ class RlConfig:
     """Hyper-parameters of the tuning loop (the scorer's own: ``ScorerConfig``).
 
     ``tuning_scale`` is the per-entry shift expressed as a multiple of the
-    uniform mass: the applied rate is ``tuning_scale / n``.  When
-    ``don_steps_per_t`` is unset it is derived from the scorer's
-    ``global_steps`` as ``global_steps // (rl_steps * trajectory_len)``.
+    uniform mass: the applied rate is ``tuning_scale / n``.
+    ``don_steps_per_t`` is the number of scorer steps per tuning step.
     """
 
     policy_learning_rate: float = 1e-3
@@ -182,7 +181,7 @@ class RlConfig:
     rl_steps: int = 50
     gamma: float = 0.95
     tuning_scale: float = 0.15
-    don_steps_per_t: int | None = None
+    don_steps_per_t: int = 20
     warmup_steps: int = 50
 
     def __post_init__(self):
@@ -194,11 +193,6 @@ class RlConfig:
             raise ValueError(f"warmup_steps must not be negative, got {self.warmup_steps}")
         if not 0 <= self.gamma <= 1:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
-
-    def resolved_steps_per_t(self, global_steps: int) -> int:
-        if self.don_steps_per_t is not None:
-            return self.don_steps_per_t
-        return max(1, global_steps // (self.rl_steps * self.trajectory_len))
 
 
 def build_eval_set(src: SimilaritySource, prob: np.ndarray, w: int, size: int,
@@ -265,7 +259,7 @@ def train_scorer(g: Graph, w: int, cfg: ScorerConfig, seed: int) -> tuple[SetSco
     prob = initial_prob(g)
     eval_set = build_eval_set(src, prob, w, cfg.eval_size, seed + 1)
     init_seed, batch_seed = np.random.SeedSequence(seed).spawn(2)
-    model = init_scorer(g.n, cfg.hidden, cfg.repr_dim, seed=int(init_seed.generate_state(1)[0]))
+    model = init_scorer(g.n, cfg.hidden, seed=int(init_seed.generate_state(1)[0]))
     log = TrainLog()
     fit(model, AdamState(), src, prob, w, cfg.global_steps, cfg,
         np.random.default_rng(batch_seed), log, eval_set, cfg.eval_every)
@@ -300,10 +294,8 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     s_init, s_policy, s_batch, s_action, s_eval = ss.spawn(5)
     src = as_similarity(g)
     rate = rl_cfg.tuning_scale / g.n
-    steps_per_t = rl_cfg.resolved_steps_per_t(scorer_cfg.global_steps)
 
-    model = init_scorer(g.n, scorer_cfg.hidden, scorer_cfg.repr_dim,
-                        seed=int(s_init.generate_state(1)[0]))
+    model = init_scorer(g.n, scorer_cfg.hidden, seed=int(s_init.generate_state(1)[0]))
     policy = init_policy(g.n, rl_cfg.policy_hidden,
                          seed=int(s_policy.generate_state(1)[0]))
     adam = AdamState()
@@ -330,8 +322,8 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
             states.append(prob)
             actions.append(action)
             prob = apply_action(prob, action, rate)
-            fit(model, adam, src, prob, w, steps_per_t, scorer_cfg, batch_rng, don_log,
-                eval_set, steps_per_t)
+            fit(model, adam, src, prob, w, rl_cfg.don_steps_per_t, scorer_cfg, batch_rng,
+                don_log, eval_set, rl_cfg.don_steps_per_t)
             rewards.append(-don_log.rmse_points[-1][1])
             rl_rows.append((rl_step, t, rewards[-1], baseline.value, float(q.mean())))
         reinforce_update(policy, states, actions, rewards, rl_cfg.gamma,

@@ -249,6 +249,29 @@ class TestTrain:
         assert main(["train", small_graph_file, "--algo", "don-rl", "--w", "3",
                      "--config", str(cfg), "--out", str(tmp_path / "m.npz")]) == 1
 
+    def test_don_rl_ignores_global_steps_in_config_file(self, small_graph_file, tmp_path):
+        # DON-RL's schedule is warmup_steps + rl_steps * trajectory_len *
+        # don_steps_per_t scorer steps; global_steps is DON's alone.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("global_steps = 3\n")
+        written = []
+        for run, extra in (("a", []), ("b", ["--config", str(cfg)])):
+            (tmp_path / run).mkdir()
+            assert main(["train", small_graph_file, "--w", "3", "--seed", "2", "--hidden", "4",
+                         "--batch-size", "4", "--eval-size", "4", "--rl-steps", "2",
+                         "--trajectory-len", "2", "--warmup-steps", "2",
+                         "--out", str(tmp_path / run / "m.npz"), *extra]) == 0
+            written.append({f.name: f.read_bytes() for f in (tmp_path / run).iterdir()})
+        assert len(written[0]) == 4 and written[0] == written[1]
+        loss_rows = (tmp_path / "a" / "m.npz.metrics.csv.don.csv").read_text().splitlines()[1:]
+        assert len(loss_rows) == 2 + 2 * 2 * tuner.RlConfig().don_steps_per_t
+
+    def test_don_rl_refuses_global_steps_flag(self, small_graph_file, tmp_path, capsys):
+        assert main(["train", small_graph_file, "--algo", "don-rl", "--global-steps", "99",
+                     "--out", str(tmp_path / "m.npz")]) == 1
+        assert capsys.readouterr().err == "error: --global-steps: read by --algo don only\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
+
     def test_baseline_before_first_update_is_empty(self, small_graph_file, tmp_path):
         ck = tmp_path / "m.npz"
         assert main(["train", small_graph_file, "--algo", "don-rl", "--w", "3",
@@ -325,18 +348,17 @@ class TestTrain:
             assert filled == sorted(f.name for f in dataclasses.fields(cls)), cls
 
     def test_defaults_written_as_text_rebuild_the_default_configs(self, tmp_path):
-        # Every key written as its field's default (don_steps_per_t, unset by
-        # default, as 7) and read back, from a config file or as flags, fills
-        # the dataclass that owns it with a value of the field's type: the
-        # reprs tell 64 from 64.0.
+        # Every key written as its field's default and read back, from a
+        # config file or as flags, fills the dataclass that owns it with a
+        # value of the field's type: the reprs tell 64 from 64.0.
         defaults = {**FALLBACKS, **dataclasses.asdict(ScorerConfig()),
-                    **dataclasses.asdict(tuner.RlConfig()), "don_steps_per_t": 7}
+                    **dataclasses.asdict(tuner.RlConfig())}
         assert list(defaults) == list(CONFIG_KEYS)
         cfg = tmp_path / "defaults.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in defaults.items()))
         flags = [f"--{key.replace('_', '-')}={value}" for key, value in defaults.items()
                  if key not in FALLBACKS]
-        expected = [ScorerConfig(), tuner.RlConfig(don_steps_per_t=7)]
+        expected = [ScorerConfig(), tuner.RlConfig()]
         for argv, config in ((["--config", str(cfg)], read_config(str(cfg))), (flags, {})):
             args = build_parser().parse_args(["train", "g.txt", "--out", "m.npz", *argv])
             built = [_train_config(cls, args, config) for cls in (ScorerConfig, tuner.RlConfig)]
@@ -474,7 +496,6 @@ class TestRenderMatrix:
     "generate --kind powerlaw --n 20 --gamma-exp 1.6 --p 0.1 --out {dir}/g.txt",
     "generate --kind er --n 20 --p 0.1 --gamma-exp 1.6 --out {dir}/g.txt",
     "order {graph} --algo go --model {dir}/m.npz",
-    "order {graph} --algo degree --start 0",
     "partition {graph} --method random --k 2 --perm {dir}/p.txt",
     "order {dir}/big.mat --matrix",
     "train {graph} --algo don --don-learning-rate -1 --out {dir}/m.npz",
@@ -491,7 +512,6 @@ class TestRenderMatrix:
     "train {graph} --gamma -4 --rl-steps 1 --trajectory-len 1 --don-steps-per-t 1 "
     "--eval-size 4 --out {dir}/m.npz",
     "train {graph} --hidden 0 --out {dir}/m.npz",
-    "train {graph} --algo don --repr-dim 0 --out {dir}/m.npz",
     "train {graph} --batch-size 0 --out {dir}/m.npz",
     "train {graph} --algo don --eval-size 0 --out {dir}/m.npz",
     "train {graph} --policy-hidden 0 --out {dir}/m.npz",
@@ -502,20 +522,26 @@ class TestRenderMatrix:
     "order {graph} --algo don --model {dir}/scorer.npz --w 1",
     "order {graph} --algo don --model {dir}/v1.npz",
     "order {graph} --algo don --model {dir}/f64.npz",
+    "train {graph} --algo don --w 3 --global-steps 2 --eval-size 4 --out {dir}/nodir/m.npz",
+    "train {graph} --algo don --w 3 --global-steps 2 --eval-size 4 --out {dir}/m.npz "
+    "--metrics {dir}/nodir/m.csv",
+    "order {graph} --algo go --out {dir}/nodir/go.perm",
+    "compress-cost {graph} --b 8,,16",
 ], ids=["cfg-value", "cfg-missing", "npz-no-kind", "npz-W1-rows", "model-text-file",
         "block-0", "block-neg", "w-covers-graph", "train-n0", "train-don-n0", "int64-overflow", "short-perm", "short-perm-matrix",
         "perm-overflow", "header-n-overflow", "eval-every-0", "rl-steps-0",
         "trajectory-len-0", "don-rl-eval-every", "don-rl-global-steps",
         "don-rl-steps", "don-trajectory-len", "don-steps-per-t", "don-warmup-steps",
         "don-gamma", "don-tuning-scale", "don-policy-learning-rate", "don-policy-hidden",
-        "gamma-exp-nan", "powerlaw-p", "er-gamma-exp", "go-model", "degree-start",
+        "gamma-exp-nan", "powerlaw-p", "er-gamma-exp", "go-model",
         "random-perm", "matrix-int64-overflow", "don-lr-negative", "policy-lr-nan",
         "tuning-scale-inf", "model-is-policy", "don-global-steps-negative",
         "warmup-steps-negative", "don-steps-per-t-negative", "rl-steps-negative",
-        "rl-steps-0-with-steps-per-t", "gamma-negative", "hidden-0", "repr-dim-0",
+        "rl-steps-0-with-steps-per-t", "gamma-negative", "hidden-0",
         "batch-size-0", "eval-size-0", "policy-hidden-0", "matrix-total-eval",
         "matrix-total-go", "matrix-total-brute", "brute-w-0", "don-decode-w-1",
-        "model-version-1", "model-float64"])
+        "model-version-1", "model-float64", "train-out-nodir", "train-metrics-nodir",
+        "order-out-nodir", "compress-b-empty"])
 def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("w = five\n")
     (tmp_path / "huge-id.txt").write_text("0 1\n0 99999999999999999999\n")
@@ -529,13 +555,13 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     huge[:3, :3] = 1 << 62  # fits in int64; the rows and the total do not
     (tmp_path / "huge-total.mat").write_text(format_similarity_matrix(huge))
     (tmp_path / "id4.txt").write_text("0\n1\n2\n3\n")
-    save_scorer(init_scorer(6, 4, 4, seed=0), str(tmp_path / "scorer.npz"))
-    params = init_scorer(6, 4, 4, seed=0).params()
+    save_scorer(init_scorer(6, 4, seed=0), str(tmp_path / "scorer.npz"))
+    params = init_scorer(6, 4, seed=0).params()
     np.savez(tmp_path / "nokind.npz", format_version=CHECKPOINT_VERSION, n=6, seed=0, **params)
     np.savez(tmp_path / "short.npz", kind="set_scorer", format_version=CHECKPOINT_VERSION,
              n=6, seed=0, **{**params, "W1": params["W1"][:4]})
     np.savez(tmp_path / "v1.npz", kind="set_scorer", format_version=1, n=6, seed=0, **params)
-    save_scorer(float64_copy(init_scorer(6, 4, 4, seed=0)), str(tmp_path / "f64.npz"))
+    save_scorer(float64_copy(init_scorer(6, 4, seed=0)), str(tmp_path / "f64.npz"))
     tuner.init_policy(6, 4, seed=0).save(str(tmp_path / "m.npz.policy.npz"))
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
     err = capsys.readouterr().err.splitlines()
@@ -551,19 +577,41 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     ("order {dir}/sim.txt --matrix --w 0", "window size must be at least 1"),
     ("order {dir}/sim.txt --matrix --algo degree", "matrix input supports only --algo go or brute"),
     ("order {dir}/sim.txt --matrix --merge", "--merge needs a graph input"),
-    ("order {graph} --algo go --start 0", "--start: read by --algo don only"),
     ("order {graph} --algo don", "--model is required for --algo don"),
     ("eval {graph} --perm {dir}/p.txt --w 0", "window size must be at least 1"),
+    ("compress-cost {graph} --b 8,,16", "--b '8,,16': expected comma-separated integers"),
+    ("generate --kind er --n 6 --p 0.5 --out {dir}/nodir/g.txt",
+     "cannot write {dir}/nodir/g.txt: no directory {dir}/nodir"),
+    ("order {graph} --algo go --out {dir}/nodir/go.perm",
+     "cannot write {dir}/nodir/go.perm: no directory {dir}/nodir"),
+    ("train {graph} --algo don --out {dir}/nodir/m.npz",
+     "cannot write {dir}/nodir/m.npz: no directory {dir}/nodir"),
+    ("train {graph} --algo don --out {dir}/m.npz --metrics {dir}/nodir/m.csv",
+     "cannot write {dir}/nodir/m.csv: no directory {dir}/nodir"),
+    ("train {graph} --out {dir}/m.npz --metrics {dir}/nodir/m.csv",
+     "cannot write {dir}/nodir/m.csv: no directory {dir}/nodir"),
+    ("compress-cost {graph} --out {dir}/nodir/cost.csv",
+     "cannot write {dir}/nodir/cost.csv: no directory {dir}/nodir"),
+    ("partition {graph} --method greedy --k 2 --out {dir}/nodir/parts.csv",
+     "cannot write {dir}/nodir/parts.csv: no directory {dir}/nodir"),
+    ("render-matrix {graph} --out {dir}/nodir/m.pgm",
+     "cannot write {dir}/nodir/m.pgm: no directory {dir}/nodir"),
 ], ids=["w-degree", "w-go", "w-brute", "w-don", "w-matrix", "matrix-degree", "matrix-merge",
-        "go-start", "don-no-model", "eval-w"])
+        "don-no-model", "eval-w", "compress-b-empty", "generate-out-nodir", "go-out-nodir",
+        "don-out-nodir", "don-metrics-nodir", "don-rl-metrics-nodir", "compress-out-nodir",
+        "partition-out-nodir", "render-out-nodir"])
 def test_refuses_flags_before_reading_any_file(argv, message, small_graph_file,
                                                          tmp_path, capsys, monkeypatch):
+    # Nor does a refused command write any file: no run leaves part of its
+    # outputs behind, such as a checkpoint without its metrics.
     def no_read(*args):
         raise AssertionError("read an input before checking the flags")
 
     monkeypatch.setattr(cli, "_load_source", no_read)
+    monkeypatch.setattr(cli, "_load_graph", no_read)
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
 
 
 @pytest.mark.parametrize("argv, code, out, err", [
@@ -584,7 +632,7 @@ def test_matrix_header_counts(argv, code, out, err, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, field", [
-    ("--hidden 0", "hidden"), ("--algo don --repr-dim 0", "repr_dim"),
+    ("--hidden 0", "hidden"),
     ("--batch-size 0", "batch_size"), ("--algo don --eval-size 0", "eval_size"),
     ("--policy-hidden 0", "policy_hidden"), ("--global-steps 0", "global_steps"),
     ("--algo don --eval-every 0", "eval_every"), ("--rl-steps 0", "rl_steps"),

@@ -13,7 +13,7 @@ from graphorder.graph import (INT64_MAX, EdgeListError, Graph, _arc_codes, _dist
                               merge_degree_one)
 from graphorder.locality import (GraphSimilarity, MatrixSimilarity, dense_similarity,
                                  locality_score, similarity, window_set_score)
-from graphorder.scorer import forward, forward_batch, init_scorer, model_order, soft_label
+from graphorder.scorer import forward, forward_batch, init_scorer, soft_label
 
 from conftest import digraphs, random_digraph
 
@@ -549,7 +549,6 @@ MODEL_ENTRIES = {
     "similarity": lambda model, bad: similarity(ID_GRAPH, 0, bad),
     "forward": lambda model, bad: forward(model, [bad, 1]),
     "forward_batch": lambda model, bad: forward_batch(model, [[0, 1], [2, bad]]),
-    "model_order": lambda model, bad: model_order(ID_GRAPH, model, 2, start=bad),
 }
 
 
@@ -560,7 +559,7 @@ MODEL_ENTRIES = {
 ])
 def test_every_id_entry_refuses_an_id_outside_the_graph(entry, backend, bad):
     if backend is None:
-        call = lambda: MODEL_ENTRIES[entry](init_scorer(3, 4, 4, seed=0), bad)
+        call = lambda: MODEL_ENTRIES[entry](init_scorer(3, 4, seed=0), bad)
     else:
         src = (MatrixSimilarity(dense_similarity(ID_GRAPH)) if backend == "dense"
                else GraphSimilarity(ID_GRAPH))

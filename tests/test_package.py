@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import graphorder
 from graphorder.cli import CONFIG_KEYS
+from graphorder.scorer import ScorerConfig
+from graphorder.tuner import RlConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(graphorder.__file__).resolve().parent
@@ -31,6 +34,14 @@ def test_readme_config_keys_are_the_cli_keys():
     section = README.read_text().split("### Config files", 1)[1]
     keys = section.split("Keys:", 1)[1].split(".\n", 1)[0]
     assert re.findall(r"`(\w+)`", keys) == list(CONFIG_KEYS)
+
+
+def test_every_train_setting_has_one_default():
+    # A setting that defaults to None would fall back to a rule written
+    # somewhere else; each default is the field's own value.
+    unset = [f"{cls.__name__}.{f.name}" for cls in (ScorerConfig, RlConfig)
+             for f in dataclasses.fields(cls) if f.default is None]
+    assert not unset
 
 
 def test_every_public_name_has_a_caller():

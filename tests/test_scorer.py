@@ -21,11 +21,6 @@ from conftest import float64_copy, numeric_gradient, random_digraph
 
 
 class TestConfig:
-    def test_repr_dim_defaults_to_hidden(self):
-        assert ScorerConfig(hidden=32).repr_dim == 32
-        assert ScorerConfig(hidden=32, repr_dim=16).repr_dim == 16
-        assert ScorerConfig().repr_dim == 64
-
     @pytest.mark.parametrize("value", [0, -1])
     def test_eval_every_below_one_refused(self, value):
         with pytest.raises(ValueError, match="^eval_every must be positive"):
@@ -36,7 +31,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="^global_steps must be positive"):
             ScorerConfig(global_steps=value)
 
-    @pytest.mark.parametrize("field", ["hidden", "repr_dim", "batch_size", "eval_size"])
+    @pytest.mark.parametrize("field", ["hidden", "batch_size", "eval_size"])
     def test_width_and_size_below_one_refused(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be positive"):
             ScorerConfig(**{field: 0})
@@ -44,24 +39,26 @@ class TestConfig:
 
 class TestInit:
     def test_deterministic(self):
-        a = init_scorer(6, 8, 4, seed=3)
-        b = init_scorer(6, 8, 4, seed=3)
+        a = init_scorer(6, 8, seed=3)
+        b = init_scorer(6, 8, seed=3)
         for name, arr in a.params().items():
             assert np.array_equal(arr, b.params()[name])
 
     @pytest.mark.parametrize("hidden", [32, 64, 128, 256])
     def test_standard_hidden_sizes(self, hidden):
-        m = init_scorer(5, hidden, hidden, seed=0)
-        assert m.W1.shape == (5, hidden)
+        m = init_scorer(5, hidden, seed=0)
+        assert [a.shape for a in m.params().values()] == [
+            (5, hidden), (hidden,), (hidden, hidden), (hidden,),
+            (hidden, hidden), (hidden,), (hidden, 5), (5,)]
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            init_scorer(0, 4, 4, seed=0)
+            init_scorer(0, 4, seed=0)
         with pytest.raises(ValueError):
-            init_scorer(5, 0, 4, seed=0)
+            init_scorer(5, 0, seed=0)
 
     def test_glorot_range_and_zero_biases(self):
-        m = init_scorer(10, 16, 8, seed=1)
+        m = SetScorer.glorot((10, 16, 8, 16, 10), 1)
         bound = np.sqrt(6.0 / (10 + 16))
         assert np.all(np.abs(m.W1) <= bound)
         assert np.all(m.b1 == 0) and np.all(m.c2 == 0)
@@ -69,7 +66,7 @@ class TestInit:
 
 class TestForward:
     def test_member_order_irrelevant(self):
-        m = init_scorer(12, 16, 8, seed=2)
+        m = SetScorer.glorot((12, 16, 8, 16, 12), 2)
         rng = np.random.default_rng(0)
         for _ in range(100):
             size = int(rng.integers(1, 6))
@@ -80,7 +77,7 @@ class TestForward:
                 assert np.max(np.abs(out - base) / np.maximum(base, 1e-12)) < 1e-6
 
     def test_sums_to_one(self):
-        m = float64_copy(init_scorer(9, 8, 4, seed=5))
+        m = float64_copy(SetScorer.glorot((9, 8, 4, 8, 9), 5))
         rng = np.random.default_rng(1)
         for _ in range(50):
             members = rng.choice(9, size=3, replace=False)
@@ -90,7 +87,7 @@ class TestForward:
 
     def test_float32_sums_to_one_within_n_eps(self):
         n = 300
-        m = init_scorer(n, 16, 8, seed=5)
+        m = SetScorer.glorot((n, 16, 8, 16, n), 5)
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = forward(m, rng.choice(n, size=4, replace=False))
@@ -98,20 +95,20 @@ class TestForward:
             assert abs(float(p.sum()) - 1.0) <= n * np.finfo(DTYPE).eps
 
     def test_fuzz_stays_finite(self):
-        m = init_scorer(20, 16, 8, seed=6)
+        m = SetScorer.glorot((20, 16, 8, 16, 20), 6)
         rng = np.random.default_rng(2)
         for _ in range(1000):
             members = rng.choice(20, size=4, replace=False)
             assert np.all(np.isfinite(forward(m, members)))
 
     def test_empty_set_rejected(self):
-        m = init_scorer(4, 4, 4, seed=0)
+        m = init_scorer(4, 4, seed=0)
         with pytest.raises(ValueError):
             forward(m, [])
 
     def test_one_hot_lookup_equivalence(self):
         # row indexing of W1 is exactly the one-hot product
-        m = init_scorer(7, 6, 5, seed=9)
+        m = SetScorer.glorot((7, 6, 5, 6, 7), 9)
         onehot = np.zeros(7)
         onehot[3] = 1.0
         assert np.allclose(m.W1[3], onehot @ m.W1)
@@ -285,7 +282,7 @@ def flatten_params(model):
 class TestTrainStep:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        model = float64_copy(init_scorer(6, 5, 4, seed=12))
+        model = float64_copy(SetScorer.glorot((6, 5, 4, 5, 6), 12))
         sets, labels = stack_batch(tiny_batch(model, rng))
         _, grads = _loss_and_grads(model, sets, labels)
         numeric = numeric_gradient(
@@ -300,7 +297,7 @@ class TestTrainStep:
         # largest entry, measured 2.6e-7 on this batch and at most 4.9e-7 over
         # 28 seeds; float32's eps is 1.2e-7.  The bound leaves 20x room.
         rng = np.random.default_rng(12)
-        model = init_scorer(60, 16, 8, seed=12)
+        model = SetScorer.glorot((60, 16, 8, 16, 60), 12)
         sets, labels = stack_batch(tiny_batch(model, rng, size=16, set_size=4))
         _, grads = _loss_and_grads(model, sets, labels)
         _, exact = _loss_and_grads(float64_copy(model), sets, labels)
@@ -309,7 +306,7 @@ class TestTrainStep:
             assert np.abs(g - exact[name]).max() < 1e-5 * np.abs(exact[name]).max(), name
 
     def test_zero_gradient_leaves_parameters(self):
-        model = init_scorer(5, 4, 4, seed=1)
+        model = init_scorer(5, 4, seed=1)
         rng = np.random.default_rng(2)
         sets = np.stack([rng.choice(5, size=2, replace=False) for _ in range(3)])
         labels = forward_batch(model, sets)  # labels equal predictions
@@ -321,7 +318,7 @@ class TestTrainStep:
     def test_bit_identical_reruns(self):
         def run():
             rng = np.random.default_rng(33)
-            model = init_scorer(8, 6, 4, seed=7)
+            model = SetScorer.glorot((8, 6, 4, 6, 8), 7)
             opt = AdamState()
             for _ in range(5):
                 train_step(model, tiny_batch(model, rng), opt, lr=1e-3)
@@ -353,7 +350,7 @@ class TestTrainStep:
                 assert np.array_equal(params[k], ref[k]), (t, k)
 
     def test_diverged_loss_aborts(self):
-        model = init_scorer(4, 4, 4, seed=0)
+        model = init_scorer(4, 4, seed=0)
         model.c2[:] = np.nan
         batch = [TrainingExample(np.array([0, 1]), np.array([0, 0, 0.5, 0.5]))]
         with pytest.raises(TrainingDiverged):
@@ -361,7 +358,7 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("bad", [-1, 5], ids=["minus-one", "n"])
     def test_ids_outside_the_model_refused_before_any_update(self, bad):
-        model = init_scorer(5, 4, 4, seed=0)
+        model = init_scorer(5, 4, seed=0)
         opt = AdamState()
         train_step(model, tiny_batch(model, np.random.default_rng(1)), opt, lr=1e-3)
         before = flatten_params(model).copy()
@@ -377,7 +374,7 @@ class TestTrainStep:
 
     def test_loss_strictly_decreases_on_fixed_batch(self):
         rng = np.random.default_rng(40)
-        model = init_scorer(10, 16, 8, seed=4)
+        model = SetScorer.glorot((10, 16, 8, 16, 10), 4)
         batch = tiny_batch(model, rng, size=8, set_size=3)
         opt = AdamState()
         losses = [train_step(model, batch, opt, lr=1e-3) for _ in range(500)]
@@ -391,21 +388,21 @@ class TestTrainStep:
 
 class TestRmse:
     def test_zero_when_exact(self):
-        model = init_scorer(5, 4, 4, seed=3)
+        model = init_scorer(5, 4, seed=3)
         sets = np.array([[0, 1], [2, 3]])
         labels = forward_batch(model, sets)
         assert rmse(model, sets, labels) == 0.0
 
     def test_hand_value(self):
         # single example over two vertices: prediction uniform, label one-hot
-        model = init_scorer(2, 4, 4, seed=0)
+        model = init_scorer(2, 4, seed=0)
         for name in ("W1", "W2", "V1", "V2"):
             getattr(model, name)[:] = 0.0
         assert rmse(model, np.array([[0]]), np.array([[1.0, 0.0]])) == pytest.approx(0.5)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            rmse(init_scorer(3, 4, 4, seed=0), np.empty((0, 1), dtype=np.int64),
+            rmse(init_scorer(3, 4, seed=0), np.empty((0, 1), dtype=np.int64),
                  np.empty((0, 3)))
 
     @pytest.mark.parametrize("labels", [np.full((1, 3), 1 / 3), np.full((3, 3), 1 / 3),
@@ -414,7 +411,7 @@ class TestRmse:
     def test_rejects_labels_that_do_not_match_the_sets(self, labels):
         # One label row would otherwise broadcast against both sets' predictions.
         with pytest.raises(ValueError, match="labels"):
-            rmse(init_scorer(3, 4, 4, seed=0), np.array([[0], [1]]), labels)
+            rmse(init_scorer(3, 4, seed=0), np.array([[0], [1]]), labels)
 
 
 class TestDecode:
@@ -423,32 +420,35 @@ class TestDecode:
         for trial in range(50):
             n = int(rng.integers(2, 12))
             g = random_digraph(rng, n, 0.3)
-            model = init_scorer(n, 6, 4, seed=trial)
+            model = SetScorer.glorot((n, 6, 4, 6, n), trial)
             order = model_order(g, model, w=int(rng.integers(2, 5)))
             assert sorted(order.tolist()) == list(range(n))
 
     def test_two_vertices(self):
         g = Graph(2, [(0, 1)])
-        model = init_scorer(2, 4, 4, seed=1)
+        model = init_scorer(2, 4, seed=1)
         order = model_order(g, model, 2)
         assert sorted(order.tolist()) == [0, 1]
 
-    def test_start_override(self):
-        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        model = init_scorer(4, 4, 4, seed=2)
-        assert model_order(g, model, 3)[0] == 0  # highest degree
-        assert model_order(g, model, 3, start=2)[0] == 2
+    def test_starts_at_highest_degree(self):
+        # Vertices 1, 2 and 4 tie at the highest total degree, 3, and vertex
+        # 0 has less; the decode starts at the smallest of the three, whatever
+        # the model.
+        g = Graph(5, [(2, 0), (2, 1), (3, 2), (4, 0), (4, 1), (1, 4)])
+        assert g.total_degrees().tolist() == [2, 3, 3, 1, 3]
+        for seed in range(5):
+            assert model_order(g, init_scorer(5, 4, seed=seed), 3)[0] == 1
 
     @pytest.mark.parametrize("w", [1, 0, -2])
     def test_refuses_window_below_two(self, w):
         # Training's window sets hold w - 1 >= 1 vertices; so does the decode's.
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(ValueError, match="window size must be at least 2"):
-            model_order(g, init_scorer(4, 4, 4, seed=2), w)
+            model_order(g, init_scorer(4, 4, seed=2), w)
 
     def test_nan_scores_refused(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        model = init_scorer(4, 4, 4, seed=2)
+        model = init_scorer(4, 4, seed=2)
         model.c2[:] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             model_order(g, model, 3)
@@ -468,7 +468,7 @@ class TestDecode:
         # Train on every window set of sizes 1 and 2 with exact labels; the
         # decode should then match the exhaustive optimum (score 7 at w=3).
         five_sim = MatrixSimilarity(five_sim)
-        model = init_scorer(5, 32, 16, seed=8)
+        model = SetScorer.glorot((5, 32, 16, 32, 5), 8)
         examples = []
         for a in range(5):
             examples.append(TrainingExample(np.array([a]),
@@ -482,15 +482,15 @@ class TestDecode:
         for _ in range(1500):
             for group in by_size.values():
                 train_step(model, group, opt, lr=1e-2)
-        g = Graph(5)  # ordering needs only the scorer; start from vertex 0
-        order = model_order(g, model, 3, start=0)
+        g = Graph(5)  # ordering needs only the scorer; every degree ties, so it starts at 0
+        order = model_order(g, model, 3)
         from graphorder.locality import locality_score
         assert locality_score(five_sim, order, 3) >= 7
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = init_scorer(7, 8, 4, seed=5)
+        model = SetScorer.glorot((7, 8, 4, 8, 7), 5)
         path = str(tmp_path / "model.npz")
         save_scorer(model, path)
         again = load_scorer(path)
@@ -501,13 +501,13 @@ class TestCheckpoint:
     def test_version_1_refused(self, tmp_path):
         path = str(tmp_path / "v1.npz")
         np.savez(path, kind="set_scorer", format_version=1, n=7, seed=5,
-                 **init_scorer(7, 8, 4, seed=5).params())
+                 **SetScorer.glorot((7, 8, 4, 8, 7), 5).params())
         with pytest.raises(ValueError, match="unsupported checkpoint version 1, expected 2$"):
             load_scorer(path)
 
     def test_float64_arrays_refused(self, tmp_path):
         path = str(tmp_path / "f64.npz")
-        save_scorer(float64_copy(init_scorer(7, 8, 4, seed=5)), path)
+        save_scorer(float64_copy(SetScorer.glorot((7, 8, 4, 8, 7), 5)), path)
         with pytest.raises(ValueError, match="parameters must be float32, but W1 is float64"):
             load_scorer(path)
 
@@ -528,7 +528,7 @@ class TestCheckpoint:
 class TestTrainLoop:
     def test_loss_and_rmse_improve(self):
         g = gen_power_law(30, 1.8, seed=1)
-        cfg = ScorerConfig(hidden=32, repr_dim=32, don_learning_rate=1e-3, batch_size=32,
+        cfg = ScorerConfig(hidden=32, don_learning_rate=1e-3, batch_size=32,
                            global_steps=200, eval_size=64, eval_every=50)
         model, log = train_scorer(g, 4, cfg, seed=4)
         assert log.losses[-1] < log.losses[0]
@@ -536,7 +536,7 @@ class TestTrainLoop:
 
     def test_deterministic(self):
         g = gen_power_law(20, 1.8, seed=5)
-        cfg = ScorerConfig(hidden=16, repr_dim=16, batch_size=16, global_steps=30, eval_size=8)
+        cfg = ScorerConfig(hidden=16, batch_size=16, global_steps=30, eval_size=8)
         m1, log1 = train_scorer(g, 3, cfg, seed=9)
         m2, log2 = train_scorer(g, 3, cfg, seed=9)
         assert np.array_equal(flatten_params(m1), flatten_params(m2))

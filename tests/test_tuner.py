@@ -13,8 +13,8 @@ from graphorder.baselines import _greedy_prefix
 from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
 from graphorder.locality import GraphSimilarity, MatrixSimilarity, as_similarity
 from graphorder.optim import AdamState, RmspropState
-from graphorder.scorer import (CHECKPOINT_VERSION, DTYPE, ScorerConfig, TrainingDiverged,
-                               TrainLog, forward, forward_batch, init_scorer, load_scorer,
+from graphorder.scorer import (CHECKPOINT_VERSION, DTYPE, ScorerConfig, SetScorer,
+                               TrainingDiverged, TrainLog, forward, forward_batch, load_scorer,
                                rmse, sample_training_batch, save_scorer, soft_label,
                                stack_batch)
 from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
@@ -277,7 +277,7 @@ class TestEvalSet:
             build_eval_set(as_similarity(Graph(11)), initial_prob(g), 4, 3, seed=0)
 
     def test_reward_sign(self):
-        model = init_scorer(5, 8, 4, seed=0)
+        model = SetScorer.glorot((5, 8, 4, 8, 5), 0)
         sets = np.array([[0, 1], [1, 2]])
         labels = forward_batch(model, sets)
         assert -rmse(model, sets, labels) == 0.0
@@ -287,7 +287,7 @@ class TestEvalSet:
 @pytest.fixture(scope="module")
 def rl_run():
     g = gen_power_law(24, 1.8, seed=3)
-    scfg = ScorerConfig(hidden=24, repr_dim=24, don_learning_rate=1e-3, batch_size=16,
+    scfg = ScorerConfig(hidden=24, don_learning_rate=1e-3, batch_size=16,
                         eval_size=24)
     rcfg = RlConfig(trajectory_len=3, rl_steps=6, gamma=0.9,
                     tuning_scale=0.15, policy_learning_rate=1e-3, policy_hidden=16,
@@ -348,7 +348,7 @@ class TestTrainRl:
 
     def test_deterministic(self):
         g = gen_power_law(15, 1.8, seed=4)
-        scfg = ScorerConfig(hidden=12, repr_dim=12, batch_size=8, eval_size=8)
+        scfg = ScorerConfig(hidden=12, batch_size=8, eval_size=8)
         rcfg = RlConfig(trajectory_len=2, rl_steps=3,
                         don_steps_per_t=1, warmup_steps=4, policy_hidden=8)
         _, _, h1 = train_scorer_rl(g, 3, scfg, rcfg, seed=21)
@@ -360,7 +360,7 @@ class TestTrainRl:
     @pytest.mark.parametrize("rl_steps, trajectory_len", [(1, 1), (4, 3)])
     def test_history_holds_one_n_wide_array(self, rl_steps, trajectory_len):
         g = gen_power_law(30, 1.8, seed=4)
-        scfg = ScorerConfig(hidden=8, repr_dim=8, batch_size=4, eval_size=4)
+        scfg = ScorerConfig(hidden=8, batch_size=4, eval_size=4)
         rcfg = RlConfig(trajectory_len=trajectory_len, rl_steps=rl_steps,
                         don_steps_per_t=1, warmup_steps=2,
                         policy_hidden=8)
@@ -424,10 +424,11 @@ def test_trainers_refuse_a_wide_window_before_the_dense_source(trainer, monkeypa
     assert rows == []
 
 
-def test_rl_config_derives_steps_per_t():
-    cfg = RlConfig(trajectory_len=5, rl_steps=50, don_steps_per_t=None)
-    assert cfg.resolved_steps_per_t(5000) == 20
-    assert RlConfig(don_steps_per_t=7).resolved_steps_per_t(5000) == 7
+def test_rl_config_default_steps_per_t():
+    # The default count of scorer steps per tuning step is the one a run of
+    # ScorerConfig's default global_steps would spread over the default schedule.
+    rl = RlConfig()
+    assert rl.don_steps_per_t == ScorerConfig().global_steps // (rl.rl_steps * rl.trajectory_len)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -487,10 +488,11 @@ def test_policy_checkpoint_refuses_version_1_and_float64(tmp_path):
 
 
 def test_checkpoint_kinds_refuse_each_other(tmp_path):
-    # With repr_dim == n the scorer's first two layers chain n -> hidden -> n,
-    # as a policy's do, so only the kind tells the two archives apart.
+    # With an embedding width of n the scorer's first two layers chain
+    # n -> hidden -> n, as a policy's do, so only the kind tells the two
+    # archives apart.
     scorer_path, policy_path = str(tmp_path / "m.npz"), str(tmp_path / "m.npz.policy.npz")
-    save_scorer(init_scorer(6, 8, 6, seed=0), scorer_path)
+    save_scorer(SetScorer.glorot((6, 8, 6, 8, 6), 0), scorer_path)
     init_policy(6, hidden=8, seed=0).save(policy_path)
     with pytest.raises(ValueError, match="^not a set_scorer checkpoint: "):
         load_scorer(policy_path)
