@@ -26,6 +26,10 @@ FALLBACKS = {"w": 5, "seed": 0}
 
 CONFIG_KEYS = {"w": int, "seed": int, **TRAIN_SETTINGS[_SC], **TRAIN_SETTINGS[_RL]}
 
+# The ScorerConfig fields only DON reads: DON-RL refuses them as flags and
+# skips them in a config file.
+DON_ONLY = ("global_steps", "eval_every")
+
 
 def read_config(path: str) -> dict:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
@@ -174,10 +178,10 @@ def cmd_eval(args, config) -> int:
     return 0
 
 
-def _train_config(cls, args, config):
-    """``cls`` with the fields that a flag or the config file sets; every
-    other field keeps its dataclass default."""
-    given = {key: _setting(args, config, key) for key in TRAIN_SETTINGS[cls]}
+def _train_config(cls, args, config, skip=()):
+    """``cls`` with the fields outside ``skip`` that a flag or the config file
+    sets; every other field keeps its dataclass default."""
+    given = {key: _setting(args, config, key) for key in TRAIN_SETTINGS[cls] if key not in skip}
     return cls(**{name: value for name, value in given.items() if value is not None})
 
 
@@ -194,12 +198,13 @@ def _write_loss_csv(path: str, log: scorer.TrainLog, with_wall: bool) -> None:
 
 
 def cmd_train(args, config) -> int:
-    scfg = _train_config(_SC, args, config)
     # Flags the chosen algorithm would not read are refused rather than dropped.
     if args.algo == "don":
-        _refuse(args, list(TRAIN_SETTINGS[_RL]), "--algo don-rl")
+        _refuse(args, TRAIN_SETTINGS[_RL], "--algo don-rl")
+        scfg = _train_config(_SC, args, config)
     else:
-        _refuse(args, ["global_steps", "eval_every"], "--algo don")
+        _refuse(args, DON_ONLY, "--algo don")
+        scfg = _train_config(_SC, args, config, skip=DON_ONLY)
         rcfg = _train_config(_RL, args, config)
     w = _setting(args, config, "w")
     seed = _setting(args, config, "seed")
@@ -229,6 +234,8 @@ def cmd_compress_cost(args, config) -> int:
         widths = [int(tok) for tok in args.b.split(",")]
     except ValueError:
         raise ValueError(f"--b {args.b!r}: expected comma-separated integers") from None
+    for b in widths:
+        graph.check_positive(**{"--b": b})
     _check_out_dirs(args.out)
     g = _load_graph(args.input)
     perm = _load_perm(args.perm, g.n)
@@ -248,6 +255,7 @@ def cmd_partition(args, config) -> int:
     seed = _setting(args, config, "seed")
     if args.method != "order":
         _refuse(args, ["perm"], "--method order")
+    graph.check_positive(**{"--k": args.k})
     _check_out_dirs(args.out)
     g = _load_graph(args.input)
     if args.method == "order":
@@ -265,14 +273,13 @@ def cmd_partition(args, config) -> int:
     return 0
 
 
-def render_pgm(g: graph.Graph, order, fmt: str = "p2",
-               block: int | None = None) -> bytes:
+def render_pgm(g: graph.Graph, order, fmt: str = "p2", block: int = 1) -> bytes:
     """Permuted adjacency as a portable graymap; set cells are black.
 
     With ``block`` = b the image is the block-nonempty map: one pixel per
     b-by-b block, ceil(n/b) pixels a side.
     """
-    rows, cols, size = downstream._block_map(g, order, 1 if block is None else block)
+    rows, cols, size = downstream._block_map(g, order, block)
     img = np.full((size, size), 255, dtype=np.uint8)
     img[rows, cols] = 0
     h, wdt = img.shape
@@ -283,6 +290,7 @@ def render_pgm(g: graph.Graph, order, fmt: str = "p2",
 
 
 def cmd_render_matrix(args, config) -> int:
+    graph.check_positive(**{"--block": args.block})
     _check_out_dirs(args.out)
     g = _load_graph(args.input)
     perm = _load_perm(args.perm, g.n)
@@ -367,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--perm", default=None)
     p.add_argument("--format", choices=["p2", "p5"], default="p2")
-    p.add_argument("--block", type=int, default=None,
+    p.add_argument("--block", type=int, default=1,
                    help="downsample to one pixel per b-wide block")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render_matrix)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _distinct_codes, check_permutation
+from .graph import Graph, _distinct_codes, check_permutation, check_positive
 
 __all__ = [
     "EdgePartition",
@@ -29,8 +29,7 @@ def _block_map(g: Graph, order, b: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Block row and block column of every arc in the adjacency matrix
     reordered by ``order`` and cut into b-by-b blocks, and the ceil(n/b)
     blocks per side."""
-    if b < 1:
-        raise ValueError("block width must be positive")
+    check_positive(b=b)
     perm = check_permutation(order, g.n)
     b = min(b, max(g.n, 1))  # any b >= n is one block; keeps huge b out of int64
     pos = np.empty(g.n, dtype=np.int64)
@@ -93,8 +92,7 @@ def partition_from_order(g: Graph, order, k: int) -> EdgePartition:
     ``m mod k`` parts take one extra edge), so all k parts are non-empty
     whenever there are at least k edges.
     """
-    if k < 1:
-        raise ValueError("partition count must be positive")
+    check_positive(k=k)
     perm = check_permutation(order, g.n)
     edges = g.undirected_edges()
     m = edges.shape[0]
@@ -114,8 +112,7 @@ def partition_from_order(g: Graph, order, k: int) -> EdgePartition:
 
 def random_partition(g: Graph, k: int, seed: int) -> EdgePartition:
     """Assign every edge independently and uniformly to one of k parts."""
-    if k < 1:
-        raise ValueError("partition count must be positive")
+    check_positive(k=k)
     edges = g.undirected_edges()
     rng = np.random.default_rng(seed)
     return EdgePartition(edges, rng.integers(0, k, size=edges.shape[0]), k)
@@ -128,8 +125,7 @@ def greedy_partition(g: Graph, k: int) -> EdgePartition:
     hard cap of ceil(m/k)*(1+GREEDY_SLACK) keeps parts from overfilling.
     Only the open parts holding u or v, and the least-loaded open part, can
     win: that part beats every other part that holds neither endpoint."""
-    if k < 1:
-        raise ValueError("partition count must be positive")
+    check_positive(k=k)
     edges = g.undirected_edges()
     m = edges.shape[0]
     parts = np.zeros(m, dtype=np.int64)

@@ -19,6 +19,7 @@ __all__ = [
     "expand_permutation",
     "check_ids",
     "check_permutation",
+    "check_positive",
 ]
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -65,6 +66,13 @@ def check_permutation(order: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
     if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
         raise ValueError(f"not a permutation of [0, {n})")
     return arr
+
+
+def check_positive(**counts: int) -> None:
+    """Refuse a count below one, naming it by its keyword."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 class EdgeListError(ValueError):

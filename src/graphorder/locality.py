@@ -43,10 +43,12 @@ def _check_pair(u: int, v: int, n: int) -> None:
         raise ValueError("similarity is undefined for a vertex with itself")
 
 
-def _check_window_size(w: int, least: int = 1) -> None:
-    """Refuse a window below ``least`` positions."""
+def _check_window_size(w: int, least: int = 1, n: int | None = None) -> None:
+    """Refuse a window below ``least`` positions or, given ``n``, above n."""
     if w < least:
         raise ValueError(f"window size must be at least {least}")
+    if n is not None and w > n:
+        raise ValueError(f"window size must be at most n={n}, got {w}")
 
 
 def similarity(g: Graph, u: int, v: int) -> int:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, check_ids
+from .graph import Graph, check_ids, check_positive
 from .locality import SimilaritySource, _check_window_size, window_set_score
 from .optim import AdamState, RmspropState
 
@@ -49,8 +49,8 @@ LOG_FLOOR = 1e-12
 # The float type of both networks, written once.  Float32 halves the bytes of
 # every n-wide array a training or decode step reads.
 DTYPE = np.float32
-# The decode's window set holds the last w - 1 placed vertices and must not be
-# empty.
+# The window sets of training and of the decode hold w - 1 vertices and must
+# not be empty.
 DECODE_MIN_WINDOW = 2
 
 
@@ -63,13 +63,6 @@ def _check_rates(**rates: float) -> None:
     for name, value in rates.items():
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_counts(**counts: int) -> None:
-    """Refuse a count below one."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -85,15 +78,9 @@ class ScorerConfig:
 
     def __post_init__(self):
         _check_rates(don_learning_rate=self.don_learning_rate)
-        _check_counts(hidden=self.hidden, batch_size=self.batch_size,
-                      global_steps=self.global_steps, eval_size=self.eval_size,
-                      eval_every=self.eval_every)
-
-
-def _check_window(w: int, n: int) -> None:
-    """Training window sets hold w - 1 vertices and leave a candidate."""
-    if not 2 <= w <= n:
-        raise ValueError(f"training needs 2 <= w <= n, got w={w} with n={n}")
+        check_positive(hidden=self.hidden, batch_size=self.batch_size,
+                       global_steps=self.global_steps, eval_size=self.eval_size,
+                       eval_every=self.eval_every)
 
 
 CHECKPOINT_VERSION = 2
@@ -302,9 +289,8 @@ def sample_training_batch(src: SimilaritySource, prob: np.ndarray, w: int, batch
     and label each with its extension distribution under ``src``.  The labels
     fill one (batch, n) block reserved before any set is drawn, so a batch
     too large fails at once."""
-    if batch < 1:
-        raise ValueError("batch size must be positive")
-    _check_window(w, src.n)
+    check_positive(batch=batch)
+    _check_window_size(w, DECODE_MIN_WINDOW, src.n)
     labels = np.empty((batch, src.n), dtype=DTYPE)
     sets = _weighted_draws_without_replacement(rng, prob, w - 1, batch)
     for members, label in zip(sets, labels):

@@ -16,13 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import _greedy_prefix
-from .graph import Graph
-from .locality import SimilaritySource, as_similarity, window_set_score
+from .baselines import PLACED, _greedy_prefix
+from .graph import Graph, check_positive
+from .locality import SimilaritySource, _check_window_size, as_similarity
 from .optim import AdamState, RmspropState
-from .scorer import (DTYPE, LOG_FLOOR, Network, ScorerConfig, SetScorer, TrainLog,
-                     _check_counts, _check_rates, _check_window, _draw, _extension_label, fit,
-                     init_scorer)
+from .scorer import (DECODE_MIN_WINDOW, DTYPE, LOG_FLOOR, Network, ScorerConfig, SetScorer,
+                     TrainLog, _check_rates, _draw, _extension_label, fit, init_scorer)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -128,8 +127,7 @@ def sample_action(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def apply_action(state: np.ndarray, action: np.ndarray, rate: float) -> np.ndarray:
     """Shift each probability by the tuning rate (up where the action bit is
     0, down where it is 1), then re-project onto the floored simplex."""
-    if rate <= 0:
-        raise ValueError("tuning rate must be positive")
+    _check_rates(rate=rate)
     return _project_to_floor(state + np.where(action == 0, rate, -rate))
 
 
@@ -187,8 +185,8 @@ class RlConfig:
     def __post_init__(self):
         _check_rates(tuning_scale=self.tuning_scale,
                      policy_learning_rate=self.policy_learning_rate)
-        _check_counts(rl_steps=self.rl_steps, trajectory_len=self.trajectory_len,
-                      policy_hidden=self.policy_hidden, don_steps_per_t=self.don_steps_per_t)
+        check_positive(rl_steps=self.rl_steps, trajectory_len=self.trajectory_len,
+                       policy_hidden=self.policy_hidden, don_steps_per_t=self.don_steps_per_t)
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must not be negative, got {self.warmup_steps}")
         if not 0 <= self.gamma <= 1:
@@ -201,9 +199,8 @@ def build_eval_set(src: SimilaritySource, prob: np.ndarray, w: int, size: int,
     block of their soft labels under ``src``, reserved first.  Each set grows
     from a start drawn from ``prob`` by GO's loop with a window as wide as the
     set; its label comes from the gain vector that loop ends with."""
-    if size < 1:
-        raise ValueError("evaluation set size must be positive")
-    _check_window(w, src.n)
+    check_positive(size=size)
+    _check_window_size(w, DECODE_MIN_WINDOW, src.n)
     if prob.shape != (src.n,):
         raise ValueError(f"prob has shape {prob.shape}, source has n={src.n}")
     labels = np.empty((size, src.n), dtype=DTYPE)
@@ -211,7 +208,8 @@ def build_eval_set(src: SimilaritySource, prob: np.ndarray, w: int, size: int,
     starts = _draw(np.random.default_rng(seed), np.cumsum(prob), size)
     for i, start in enumerate(starts.tolist()):
         sets[i], gain = _greedy_prefix(src, start, w - 1, w - 1)
-        labels[i] = _extension_label(gain, window_set_score(src, sets[i]), sets[i])
+        # Less PLACED, the members' gains sum each pair among them twice.
+        labels[i] = _extension_label(gain, int((gain[sets[i]] - PLACED).sum()) // 2, sets[i])
     return sets, labels
 
 
@@ -254,7 +252,7 @@ def train_scorer(g: Graph, w: int, cfg: ScorerConfig, seed: int) -> tuple[SetSco
     """Train a fresh scorer for ``cfg.global_steps`` steps on ``g``'s
     degree-based distribution; its log holds the RMSE points that :func:`fit`
     measures on an eval set of ``cfg.eval_size`` examples built with ``seed + 1``."""
-    _check_window(w, g.n)
+    _check_window_size(w, DECODE_MIN_WINDOW, g.n)
     src = as_similarity(g)
     prob = initial_prob(g)
     eval_set = build_eval_set(src, prob, w, cfg.eval_size, seed + 1)
@@ -289,7 +287,7 @@ def train_scorer_rl(g: Graph, w: int, scorer_cfg: ScorerConfig, rl_cfg: RlConfig
     logs after its last step; the policy updates once per trajectory, and the
     trajectory is dropped after its update.
     """
-    _check_window(w, g.n)
+    _check_window_size(w, DECODE_MIN_WINDOW, g.n)
     ss = np.random.SeedSequence(seed)
     s_init, s_policy, s_batch, s_action, s_eval = ss.spawn(5)
     src = as_similarity(g)

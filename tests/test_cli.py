@@ -249,6 +249,22 @@ class TestTrain:
         assert main(["train", small_graph_file, "--algo", "don-rl", "--w", "3",
                      "--config", str(cfg), "--out", str(tmp_path / "m.npz")]) == 1
 
+    @pytest.mark.parametrize("key", ["global_steps", "eval_every"])
+    def test_don_rl_ignores_don_only_keys_in_config_file(self, key, small_graph_file, tmp_path,
+                                                         capsys):
+        # DON-RL does not read them, so a value ScorerConfig refuses cannot stop it.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0\n")
+        assert main(["train", small_graph_file, "--algo", "don-rl", "--w", "3",
+                     "--config", str(cfg), "--hidden", "4", "--batch-size", "4",
+                     "--eval-size", "4", "--rl-steps", "1", "--trajectory-len", "1",
+                     "--don-steps-per-t", "1", "--warmup-steps", "1",
+                     "--out", str(tmp_path / "m.npz")]) == 0
+        capsys.readouterr()
+        assert main(["train", small_graph_file, "--algo", "don", "--w", "3",
+                     "--config", str(cfg), "--out", str(tmp_path / "m.npz")]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be positive, got 0\n"
+
     def test_don_rl_ignores_global_steps_in_config_file(self, small_graph_file, tmp_path):
         # DON-RL's schedule is warmup_steps + rl_steps * trajectory_len *
         # don_steps_per_t scorer steps; global_steps is DON's alone.
@@ -580,6 +596,10 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     ("order {graph} --algo don", "--model is required for --algo don"),
     ("eval {graph} --perm {dir}/p.txt --w 0", "window size must be at least 1"),
     ("compress-cost {graph} --b 8,,16", "--b '8,,16': expected comma-separated integers"),
+    ("compress-cost {graph} --b 0", "--b must be positive, got 0"),
+    ("compress-cost {graph} --b 8,-3", "--b must be positive, got -3"),
+    ("partition {graph} --method greedy --k 0", "--k must be positive, got 0"),
+    ("render-matrix {graph} --block 0 --out {dir}/m.pgm", "--block must be positive, got 0"),
     ("generate --kind er --n 6 --p 0.5 --out {dir}/nodir/g.txt",
      "cannot write {dir}/nodir/g.txt: no directory {dir}/nodir"),
     ("order {graph} --algo go --out {dir}/nodir/go.perm",
@@ -597,7 +617,9 @@ def test_bad_input_is_one_error_line(argv, small_graph_file, tmp_path, capsys):
     ("render-matrix {graph} --out {dir}/nodir/m.pgm",
      "cannot write {dir}/nodir/m.pgm: no directory {dir}/nodir"),
 ], ids=["w-degree", "w-go", "w-brute", "w-don", "w-matrix", "matrix-degree", "matrix-merge",
-        "don-no-model", "eval-w", "compress-b-empty", "generate-out-nodir", "go-out-nodir",
+        "don-no-model", "eval-w", "compress-b-empty", "compress-b-zero",
+        "compress-b-negative", "partition-k-zero", "render-block-zero",
+        "generate-out-nodir", "go-out-nodir",
         "don-out-nodir", "don-metrics-nodir", "don-rl-metrics-nodir", "compress-out-nodir",
         "partition-out-nodir", "render-out-nodir"])
 def test_refuses_flags_before_reading_any_file(argv, message, small_graph_file,
@@ -634,7 +656,7 @@ def test_matrix_header_counts(argv, code, out, err, tmp_path, capsys):
 @pytest.mark.parametrize("flags, field", [
     ("--hidden 0", "hidden"),
     ("--batch-size 0", "batch_size"), ("--algo don --eval-size 0", "eval_size"),
-    ("--policy-hidden 0", "policy_hidden"), ("--global-steps 0", "global_steps"),
+    ("--policy-hidden 0", "policy_hidden"), ("--algo don --global-steps 0", "global_steps"),
     ("--algo don --eval-every 0", "eval_every"), ("--rl-steps 0", "rl_steps"),
     ("--trajectory-len 0", "trajectory_len"), ("--don-steps-per-t 0", "don_steps_per_t")])
 def test_count_settings_refused_before_any_row(flags, field, small_graph_file, tmp_path,

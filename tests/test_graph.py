@@ -7,13 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphorder.downstream import (compression_cost, greedy_partition, partition_from_order,
+                                   random_partition)
 from graphorder.graph import (INT64_MAX, EdgeListError, Graph, _arc_codes, _distinct_codes,
                               _parse_lines, check_ids, expand_permutation, format_edge_list,
                               gen_erdos_renyi, gen_power_law, load_edge_list,
                               merge_degree_one)
-from graphorder.locality import (GraphSimilarity, MatrixSimilarity, dense_similarity,
-                                 locality_score, similarity, window_set_score)
-from graphorder.scorer import forward, forward_batch, init_scorer, soft_label
+from graphorder.locality import (GraphSimilarity, MatrixSimilarity, as_similarity,
+                                 dense_similarity, locality_score, similarity, window_set_score)
+from graphorder.scorer import (forward, forward_batch, init_scorer, sample_training_batch,
+                               soft_label)
+from graphorder.tuner import build_eval_set, initial_prob
 
 from conftest import digraphs, random_digraph
 
@@ -566,3 +570,23 @@ def test_every_id_entry_refuses_an_id_outside_the_graph(entry, backend, bad):
         call = lambda: SOURCE_ENTRIES[entry](src, bad)
     with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
         call()
+
+
+# Every public entry that takes a count, called with 0 on the graph above.
+COUNT_ENTRIES = {
+    "partition_from_order": ("k", lambda g: partition_from_order(g, np.arange(g.n), 0)),
+    "random_partition": ("k", lambda g: random_partition(g, 0, seed=0)),
+    "greedy_partition": ("k", lambda g: greedy_partition(g, 0)),
+    "compression_cost": ("b", lambda g: compression_cost(g, np.arange(g.n), 0)),
+    "sample_training_batch": ("batch", lambda g: sample_training_batch(
+        as_similarity(g), initial_prob(g), 2, 0, np.random.default_rng(0))),
+    "build_eval_set": ("size", lambda g: build_eval_set(as_similarity(g), initial_prob(g),
+                                                        2, 0, seed=0)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_every_count_entry_refuses_zero_by_its_keyword(entry):
+    keyword, call = COUNT_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{keyword} must be positive, got 0$"):
+        call(ID_GRAPH)

@@ -119,6 +119,12 @@ class TestApplyAction:
         a = np.array([1, 0, 1])
         assert np.array_equal(apply_action(s, a, 0.05), apply_action(s, a, 0.05))
 
+    @pytest.mark.parametrize("rate", [0.0, -0.1, float("nan"), float("inf")])
+    def test_refuses_a_rate_not_finite_and_positive(self, rate):
+        # A nan rate would give all-nan probabilities, and inf nan entries.
+        with pytest.raises(ValueError, match="^rate must be finite and positive"):
+            apply_action(np.full(4, 0.25), np.array([0, 1, 0, 1]), rate)
+
 
 class TestLogProbGradient:
     def test_matches_finite_differences_three_vertices(self):
@@ -269,6 +275,13 @@ class TestEvalSet:
         assert len(rows) == 24 * (5 - 1)
         assert rows == sets.ravel().tolist()
 
+    def test_pair_base_needs_no_pair_score(self, monkeypatch):
+        # The members' gains after the growth already hold their pair sum.
+        g = gen_erdos_renyi(2100, 0.002, seed=4)
+        monkeypatch.setattr(GraphSimilarity, "score", None)
+        _, labels = build_eval_set(as_similarity(g), initial_prob(g), 4, 6, seed=2)
+        assert labels.shape == (6, g.n)
+
     def test_refuses_a_source_of_another_graph(self):
         # A start drawn from the 12-vertex prob could name a vertex the
         # 11-vertex source does not hold.
@@ -399,7 +412,7 @@ def test_window_of_n_plus_one_refused_before_any_row(entry, monkeypatch):
         "train_scorer_rl": lambda: train_scorer_rl(g, g.n + 1, ScorerConfig(),
                                                    RlConfig(), seed=0),
     }
-    with pytest.raises(ValueError, match="2 <= w <= n"):
+    with pytest.raises(ValueError, match="window size must be at most n="):
         calls[entry]()
     assert rows == []
     assert rng.bit_generator.state == before
@@ -419,7 +432,7 @@ def test_trainers_refuse_a_wide_window_before_the_dense_source(trainer, monkeypa
         "train_scorer_rl": lambda: train_scorer_rl(g, g.n + 1, ScorerConfig(), RlConfig(),
                                                    seed=0),
     }
-    with pytest.raises(ValueError, match="2 <= w <= n"):
+    with pytest.raises(ValueError, match="window size must be at most n="):
         calls[trainer]()
     assert rows == []
 
