@@ -54,10 +54,14 @@ class RmspropState:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
-        """Ascend each parameter array in place along its gradient."""
+        """Ascend each parameter array in place along its gradient, through two
+        scratch arrays per parameter as in Adam."""
         for name, p in params.items():
             g = grads[name]
             c = self.cache.setdefault(name, np.zeros_like(p))
+            a, b = np.empty_like(p), np.empty_like(p)
             c *= RMSPROP_DECAY
-            c += (1 - RMSPROP_DECAY) * g * g
-            p += lr * g / (np.sqrt(c) + RMSPROP_EPS)
+            c += np.multiply(np.multiply(1 - RMSPROP_DECAY, g, out=a), g, out=a)
+            np.sqrt(c, out=b)
+            b += RMSPROP_EPS
+            p += np.divide(np.multiply(lr, g, out=a), b, out=a)

@@ -176,9 +176,11 @@ def init_scorer(n: int, hidden: int, seed: int) -> SetScorer:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in ``z``."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _forward_cache(model: SetScorer, sets: np.ndarray):
@@ -197,7 +199,8 @@ def _forward_cache(model: SetScorer, sets: np.ndarray):
     pooled = phi.sum(axis=1)                  # (B, hidden)
     z2 = pooled @ model.V1 + model.c1         # (B, hidden)
     h2 = np.maximum(z2, 0.0)
-    logits = h2 @ model.V2 + model.c2         # (B, n)
+    logits = h2 @ model.V2                    # (B, n)
+    logits += model.c2
     probs = _softmax(logits)
     return z1, h1, pooled, z2, h2, probs
 
@@ -305,7 +308,9 @@ def stack_batch(examples: Sequence[TrainingExample]) -> tuple[np.ndarray, np.nda
 
 def cross_entropy(pred: np.ndarray, label: np.ndarray) -> float:
     """Cross entropy with a numeric floor inside the log (natural log)."""
-    return float(-(label * np.log(np.maximum(pred, LOG_FLOOR))).sum(axis=-1).mean())
+    t = np.maximum(pred, LOG_FLOOR)
+    np.multiply(np.log(t, out=t), label, out=t)
+    return float(-t.sum(axis=-1).mean())
 
 
 def _loss_and_grads(model: SetScorer, sets: np.ndarray,
@@ -316,7 +321,8 @@ def _loss_and_grads(model: SetScorer, sets: np.ndarray,
     z1, h1, pooled, z2, h2, probs = _forward_cache(model, sets)
     loss = cross_entropy(probs, labels)
     bsz = sets.shape[0]
-    d_logits = (probs - labels) / bsz        # softmax + cross entropy
+    d_logits = np.subtract(probs, labels, out=probs)  # softmax + cross entropy
+    d_logits /= bsz
     d_V2 = h2.T @ d_logits
     d_c2 = d_logits.sum(axis=0)
     d_z2 = (d_logits @ model.V2.T) * (z2 > 0)
@@ -354,8 +360,9 @@ def rmse(model: SetScorer, sets: np.ndarray, labels: np.ndarray) -> float:
     if len(sets) == 0 or labels.shape != (len(sets), model.n):
         raise ValueError(f"expected a non-empty evaluation set with one {model.n}-wide "
                          f"label row per set, got {len(sets)} sets and labels {labels.shape}")
-    preds = forward_batch(model, sets)
-    return float(np.sqrt(np.mean((preds - labels) ** 2, dtype=np.float64)))
+    err = forward_batch(model, sets)
+    np.square(np.subtract(err, labels, out=err), out=err)
+    return float(np.sqrt(np.mean(err, dtype=np.float64)))
 
 
 def model_order(g: Graph, model: SetScorer, w: int) -> np.ndarray:

@@ -99,18 +99,22 @@ def init_policy(n: int, hidden: int, seed: int) -> TuningPolicy:
     return TuningPolicy.glorot((n, hidden, n), seed)
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) in float64, rounded once to z's dtype; below zero it is
+    e / (1 + e) with e = exp(z), so exp never overflows (it may underflow to 0)."""
+    t = np.asarray(z, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(t))
+        return (np.where(t < 0, e, 1.0) / (1.0 + e)).astype(z.dtype)
+
+
 def _policy_cache(policy: TuningPolicy, state: np.ndarray):
     """The policy's input, the float64 sampling vector cast once to ``DTYPE``,
     and the intermediates backprop needs."""
-    # Imported here so that only training pays scipy's import time.  A numpy
-    # 1 / (1 + exp(-x)) differs from expit in the last bit of some values,
-    # which would change every trained policy and checkpoint.
-    from scipy.special import expit
-
     x = np.asarray(state, dtype=DTYPE)
     z1 = x @ policy.W1 + policy.b1
     h = np.maximum(z1, 0.0)
-    q = expit(h @ policy.W2 + policy.b2)
+    q = _logistic(h @ policy.W2 + policy.b2)
     return x, z1, h, q
 
 

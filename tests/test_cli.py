@@ -791,13 +791,19 @@ def test_astral_character_is_one_error_line(tmp_path):
 
 def test_scoring_commands_never_import_scipy(tmp_path):
     # In a fresh interpreter: generate, order --algo go and eval on one graph
-    # below the dense cap and one above it.  Only DON-RL training imports scipy.
+    # below the dense cap and one above it, then DON and DON-RL training on
+    # the smaller one.  scipy is a test dependency only.
     runs = []
     for n in (DENSE_SIMILARITY_CAP // 4, DENSE_SIMILARITY_CAP + 1):
         g, perm = f"{tmp_path}/g{n}.txt", f"{tmp_path}/p{n}.txt"
         runs += [f"generate --kind er --n {n} --p 0.002 --seed 1 --out {g}",
                  f"order {g} --algo go --out {perm}",
                  f"eval {g} --perm {perm}"]
+    g = f"{tmp_path}/g{DENSE_SIMILARITY_CAP // 4}.txt"
+    runs += [f"train {g} --out {tmp_path}/{algo}.npz {TRAIN_FLAGS} --algo {algo} {flags}"
+             for algo, flags in (("don", "--global-steps 2"),
+                                 ("don-rl", "--warmup-steps 2 --rl-steps 1 --trajectory-len 1 "
+                                            "--don-steps-per-t 1 --policy-hidden 8"))]
     child = ("import sys; from graphorder.cli import main; "
              "print([main(cmd.split()) for cmd in sys.argv[1:]], 'scipy' in sys.modules)")
     src = Path(__file__).resolve().parents[1] / "src"
@@ -818,8 +824,8 @@ PINNED_TRAIN_OUTPUTS = {
     "--algo don-rl --warmup-steps 12 --rl-steps 2 --trajectory-len 3 "
     "--don-steps-per-t 2 --policy-hidden 8": {
         "m.npz": "ebca82eeeb82a8835dfcfd2bbf7925e04e2dcfd308d0abb44efaca3d649f5b22",
-        "m.npz.policy.npz": "cbaca2aa0e221a4ce37c4c67a416718e616f44d7cfc309b9c9aea49d1d8ad82f",
-        "m.npz.metrics.csv": "0702f90549acb07911c77febff87a66021bc1cbfe83d1eb655ed6845249f21bd",
+        "m.npz.policy.npz": "dff9e450b25f8bc8f236ae0b03a27bd2cbb9893971e3400bc0aa4e643c02d3b3",
+        "m.npz.metrics.csv": "e12af77028ecc69b483679d382f7369fe026cd39826a565ea4a334a3dbea2466",
         "m.npz.metrics.csv.don.csv":
             "4d68c6874ea1fcfaa6ea175c230de31d7de60b567ed0859ea404a4e3c4fe43b4",
     },

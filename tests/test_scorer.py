@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphorder.graph import Graph, gen_power_law
 from graphorder.locality import MatrixSimilarity, as_similarity, window_set_score
-from graphorder.optim import AdamState
+from graphorder.optim import AdamState, RmspropState
 from graphorder.scorer import (DTYPE, ScorerConfig, SetScorer, TrainingDiverged,
                                TrainingExample, _loss_and_grads,
                                _weighted_draws_without_replacement, cross_entropy,
@@ -261,6 +262,14 @@ class TestCrossEntropy:
         label = np.array([0.0, 1.0])
         assert np.isfinite(cross_entropy(pred, label))
 
+    def test_arguments_left_unchanged(self):
+        rng = np.random.default_rng(3)
+        pred, label = rng.random((4, 9), dtype=DTYPE), rng.random((4, 9), dtype=DTYPE)
+        pred[0, 0] = 0.0  # under the floor
+        before = pred.tobytes(), label.tobytes()
+        cross_entropy(pred, label)
+        assert (pred.tobytes(), label.tobytes()) == before
+
 
 def tiny_batch(model, rng, size=4, set_size=2):
     src = np.zeros((model.n, model.n), dtype=np.int64)
@@ -349,6 +358,24 @@ class TestTrainStep:
             for k in shapes:
                 assert np.array_equal(params[k], ref[k]), (t, k)
 
+    def test_rmsprop_step_matches_textbook_update(self):
+        # As Adam's: the in-place step keeps the allocating formula's
+        # operations and their order, so it equals it bit for bit.
+        rng = np.random.default_rng(6)
+        shapes = {"W": (20, 8), "b": (8,)}
+        params = {k: 1e-2 * rng.standard_normal(s).astype(DTYPE) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        cache = {k: np.zeros(s, dtype=DTYPE) for k, s in shapes.items()}
+        opt = RmspropState()
+        for t in range(5):
+            grads = {k: rng.standard_normal(s).astype(DTYPE) for k, s in shapes.items()}
+            opt.step(params, grads, lr=1e-2)
+            for k, g in grads.items():
+                cache[k] = 0.9 * cache[k] + (1 - 0.9) * g * g
+                ref[k] += 1e-2 * g / (np.sqrt(cache[k]) + 1e-8)
+            for k in shapes:
+                assert np.array_equal(params[k], ref[k]), (t, k)
+
     def test_diverged_loss_aborts(self):
         model = init_scorer(4, 4, seed=0)
         model.c2[:] = np.nan
@@ -404,6 +431,31 @@ class TestRmse:
         with pytest.raises(ValueError, match="empty"):
             rmse(init_scorer(3, 4, seed=0), np.empty((0, 1), dtype=np.int64),
                  np.empty((0, 3)))
+
+    def test_arguments_left_unchanged(self):
+        model = init_scorer(6, 4, seed=2)
+        sets = np.array([[0, 1], [2, 3], [4, 5]])
+        labels = np.random.default_rng(4).random((3, 6), dtype=DTYPE)
+        before = sets.tobytes(), labels.tobytes()
+        rmse(model, sets, labels)
+        assert (sets.tobytes(), labels.tobytes()) == before
+
+    def test_holds_at_most_one_and_three_quarter_label_blocks(self):
+        # The forward pass's (B, n) block is the only one kept: the logits,
+        # the softmax and the squared errors are formed in it in place.
+        n, size = 2000, 256
+        model = init_scorer(n, 64, seed=1)
+        rng = np.random.default_rng(2)
+        sets = np.stack([rng.choice(n, 4, replace=False) for _ in range(size)])
+        labels = rng.random((size, n), dtype=DTYPE)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            rmse(model, sets, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 1.75 * labels.nbytes
 
     @pytest.mark.parametrize("labels", [np.full((1, 3), 1 / 3), np.full((3, 3), 1 / 3),
                                         np.full((2, 4), 0.25), np.full(3, 1 / 3)],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from graphorder import locality, tuner
 from graphorder.baselines import _greedy_prefix
@@ -61,6 +62,29 @@ class TestPolicyForward:
         policy = init_policy(5, hidden=8, seed=2)
         s = np.full(5, 0.2)
         assert np.array_equal(policy_forward(policy, s), policy_forward(policy, s))
+
+
+class TestLogistic:
+    # scipy's expit evaluated in float64 is the reference.  Its float32 loop
+    # is itself up to 2 ulp from the exact logistic, so the exact value
+    # rounded once is 2 ulp from that loop on some inputs.  In float64 both
+    # this and expit are about 2 ulp from exact.
+    SPECIAL = [0.0, 1e-8, -1e-8, 17.0, -17.0, 88.7, -88.7, 104.0, -104.0,
+               1e30, -1e30, 3.4e38, -3.4e38]
+
+    @pytest.mark.parametrize("dtype, ulps", [(np.float32, 1), (np.float64, 4)])
+    def test_agrees_with_scipy_expit(self, dtype, ulps):
+        draws = 30 * np.random.default_rng(8).standard_normal(100_000)
+        z = np.concatenate([self.SPECIAL, draws]).astype(dtype)
+        with np.errstate(all="raise"):
+            q = tuner._logistic(z)
+        assert q.dtype == dtype
+        assert np.all((q >= 0) & (q <= 1))
+        assert q[z == 3.4e38] == 1 and q[z == -3.4e38] == 0
+        ref = expit(z.astype(np.float64)).astype(dtype)
+        normal = ref >= np.finfo(dtype).tiny
+        gap = np.abs(q - ref)[normal] / np.spacing(np.minimum(q, ref)[normal])
+        assert gap.max() <= ulps
 
 
 class TestSampleAction:
