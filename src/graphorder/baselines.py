@@ -2,13 +2,14 @@
 degree baseline, and an exhaustive optimum for tiny instances."""
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, islice, permutations
 
 import numpy as np
 
 from .graph import Graph
-from .locality import (SimilarityLike, SimilaritySource, _check_window_size, _window_sums,
-                       as_similarity)
+from .locality import (DENSE_SIMILARITY_CAP, SimilarityLike, SimilaritySource,
+                       _check_window_size, _window_sums, as_similarity)
 
 __all__ = ["greedy_order", "degree_order", "brute_force_order", "BRUTE_FORCE_CAP"]
 
@@ -38,8 +39,10 @@ def _greedy_prefix(src: SimilaritySource, first: int, length: int,
     ``first``, and the final gain vector: each later step appends the
     unplaced vertex with the largest summed similarity against the last ``w``
     placed ones, ties to the smallest id.  The gain vector is maintained
-    incrementally: appending a vertex adds its similarity row, and the vertex
-    sliding out of the window subtracts its own (none does when w >= length).
+    incrementally: the vertex sliding out of the window subtracts the row it
+    added w steps before (none does when w >= length), and the appended
+    vertex adds its own.  Integer adds commute, so the order of the two does
+    not change a gain.
 
     Placing a vertex also adds ``PLACED`` (-2**63) to its gain, once.  An
     unplaced gain is a window sum of non-negative similarities, and a placed
@@ -50,14 +53,18 @@ def _greedy_prefix(src: SimilaritySource, first: int, length: int,
     placed vertex."""
     order = np.empty(length, dtype=np.int64)
     gain = np.zeros(src.n, dtype=np.int64)
+    # The window's rows, oldest first, kept for their subtract while w rows
+    # hold no more entries than the dense matrix at the cap; past that, the
+    # deque holds none (maxlen 0 drops each append) and the subtract gathers.
+    rows: deque[np.ndarray] = deque(maxlen=w if w * src.n <= DENSE_SIMILARITY_CAP ** 2 else 0)
     for i in range(length):
         # argmax takes the first max, the smallest id among ties
         v = first if i == 0 else int(np.argmax(gain))
         order[i] = v
         gain[v] += PLACED
-        src.add_scores_of(gain, v, 1)
         if i >= w:
-            src.add_scores_of(gain, int(order[i - w]), -1)
+            src.add_scores_of(gain, int(order[i - w]), -1, rows[0] if rows else None)
+        rows.append(src.add_scores_of(gain, v, 1))
     return order, gain
 
 

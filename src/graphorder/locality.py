@@ -7,7 +7,7 @@ vertex pair whose positions are at most ``w`` apart.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,14 +62,13 @@ def similarity(g: Graph, u: int, v: int) -> int:
     return len(preds_u.intersection(preds_v)) + (v in preds_u) + (u in preds_v)
 
 
-def _similarity_row(g: Graph, x: int) -> np.ndarray:
+def _similarity_row(g: Graph, x: int, out_of: Callable[[int], np.ndarray]) -> np.ndarray:
     """S(x, .) as an int64 n-vector with a zero at x: one bincount over the
     out-list of x, the in-list of x and the out-lists of x's in-neighbors,
     since each in-neighbor z of x adds one common in-neighbor to every v it
-    points at."""
+    points at.  ``out_of(v)`` is v's out-list."""
     preds = g.in_neighbors(x)
-    row = np.bincount(np.concatenate([g.out_neighbors(x), preds,
-                                      *map(g.out_neighbors, preds.tolist())]),
+    row = np.bincount(np.concatenate([out_of(x), preds, *map(out_of, preds.tolist())]),
                       minlength=g.n)
     row[x] = 0
     return row
@@ -84,7 +83,7 @@ def dense_similarity(g: Graph) -> np.ndarray:
     of int64's 32 MB.  Every reader sums its entries in int64."""
     mat = np.empty((g.n, g.n), dtype=np.min_scalar_type(-(g.n + 1)))
     for x in range(g.n):
-        mat[x] = _similarity_row(g, x)
+        mat[x] = _similarity_row(g, x, g.out_neighbors)
     return mat
 
 
@@ -96,8 +95,11 @@ class SimilaritySource:
     def score(self, u: int, v: int) -> int:
         raise NotImplementedError
 
-    def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:
-        """Accumulate ``sign * S(x, v)`` into ``acc[v]`` for every v != x."""
+    def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1,
+                      row: np.ndarray | None = None) -> np.ndarray:
+        """Accumulate ``sign * S(x, v)`` into ``acc[v]`` for every v != x, and
+        return the row S(x, .) that was added.  Given ``row``, an earlier
+        return value for the same x, that row is added and none is gathered."""
         raise NotImplementedError
 
     def scores_against(self, members: Sequence[int]) -> np.ndarray:
@@ -147,11 +149,14 @@ class MatrixSimilarity(SimilaritySource):
         _check_pair(u, v, self.n)
         return int(self.matrix[u, v])
 
-    def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:
+    def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1,
+                      row: np.ndarray | None = None) -> np.ndarray:
+        row = self.matrix[x]
         if sign == 1:
-            acc += self.matrix[x]
+            acc += row
         else:
-            acc -= self.matrix[x]
+            acc -= row
+        return row
 
 
 class GraphSimilarity(SimilaritySource):
@@ -167,6 +172,8 @@ class GraphSimilarity(SimilaritySource):
         self.graph = g
         self.n = g.n
         self._memo: dict[tuple[int, int], int] = {}
+        # One out-list view per vertex: a row gather indexes, not slices.
+        self._out_of = list(map(g.out_neighbors, range(g.n))).__getitem__
 
     def score(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
@@ -177,11 +184,15 @@ class GraphSimilarity(SimilaritySource):
                 self._memo[key] = value
         return value
 
-    def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1) -> None:
+    def add_scores_of(self, acc: np.ndarray, x: int, sign: int = 1,
+                      row: np.ndarray | None = None) -> np.ndarray:
+        if row is None:
+            row = _similarity_row(self.graph, x, self._out_of)
         if sign == 1:
-            acc += _similarity_row(self.graph, x)
+            acc += row
         else:
-            acc -= _similarity_row(self.graph, x)
+            acc -= row
+        return row
 
 
 SimilarityLike = Graph | SimilaritySource

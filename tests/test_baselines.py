@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import time
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from graphorder import baselines
+from graphorder import baselines, locality
 from graphorder.baselines import brute_force_order, degree_order, greedy_order
 from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
-from graphorder.locality import (DENSE_SIMILARITY_CAP, MatrixSimilarity, as_similarity,
-                                 locality_score)
+from graphorder.locality import (DENSE_SIMILARITY_CAP, GraphSimilarity, MatrixSimilarity,
+                                 as_similarity, locality_score)
 
 from conftest import random_digraph
 
@@ -133,6 +134,54 @@ class TestGreedyOrder:
         assert hashlib.sha256(order.tobytes()).hexdigest() == (
             "d03827893fadfbd7cc90a41db214f0d9ec77db42c311a6763baa8641aaa31f63")
         assert locality_score(g, order, 5) == 10189
+
+
+class TestKeptRows:
+    """Above the dense cap, GO gathers each placed vertex's row once and
+    passes it back for the vertex's subtract, unless w rows would hold more
+    entries than the dense matrix at the cap."""
+
+    @pytest.fixture
+    def graph(self):
+        g = gen_erdos_renyi(2100, 0.002, seed=4)
+        assert g.n > DENSE_SIMILARITY_CAP
+        return g
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        rows = []
+        gather = locality._similarity_row
+        monkeypatch.setattr(locality, "_similarity_row",
+                            lambda g, x, *rest: rows.append(x) or gather(g, x, *rest))
+        return rows
+
+    def test_one_gather_per_vertex(self, graph, gathers):
+        order = greedy_order(GraphSimilarity(graph), 5)
+        assert gathers == order.tolist()
+
+    def test_gathers_again_past_the_cap(self, graph, gathers, monkeypatch):
+        kept = greedy_order(GraphSimilarity(graph), 5)
+        gathers.clear()
+        monkeypatch.setattr(baselines, "DENSE_SIMILARITY_CAP", 100)
+        assert 5 * graph.n > 100 ** 2
+        assert np.array_equal(greedy_order(GraphSimilarity(graph), 5), kept)
+        assert len(gathers) == 2 * graph.n - 5
+
+    @pytest.mark.parametrize("cap, least, most", [(DENSE_SIMILARITY_CAP, 5, 5 + 2), (100, 0, 2)])
+    def test_holds_only_the_kept_rows(self, graph, cap, least, most, monkeypatch):
+        # Beyond the order and the gain vector: under the cap, the w kept rows
+        # and the one being gathered; past it, only the one being gathered.
+        # The source, and its out-list views, are built before the count.
+        monkeypatch.setattr(baselines, "DENSE_SIMILARITY_CAP", cap)
+        src = GraphSimilarity(graph)
+        tracemalloc.start()
+        try:
+            greedy_order(src, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = peak / (graph.n * 8) - 2
+        assert least <= rows <= most, rows
 
 
 class TestBruteForce:

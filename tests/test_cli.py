@@ -666,7 +666,7 @@ def test_count_settings_refused_before_any_row(flags, field, small_graph_file, t
     rows = []
     gather = locality._similarity_row
     monkeypatch.setattr(locality, "_similarity_row",
-                        lambda g, x: rows.append(x) or gather(g, x))
+                        lambda g, x, *rest: rows.append(x) or gather(g, x, *rest))
     assert main(f"train {small_graph_file} {flags} --out {tmp_path}/m.npz".split()) == 1
     assert capsys.readouterr().err == f"error: {field} must be positive, got 0\n"
     assert rows == []
@@ -685,7 +685,7 @@ def test_rate_and_range_settings_named_by_their_key(flags, key, small_graph_file
     rows = []
     gather = locality._similarity_row
     monkeypatch.setattr(locality, "_similarity_row",
-                        lambda g, x: rows.append(x) or gather(g, x))
+                        lambda g, x, *rest: rows.append(x) or gather(g, x, *rest))
     assert main(f"train {small_graph_file} {flags} --out {tmp_path}/m.npz".split()) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key} "), err

@@ -237,9 +237,14 @@ class TestGraphSource:
             for sign in (1, -1):
                 acc_lazy = np.array(start, dtype=np.int64)
                 acc_dense = acc_lazy.copy()
-                lazy.add_scores_of(acc_lazy, x, sign)
-                dense.add_scores_of(acc_dense, x, sign)
+                row = lazy.add_scores_of(acc_lazy, x, sign)
+                assert np.array_equal(row, dense.add_scores_of(acc_dense, x, sign))
+                assert np.array_equal(row, dense.matrix[x])
                 assert np.array_equal(acc_lazy, acc_dense)
+                # A returned row passed back adds what a fresh gather adds.
+                acc_kept = np.array(start, dtype=np.int64)
+                assert lazy.add_scores_of(acc_kept, x, sign, row) is row
+                assert np.array_equal(acc_kept, acc_dense)
             for v in range(n):
                 if v != x:
                     assert lazy.score(x, v) == dense.score(x, v)

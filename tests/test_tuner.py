@@ -294,7 +294,7 @@ class TestEvalSet:
         rows = []
         gather = locality._similarity_row
         monkeypatch.setattr(locality, "_similarity_row",
-                            lambda g, x: rows.append(x) or gather(g, x))
+                            lambda g, x, *rest: rows.append(x) or gather(g, x, *rest))
         sets, _ = build_eval_set(src, initial_prob(g), 5, 24, seed=3)
         assert len(rows) == 24 * (5 - 1)
         assert rows == sets.ravel().tolist()
@@ -425,7 +425,7 @@ def test_window_of_n_plus_one_refused_before_any_row(entry, monkeypatch):
     rows = []
     gather = locality._similarity_row
     monkeypatch.setattr(locality, "_similarity_row",
-                        lambda g, x: rows.append(x) or gather(g, x))
+                        lambda g, x, *rest: rows.append(x) or gather(g, x, *rest))
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     calls = {
@@ -450,7 +450,7 @@ def test_trainers_refuse_a_wide_window_before_the_dense_source(trainer, monkeypa
     rows = []
     gather = locality._similarity_row
     monkeypatch.setattr(locality, "_similarity_row",
-                        lambda g, x: rows.append(x) or gather(g, x))
+                        lambda g, x, *rest: rows.append(x) or gather(g, x, *rest))
     calls = {
         "train_scorer": lambda: train_scorer(g, g.n + 1, ScorerConfig(), seed=0),
         "train_scorer_rl": lambda: train_scorer_rl(g, g.n + 1, ScorerConfig(), RlConfig(),
