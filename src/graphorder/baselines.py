@@ -8,8 +8,8 @@ from itertools import chain, islice, permutations
 import numpy as np
 
 from .graph import Graph
-from .locality import (DENSE_SIMILARITY_CAP, SimilarityLike, SimilaritySource,
-                       _check_window_size, _window_sums, as_similarity)
+from .locality import (DENSE_SIMILARITY_CAP, SimilarityLike, _check_window_size, _window_sums,
+                       as_similarity)
 
 __all__ = ["greedy_order", "degree_order", "brute_force_order", "BRUTE_FORCE_CAP"]
 
@@ -17,7 +17,7 @@ __all__ = ["greedy_order", "degree_order", "brute_force_order", "BRUTE_FORCE_CAP
 BRUTE_FORCE_CAP = 10
 # Permutations scored per vectorized block.
 BRUTE_FORCE_CHUNK = 200_000
-# Added to a vertex's greedy gain when it is placed (see _greedy_prefix).
+# Added to a vertex's greedy gain when it is placed (see greedy_order).
 PLACED = np.iinfo(np.int64).min
 
 
@@ -26,23 +26,10 @@ def greedy_order(source: SimilarityLike, w: int) -> np.ndarray:
     summed similarity against the last ``min(placed, w)`` placed vertices.
 
     Ties break to the smallest vertex id, which also picks vertex 0 first
-    (every candidate starts at zero gain).
-    """
-    _check_window_size(w)
-    src = as_similarity(source)
-    return _greedy_prefix(src, 0, src.n, w)[0]
-
-
-def _greedy_prefix(src: SimilaritySource, first: int, length: int,
-                   w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``length`` vertices of the greedy order that starts at
-    ``first``, and the final gain vector: each later step appends the
-    unplaced vertex with the largest summed similarity against the last ``w``
-    placed ones, ties to the smallest id.  The gain vector is maintained
+    (every candidate starts at zero gain).  The gain vector is maintained
     incrementally: the vertex sliding out of the window subtracts the row it
-    added w steps before (none does when w >= length), and the appended
-    vertex adds its own.  Integer adds commute, so the order of the two does
-    not change a gain.
+    added w steps before, and the appended vertex adds its own.  Integer adds
+    commute, so the order of the two does not change a gain.
 
     Placing a vertex also adds ``PLACED`` (-2**63) to its gain, once.  An
     unplaced gain is a window sum of non-negative similarities, and a placed
@@ -50,22 +37,24 @@ def _greedy_prefix(src: SimilaritySource, first: int, length: int,
     total, which ``MatrixSimilarity`` keeps below 2**63 (a graph's, at most
     m**2 + m for m arcs, is below it for m < 3e9), so every placed gain is
     negative, every unplaced one is not, and a plain argmax never picks a
-    placed vertex."""
-    order = np.empty(length, dtype=np.int64)
+    placed vertex.
+    """
+    _check_window_size(w)
+    src = as_similarity(source)
+    order = np.empty(src.n, dtype=np.int64)
     gain = np.zeros(src.n, dtype=np.int64)
     # The window's rows, oldest first, kept for their subtract while w rows
     # hold no more entries than the dense matrix at the cap; past that, the
     # deque holds none (maxlen 0 drops each append) and the subtract gathers.
     rows: deque[np.ndarray] = deque(maxlen=w if w * src.n <= DENSE_SIMILARITY_CAP ** 2 else 0)
-    for i in range(length):
-        # argmax takes the first max, the smallest id among ties
-        v = first if i == 0 else int(np.argmax(gain))
+    for i in range(src.n):
+        v = int(np.argmax(gain))  # the first max, the smallest id among ties
         order[i] = v
         gain[v] += PLACED
         if i >= w:
             src.add_scores_of(gain, int(order[i - w]), -1, rows[0] if rows else None)
         rows.append(src.add_scores_of(gain, v, 1))
-    return order, gain
+    return order
 
 
 def degree_order(g: Graph) -> np.ndarray:

@@ -228,21 +228,15 @@ def soft_label(src: SimilaritySource, members: Sequence[int] | np.ndarray) -> np
 
     Each candidate's raw weight is the full pair-sum locality of the set plus
     that candidate; members get zero.  Weights are normalized to sum to one,
-    falling back to uniform over non-members when every weight is zero.
+    falling back to uniform over non-members when every weight is zero.  The
+    label is summed and normalized in float64 and returned as ``DTYPE``.
     """
     members = np.asarray(members, dtype=np.int64)
     if members.size >= src.n:
         raise ValueError(f"a window set of {members.size} vertices leaves no "
                          f"candidate among {src.n}")
-    return _extension_label(src.scores_against(members), window_set_score(src, members),
-                            members)
-
-
-def _extension_label(gain: np.ndarray, pair_base: int, members: np.ndarray) -> np.ndarray:
-    """``soft_label`` from every vertex's summed similarity against the members
-    (``gain``, whose member entries are ignored) and the members' pair sum,
-    summed and normalized in float64 and returned as ``DTYPE``."""
-    raw = np.add(gain, pair_base, dtype=np.float64)
+    raw = np.add(src.scores_against(members), window_set_score(src, members),
+                 dtype=np.float64)
     raw[members] = 0.0
     total = raw.sum()
     if total <= 0.0:
@@ -286,19 +280,29 @@ def _weighted_draws_without_replacement(rng: np.random.Generator, prob: np.ndarr
     return sets
 
 
-def sample_training_batch(src: SimilaritySource, prob: np.ndarray, w: int, batch: int,
-                          rng: np.random.Generator) -> list[TrainingExample]:
-    """Draw ``batch`` window sets of size w-1 (weighted, without replacement)
-    and label each with its extension distribution under ``src``.  The labels
-    fill one (batch, n) block reserved before any set is drawn, so a batch
-    too large fails at once."""
+def _labeled_sets(src: SimilaritySource, prob: np.ndarray, w: int, batch: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``batch`` window sets of size w-1 drawn from ``prob`` (weighted, without
+    replacement), as a (batch, w-1) array, and the (batch, n) block of their
+    soft labels under ``src``.  The block is reserved before any set is drawn,
+    so a batch too large fails at once."""
     check_positive(batch=batch)
     _check_window_size(w, DECODE_MIN_WINDOW, src.n)
+    if np.shape(prob) != (src.n,):
+        raise ValueError(f"prob has shape {np.shape(prob)}, source has n={src.n}")
     labels = np.empty((batch, src.n), dtype=DTYPE)
     sets = _weighted_draws_without_replacement(rng, prob, w - 1, batch)
     for members, label in zip(sets, labels):
         label[:] = soft_label(src, members)
-    return [TrainingExample(members, label) for members, label in zip(sets, labels)]
+    return sets, labels
+
+
+def sample_training_batch(src: SimilaritySource, prob: np.ndarray, w: int, batch: int,
+                          rng: np.random.Generator) -> list[TrainingExample]:
+    """Draw ``batch`` window sets of size w-1 (weighted, without replacement)
+    and label each with its extension distribution under ``src``."""
+    return [TrainingExample(members, label)
+            for members, label in zip(*_labeled_sets(src, prob, w, batch, rng))]
 
 
 def stack_batch(examples: Sequence[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:

@@ -16,12 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import PLACED, _greedy_prefix
 from .graph import Graph, check_positive
 from .locality import SimilaritySource, _check_window_size, as_similarity
 from .optim import AdamState, RmspropState
 from .scorer import (DECODE_MIN_WINDOW, DTYPE, LOG_FLOOR, Network, ScorerConfig, SetScorer,
-                     TrainLog, _check_rates, _draw, _extension_label, fit, init_scorer)
+                     TrainLog, _check_rates, _labeled_sets, fit, init_scorer)
 
 __all__ = [
     "EPS_FLOOR_SCALE",
@@ -199,22 +198,11 @@ class RlConfig:
 
 def build_eval_set(src: SimilaritySource, prob: np.ndarray, w: int, size: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed evaluation set: a (size, w-1) array of window sets and the (size, n)
-    block of their soft labels under ``src``, reserved first.  Each set grows
-    from a start drawn from ``prob`` by GO's loop with a window as wide as the
-    set; its label comes from the gain vector that loop ends with."""
+    """Fixed evaluation set: one training batch of ``size`` window sets drawn
+    from ``prob`` by a generator seeded with ``seed``, as a (size, w-1) array
+    of sets and the (size, n) block of their soft labels under ``src``."""
     check_positive(size=size)
-    _check_window_size(w, DECODE_MIN_WINDOW, src.n)
-    if prob.shape != (src.n,):
-        raise ValueError(f"prob has shape {prob.shape}, source has n={src.n}")
-    labels = np.empty((size, src.n), dtype=DTYPE)
-    sets = np.empty((size, w - 1), dtype=np.int64)
-    starts = _draw(np.random.default_rng(seed), np.cumsum(prob), size)
-    for i, start in enumerate(starts.tolist()):
-        sets[i], gain = _greedy_prefix(src, start, w - 1, w - 1)
-        # Less PLACED, the members' gains sum each pair among them twice.
-        labels[i] = _extension_label(gain, int((gain[sets[i]] - PLACED).sum()) // 2, sets[i])
-    return sets, labels
+    return _labeled_sets(src, prob, w, size, np.random.default_rng(seed))
 
 
 def discounted_returns(rewards: Sequence[float], gamma: float) -> list[float]:

@@ -75,18 +75,6 @@ class TestGreedyOrder:
             order = greedy_order(g, w)
             assert order[0] == 0
             assert_greedy_steps(as_similarity(g), order, w)
-        # Prefixes grown from a first vertex other than 0.
-        g = random_digraph(rng, 12, 0.3)
-        src = as_similarity(g)
-        for first, length, w in ((5, 12, 3), (11, 6, 2), (3, 4, 4)):
-            prefix, gain = baselines._greedy_prefix(src, first, length, w)
-            assert prefix[0] == first and np.unique(prefix).size == length
-            assert_greedy_steps(src, prefix, w)
-            # The gain left over is each unplaced vertex's sum against the
-            # last w placed; every placed gain is negative.
-            unplaced = np.setdiff1d(np.arange(g.n), prefix)
-            assert np.array_equal(gain[unplaced], src.scores_against(prefix[-w:])[unplaced])
-            assert (gain[prefix] < 0).all()
         # The on-demand source above the dense cap, on a sparse graph where
         # many gains tie at zero.
         g = gen_erdos_renyi(DENSE_SIMILARITY_CAP + 100, 0.001, seed=4)

@@ -819,15 +819,15 @@ TRAIN_FLAGS = "--w 3 --seed 5 --hidden 8 --batch-size 8 --eval-size 6"
 PINNED_TRAIN_OUTPUTS = {
     "--algo don --global-steps 12 --eval-every 5": {
         "m.npz": "34491115a5162c6aff840cf89b4386ccb91f6c061ac1a660c57a4fdae9f075c5",
-        "m.npz.metrics.csv": "41b850667c1ba7708700934599ee4cd934ede715c2c638d94e60db7ab74b1486",
+        "m.npz.metrics.csv": "bf2288ff1e4ee5b92ae78e0641f842c83d924ca5dad5cac89968b0c81e3e581f",
     },
     "--algo don-rl --warmup-steps 12 --rl-steps 2 --trajectory-len 3 "
     "--don-steps-per-t 2 --policy-hidden 8": {
         "m.npz": "ebca82eeeb82a8835dfcfd2bbf7925e04e2dcfd308d0abb44efaca3d649f5b22",
-        "m.npz.policy.npz": "dff9e450b25f8bc8f236ae0b03a27bd2cbb9893971e3400bc0aa4e643c02d3b3",
-        "m.npz.metrics.csv": "e12af77028ecc69b483679d382f7369fe026cd39826a565ea4a334a3dbea2466",
+        "m.npz.policy.npz": "887d58a7cc666da6389b6837dd36602630cb908b91c2c903998ddc4c86ade59e",
+        "m.npz.metrics.csv": "c66bce32f131bf99d1f1b4102d8de27d6d049f305ff4e11619c47eb00c841321",
         "m.npz.metrics.csv.don.csv":
-            "4d68c6874ea1fcfaa6ea175c230de31d7de60b567ed0859ea404a4e3c4fe43b4",
+            "0ce4f2c49acd20c2cb64f40dfae756ace69c2d942862bd8adc0c15588f496c08",
     },
 }
 

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from graphorder import locality, tuner
-from graphorder.baselines import _greedy_prefix
 from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
 from graphorder.locality import GraphSimilarity, MatrixSimilarity, as_similarity
 from graphorder.optim import AdamState, RmspropState
 from graphorder.scorer import (CHECKPOINT_VERSION, DTYPE, ScorerConfig, SetScorer,
-                               TrainingDiverged, TrainLog, forward, forward_batch, load_scorer,
-                               rmse, sample_training_batch, save_scorer, soft_label,
-                               stack_batch)
+                               TrainingDiverged, TrainLog, _weighted_draws_without_replacement,
+                               forward, forward_batch, load_scorer, rmse, sample_training_batch,
+                               save_scorer, soft_label, stack_batch)
 from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               build_eval_set, check_prob, default_floor,
                               discounted_returns,
@@ -228,17 +227,8 @@ class TestReinforce:
 
 
 class TestEvalSet:
-    # The eval set grows each window set with GO's loop at a window as wide
-    # as the set: _greedy_prefix(src, start, size, size).
-    def test_growth_on_worked_fixture(self, five_sim):
-        # from vertex 0 the best neighbor is 1 (similarity 2)
-        grown, _ = _greedy_prefix(MatrixSimilarity(five_sim), 0, 2, 2)
-        assert grown.tolist() == [0, 1]
-
-    def test_growth_tie_breaks_small_id(self):
-        grown, _ = _greedy_prefix(MatrixSimilarity(np.zeros((4, 4), dtype=int)), 2, 3, 3)
-        assert grown.tolist() == [2, 0, 1]
-
+    # The eval set is one training batch: the sampler's sets and their soft
+    # labels, drawn by a generator seeded with the eval seed.
     def test_examples_distinct_members_and_deterministic(self):
         g = random_digraph(np.random.default_rng(7), 12, 0.3)
         sets_a, labels_a = build_eval_set(as_similarity(g), initial_prob(g), 4, 20, seed=9)
@@ -249,10 +239,12 @@ class TestEvalSet:
             assert np.unique(members).size == 3
 
     def test_fixture_label(self, five_sim):
-        # growing from 0 gives {0, 1}; its label is the worked soft label
-        src = MatrixSimilarity(five_sim)
-        members, _ = _greedy_prefix(src, 0, 2, 2)
-        assert np.allclose(soft_label(src, members), [0, 0, 0.2, 0.4, 0.4])
+        # With all of prob's mass on vertices 0 and 1, every set is {0, 1},
+        # and its label is the worked soft label.
+        prob = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
+        sets, labels = build_eval_set(MatrixSimilarity(five_sim), prob, 3, 4, seed=0)
+        assert sets.tolist() == [[0, 1]] * 4
+        assert np.allclose(labels, [0, 0, 0.2, 0.4, 0.4])
 
     @pytest.mark.parametrize("make", [
         lambda: random_digraph(np.random.default_rng(7), 12, 0.3),
@@ -260,26 +252,29 @@ class TestEvalSet:
         lambda: Graph(9),
     ], ids=["dense", "on-demand", "edgeless"])
     def test_labels_are_the_soft_labels_of_the_sets(self, make):
-        # Each label comes from the growth's own gain vector; it must equal
-        # the soft label computed from the set alone.
+        # The contract: the sets are the sampler's draws from a generator
+        # seeded with the seed, and each label row is the soft label of its
+        # set.
         g = make()
-        src = as_similarity(g)
-        sets, labels = build_eval_set(src, initial_prob(g), 4, 6, seed=2)
+        src, prob = as_similarity(g), initial_prob(g)
+        sets, labels = build_eval_set(src, prob, 4, 6, seed=2)
+        assert np.array_equal(sets, _weighted_draws_without_replacement(
+            np.random.default_rng(2), prob, 4 - 1, 6))
+        assert labels.shape == (6, g.n)
         for members, label in zip(sets, labels):
             assert np.array_equal(label, soft_label(src, members))
 
     @pytest.mark.parametrize("make, digests", [
         (lambda: gen_power_law(300, 1.6, seed=7),
-         ("8631c5b91a46f4874034f675268d4259069556d420d0b49310e2786e2548cf29",
-          "af2c818a842380a8e52e6dd03fcbc51a419029ea65827812bd1f0594ae326dde")),
+         ("a969cba98e5984d9c70c68ee02cc28910b39241e8e669ee0c6dff75d9ca4c5b2",
+          "e7caaf486c9e4f7c8cc20851d20a777cb8d3ba3492bbf86ffae3fadbfde9e047")),
         (lambda: gen_erdos_renyi(2100, 0.002, seed=4),
-         ("1db0b6b27cede162754ec904ae14349ec86c401204a228b9bee78f514c906524",
-          "079ebb9635a0322302825810e082753aff89bf5f1feadac97fbb10ffcbfbf0eb")),
+         ("9e07f67a8ec3dfc90cebeda130f89ae0288fbde0a6beadfd4cd0629c298a70e4",
+          "ba0e3bfc34c65bd76ba1dd5bc7b3cb35eeb79d25ecb5ef1ce7cfc73d02815b43")),
     ], ids=["dense", "on-demand"])
     def test_pinned(self, make, digests):
-        # sha256 of the sets and labels, recorded from the list of examples
-        # that grew each set and then labeled it with soft_label.  Float
-        # results depend on the platform's numpy build.
+        # sha256 of the sets and labels.  Float results depend on the
+        # platform's numpy build.
         g = make()
         sets, labels = build_eval_set(as_similarity(g), initial_prob(g), 5, 24, seed=3)
         assert sets.dtype == np.int64 and labels.dtype == DTYPE
@@ -287,7 +282,7 @@ class TestEvalSet:
                 hashlib.sha256(labels.tobytes()).hexdigest()) == digests
 
     def test_one_row_gather_per_member(self, monkeypatch):
-        # The growth sums every member's row, which is what the label needs.
+        # Each label sums every member's row once.
         g = gen_erdos_renyi(2100, 0.002, seed=4)
         src = as_similarity(g)
         assert isinstance(src, GraphSimilarity)
@@ -299,15 +294,8 @@ class TestEvalSet:
         assert len(rows) == 24 * (5 - 1)
         assert rows == sets.ravel().tolist()
 
-    def test_pair_base_needs_no_pair_score(self, monkeypatch):
-        # The members' gains after the growth already hold their pair sum.
-        g = gen_erdos_renyi(2100, 0.002, seed=4)
-        monkeypatch.setattr(GraphSimilarity, "score", None)
-        _, labels = build_eval_set(as_similarity(g), initial_prob(g), 4, 6, seed=2)
-        assert labels.shape == (6, g.n)
-
     def test_refuses_a_source_of_another_graph(self):
-        # A start drawn from the 12-vertex prob could name a vertex the
+        # A set drawn from the 12-vertex prob could name a vertex the
         # 11-vertex source does not hold.
         g = random_digraph(np.random.default_rng(7), 12, 0.3)
         with pytest.raises(ValueError, match=r"prob has shape \(12,\), source has n=11"):
@@ -437,6 +425,31 @@ def test_window_of_n_plus_one_refused_before_any_row(entry, monkeypatch):
                                                    RlConfig(), seed=0),
     }
     with pytest.raises(ValueError, match="window size must be at most n="):
+        calls[entry]()
+    assert rows == []
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("entry", ["sample_training_batch", "build_eval_set"])
+@pytest.mark.parametrize("prob_n", [12, 14], ids=["short", "long"])
+def test_sampler_entries_refuse_a_prob_of_another_length(entry, prob_n, monkeypatch):
+    # A short prob would never draw the source's last vertices, and a long
+    # one could draw a vertex the source does not hold.  The refusal comes
+    # before any draw or similarity row.
+    g = gen_erdos_renyi(13, 0.3, seed=1)
+    prob = np.full(prob_n, 1.0 / prob_n)
+    rows = []
+    gather = locality._similarity_row
+    monkeypatch.setattr(locality, "_similarity_row",
+                        lambda g, x, *rest: rows.append(x) or gather(g, x, *rest))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    calls = {
+        "sample_training_batch": lambda: sample_training_batch(GraphSimilarity(g), prob, 3, 4,
+                                                               rng),
+        "build_eval_set": lambda: build_eval_set(GraphSimilarity(g), prob, 3, 4, seed=0),
+    }
+    with pytest.raises(ValueError, match=rf"prob has shape \({prob_n},\), source has n=13"):
         calls[entry]()
     assert rows == []
     assert rng.bit_generator.state == before
