@@ -21,9 +21,16 @@ BRUTE_FORCE_CHUNK = 200_000
 PLACED = np.iinfo(np.int64).min
 
 
-def greedy_order(source: SimilarityLike, w: int) -> np.ndarray:
+def greedy_order(source: SimilarityLike, w: int, gains: np.ndarray | None = None) -> np.ndarray:
     """Build a permutation by repeatedly appending the vertex with the largest
     summed similarity against the last ``min(placed, w)`` placed vertices.
+
+    Given ``gains``, an int64 n-vector, step i writes into ``gains[i]`` the
+    gain of the vertex it places: its summed similarity to the min(i, w)
+    vertices placed before it, which is its share of the locality score at
+    gaps 1..w.  So ``gains.sum()`` is ``locality_score(source, order, w)``,
+    exactly: it counts each pair at most once, so it is at most the
+    similarity total, which is below 2**63 (see ``PLACED`` below).
 
     Ties break to the smallest vertex id, which also picks vertex 0 first
     (every candidate starts at zero gain).  The gain vector is maintained
@@ -41,6 +48,9 @@ def greedy_order(source: SimilarityLike, w: int) -> np.ndarray:
     """
     _check_window_size(w)
     src = as_similarity(source)
+    if gains is not None and not (isinstance(gains, np.ndarray) and gains.dtype == np.int64
+                                  and gains.shape == (src.n,)):
+        raise ValueError(f"gains must be an int64 array of shape ({src.n},)")
     order = np.empty(src.n, dtype=np.int64)
     gain = np.zeros(src.n, dtype=np.int64)
     # The window's rows, oldest first, kept for their subtract while w rows
@@ -50,6 +60,8 @@ def greedy_order(source: SimilarityLike, w: int) -> np.ndarray:
     for i in range(src.n):
         v = int(np.argmax(gain))  # the first max, the smallest id among ties
         order[i] = v
+        if gains is not None:
+            gains[i] = gain[v]
         gain[v] += PLACED
         if i >= w:
             src.add_scores_of(gain, int(order[i - w]), -1, rows[0] if rows else None)

@@ -148,21 +148,26 @@ def cmd_order(args, config) -> int:
         if work.n == source.n:  # every group is a singleton: expanding is the identity
             work, group = source, None
 
+    # GO's step gains sum to its order's F and brute force returns its F, so
+    # only the other orders, and any order a merge expands, are scored here.
+    score = None
     if args.algo == "go":
-        if group is None:  # GO and the printed F share one similarity source
-            source = work = locality.as_similarity(source)
-        perm = baselines.greedy_order(work, w)
+        gains = np.empty(work.n, dtype=np.int64)
+        perm = baselines.greedy_order(work, w, gains)
+        score = int(gains.sum())
     elif args.algo == "degree":
         perm = baselines.degree_order(work)
     elif args.algo == "brute":
-        perm, _ = baselines.brute_force_order(work, w)
+        perm, score = baselines.brute_force_order(work, w)
     else:  # don
         model = scorer.load_scorer(args.model)
         perm = scorer.model_order(work, model, w)
 
     if group is not None:
         perm = graph.expand_permutation(perm, group, seed)
-    score = locality.locality_score(source, perm, w)
+        score = None
+    if score is None:
+        score = locality.locality_score(source, perm, w)
     if args.out:
         Path(args.out).write_text(locality.format_permutation(perm))
     print(f"F={score}")

@@ -284,12 +284,17 @@ def _labeled_sets(src: SimilaritySource, prob: np.ndarray, w: int, batch: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """``batch`` window sets of size w-1 drawn from ``prob`` (weighted, without
     replacement), as a (batch, w-1) array, and the (batch, n) block of their
-    soft labels under ``src``.  The block is reserved before any set is drawn,
-    so a batch too large fails at once."""
+    soft labels under ``src``.  A negative or non-finite weight is refused, and
+    the block is reserved, before any set is drawn, so a batch too large fails
+    at once."""
     check_positive(batch=batch)
     _check_window_size(w, DECODE_MIN_WINDOW, src.n)
     if np.shape(prob) != (src.n,):
         raise ValueError(f"prob has shape {np.shape(prob)}, source has n={src.n}")
+    p = np.asarray(prob)
+    bad = np.flatnonzero(~(np.isfinite(p) & (p >= 0)))
+    if bad.size:
+        raise ValueError(f"prob must be finite and non-negative, got prob[{bad[0]}] = {p[bad[0]]}")
     labels = np.empty((batch, src.n), dtype=DTYPE)
     sets = _weighted_draws_without_replacement(rng, prob, w - 1, batch)
     for members, label in zip(sets, labels):
