@@ -7,6 +7,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphorder import baselines, locality
 from graphorder.baselines import brute_force_order, degree_order, greedy_order
@@ -14,7 +16,7 @@ from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
 from graphorder.locality import (DENSE_SIMILARITY_CAP, GraphSimilarity, MatrixSimilarity,
                                  as_similarity, locality_score)
 
-from conftest import random_digraph
+from conftest import digraphs, naive_locality_score, random_digraph
 
 
 def naive_best_order(source, w):
@@ -52,15 +54,21 @@ class TestGreedyOrder:
 
     def test_each_step_attains_max_gain(self):
         # Every step after the first takes the smallest id among the
-        # unplaced vertices of largest gain against the last w placed ones.
-        def assert_greedy_steps(src, order, w):
+        # unplaced vertices of largest gain against the last w placed ones,
+        # and reports that gain; the first step's gain is zero.
+        def assert_greedy_steps(src, w):
+            step_gains = np.full(src.n, -1, dtype=np.int64)
+            order = greedy_order(src, w, step_gains)
+            assert step_gains[0] == 0
             unplaced = np.ones(src.n, dtype=bool)
             unplaced[order[0]] = False
             for i in range(1, order.size):
                 gains = src.scores_against(order[max(0, i - w):i].tolist())
                 best = gains[unplaced].max()
                 assert order[i] == np.flatnonzero(unplaced & (gains == best))[0]
+                assert step_gains[i] == best
                 unplaced[order[i]] = False
+            return order
 
         rng = np.random.default_rng(6)
         cases = []
@@ -72,15 +80,30 @@ class TestGreedyOrder:
         cases += [(Graph(1), 1), (Graph(6), 2), (Graph(6), 9),
                   (random_digraph(rng, 7, 0.4), 7), (random_digraph(rng, 7, 0.4), 12)]
         for g, w in cases:
-            order = greedy_order(g, w)
-            assert order[0] == 0
-            assert_greedy_steps(as_similarity(g), order, w)
+            assert assert_greedy_steps(as_similarity(g), w)[0] == 0
         # The on-demand source above the dense cap, on a sparse graph where
         # many gains tie at zero.
         g = gen_erdos_renyi(DENSE_SIMILARITY_CAP + 100, 0.001, seed=4)
         src = as_similarity(g)
         assert not isinstance(src, MatrixSimilarity)
-        assert_greedy_steps(src, greedy_order(src, 4), 4)
+        assert_greedy_steps(src, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(), st.sampled_from([1, 5, 31]))
+    def test_step_gains_sum_to_the_score(self, g, w):
+        # The gains of GO's steps are each vertex's share of F at gaps 1..w,
+        # on the dense and the on-demand source alike; w = 31 exceeds any n.
+        for src in (as_similarity(g), GraphSimilarity(g)):
+            gains = np.full(g.n, -1, dtype=np.int64)
+            order = greedy_order(src, w, gains)
+            assert int(gains.sum()) == naive_locality_score(g, order, w)
+
+    @pytest.mark.parametrize("gains", [np.zeros(5, dtype=np.int64), np.zeros(6, dtype=np.int32),
+                                       np.zeros((6, 1), dtype=np.int64), [0] * 6],
+                             ids=["short", "int32", "column", "list"])
+    def test_refuses_a_gains_buffer_of_another_form(self, gains):
+        with pytest.raises(ValueError, match=r"gains must be an int64 array of shape \(6,\)"):
+            greedy_order(Graph(6, [(0, 1), (2, 3)]), 2, gains)
 
     def test_approximation_bound_small(self):
         rng = np.random.default_rng(77)

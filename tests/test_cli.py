@@ -79,6 +79,29 @@ class TestOrder:
         assert main(["order", str(path), "--algo", "brute", "--w", "3"]) == 0
         assert "F=75" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algo, merge, rescored", [
+        ("go", False, 0), ("brute", False, 0), ("degree", False, 1),
+        ("go", True, 1), ("brute", True, 1)])
+    def test_only_orders_without_their_score_are_scored_again(
+            self, tmp_path, capsys, monkeypatch, algo, merge, rescored):
+        # GO's step gains and brute force's optimum are their order's F, so
+        # only degree order, and an order a merge expands (scored on the
+        # original graph), call locality_score.  The printed F is eval's.
+        path, out = tmp_path / "g.txt", tmp_path / "perm.txt"
+        path.write_text(format_edge_list(Graph(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5),
+                                                   (5, 6), (6, 4), (6, 7)])))
+        calls = []
+        score = locality.locality_score
+        monkeypatch.setattr(locality, "locality_score",
+                            lambda *args: calls.append(args) or score(*args))
+        assert main(["order", str(path), "--algo", algo, "--w", "2", "--out", str(out)]
+                    + ["--merge"] * merge) == 0
+        captured = capsys.readouterr()
+        assert len(calls) == rescored
+        assert ("merged 8 -> 7 vertices" in captured.err) == merge
+        assert main(["eval", str(path), "--perm", str(out), "--w", "2"]) == 0
+        assert capsys.readouterr().out == captured.out
+
     def test_degree_needs_graph_input(self, fixture_matrix_file):
         assert main(["order", fixture_matrix_file, "--matrix",
                      "--algo", "degree"]) == 1

@@ -455,6 +455,33 @@ def test_sampler_entries_refuse_a_prob_of_another_length(entry, prob_n, monkeypa
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("entry", ["sample_training_batch", "build_eval_set"])
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_sampler_entries_refuse_a_bad_prob_entry(entry, bad, monkeypatch):
+    # Unchecked, a negative weight shifts the CDF so that a vertex of positive
+    # weight is never drawn, and a nan or inf one leaves a single vertex to
+    # draw.  The refusal names the first bad vertex and comes before any draw
+    # or similarity row.
+    g = Graph.from_undirected(4, [(0, 1), (1, 2), (2, 3)])
+    prob = np.array([0.5, 0.5, bad, bad])
+    rows = []
+    gather = locality._similarity_row
+    monkeypatch.setattr(locality, "_similarity_row",
+                        lambda g, x, *rest: rows.append(x) or gather(g, x, *rest))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    calls = {
+        "sample_training_batch": lambda: sample_training_batch(GraphSimilarity(g), prob, 2, 8,
+                                                               rng),
+        "build_eval_set": lambda: build_eval_set(GraphSimilarity(g), prob, 2, 8, seed=0),
+    }
+    with pytest.raises(ValueError, match=rf"prob must be finite and non-negative, "
+                                         rf"got prob\[2\] = {bad}"):
+        calls[entry]()
+    assert rows == []
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("trainer", ["train_scorer", "train_scorer_rl"])
 def test_trainers_refuse_a_wide_window_before_the_dense_source(trainer, monkeypatch):
     # Below the cap, building the source gathers every row, so the window
