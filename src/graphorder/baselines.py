@@ -47,16 +47,21 @@ def greedy_order(source: SimilarityLike, w: int, gains: np.ndarray | None = None
     placed vertex.
     """
     _check_window_size(w)
-    src = as_similarity(source)
+    # One pass reads each row twice, once to add it and once, kept, to
+    # subtract it, so a Graph of any size is read through on-demand rows:
+    # a dense matrix would gather the same n rows and copy them first.
+    src = as_similarity(source, dense_cap=0)
     if gains is not None and not (isinstance(gains, np.ndarray) and gains.dtype == np.int64
                                   and gains.shape == (src.n,)):
         raise ValueError(f"gains must be an int64 array of shape ({src.n},)")
     order = np.empty(src.n, dtype=np.int64)
     gain = np.zeros(src.n, dtype=np.int64)
-    # The window's rows, oldest first, kept for their subtract while w rows
-    # hold no more entries than the dense matrix at the cap; past that, the
-    # deque holds none (maxlen 0 drops each append) and the subtract gathers.
-    rows: deque[np.ndarray] = deque(maxlen=w if w * src.n <= DENSE_SIMILARITY_CAP ** 2 else 0)
+    # The window's rows, oldest first, kept for their subtract while w int64
+    # rows hold no more bytes than the int16 dense matrix at the cap (8 MB);
+    # past that, the deque holds none (maxlen 0 drops each append) and the
+    # subtract gathers its row again.
+    rows: deque[np.ndarray] = deque(
+        maxlen=w if 4 * w * src.n <= DENSE_SIMILARITY_CAP ** 2 else 0)
     for i in range(src.n):
         v = int(np.argmax(gain))  # the first max, the smallest id among ties
         order[i] = v

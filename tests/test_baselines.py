@@ -14,7 +14,7 @@ from graphorder import baselines, locality
 from graphorder.baselines import brute_force_order, degree_order, greedy_order
 from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
 from graphorder.locality import (DENSE_SIMILARITY_CAP, GraphSimilarity, MatrixSimilarity,
-                                 as_similarity, locality_score)
+                                 as_similarity, dense_similarity, locality_score)
 
 from conftest import digraphs, naive_locality_score, random_digraph
 
@@ -98,6 +98,32 @@ class TestGreedyOrder:
             order = greedy_order(src, w, gains)
             assert int(gains.sum()) == naive_locality_score(g, order, w)
 
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(), st.sampled_from([1, 5, 31]))
+    def test_graph_and_dense_matrix_agree(self, g, w):
+        # GO reads a Graph through on-demand rows at every n; an explicit
+        # dense matrix of the same graph gives the same order and step gains.
+        orders, gains = [], []
+        for src in (g, MatrixSimilarity(dense_similarity(g))):
+            gains.append(np.full(g.n, -1, dtype=np.int64))
+            orders.append(greedy_order(src, w, gains[-1]))
+        assert np.array_equal(orders[0], orders[1])
+        assert np.array_equal(gains[0], gains[1])
+
+    @pytest.mark.parametrize("g, digest, score", [
+        (gen_power_law(DENSE_SIMILARITY_CAP, 1.6, seed=7),
+         "e980fbefa9bef0404f936c528c7b26baa31033e0230293d1244c30a353e6551d", 42020),
+        (gen_erdos_renyi(DENSE_SIMILARITY_CAP, 0.003, seed=11),
+         "662af77efb082114c138efc9d0a954d104b2d1d02f4a9195234cb160a99b1450", 7682),
+    ], ids=["power-law", "erdos-renyi"])
+    def test_pinned_at_dense_cap(self, g, digest, score):
+        # At n = CAP, GO on the Graph's on-demand rows, and on an explicit
+        # dense matrix, give the order and F pinned when GO read the matrix.
+        order = greedy_order(g, 5)
+        assert hashlib.sha256(order.tobytes()).hexdigest() == digest
+        assert locality_score(g, order, 5) == score
+        assert np.array_equal(greedy_order(MatrixSimilarity(dense_similarity(g)), 5), order)
+
     @pytest.mark.parametrize("gains", [np.zeros(5, dtype=np.int64), np.zeros(6, dtype=np.int32),
                                        np.zeros((6, 1), dtype=np.int64), [0] * 6],
                              ids=["short", "int32", "column", "list"])
@@ -148,9 +174,10 @@ class TestGreedyOrder:
 
 
 class TestKeptRows:
-    """Above the dense cap, GO gathers each placed vertex's row once and
-    passes it back for the vertex's subtract, unless w rows would hold more
-    entries than the dense matrix at the cap."""
+    """At every n, GO reads a graph through on-demand rows: it gathers each
+    placed vertex's row once and passes it back for the vertex's subtract,
+    unless w int64 rows would hold more bytes than the int16 dense matrix at
+    the cap (4·w·n > CAP², 8 MB)."""
 
     @pytest.fixture
     def graph(self):
@@ -168,6 +195,12 @@ class TestKeptRows:
 
     def test_one_gather_per_vertex(self, graph, gathers):
         order = greedy_order(GraphSimilarity(graph), 5)
+        assert gathers == order.tolist()
+        # Below the cap a Graph is read on demand too: a dense matrix would
+        # gather every row in id order before GO's first step.
+        below = gen_erdos_renyi(DENSE_SIMILARITY_CAP, 0.002, seed=4)
+        gathers.clear()
+        order = greedy_order(below, 5)
         assert gathers == order.tolist()
 
     def test_gathers_again_past_the_cap(self, graph, gathers, monkeypatch):
@@ -193,6 +226,21 @@ class TestKeptRows:
             tracemalloc.stop()
         rows = peak / (graph.n * 8) - 2
         assert least <= rows <= most, rows
+
+    @pytest.mark.parametrize("w", [5, 500, 1000, 1999, 2500])
+    def test_kept_rows_hold_at_most_the_dense_matrix_at_the_cap(self, w):
+        # At n = CAP, w = 500 is the widest window whose rows are kept
+        # (4·w·n = CAP²): its rows hold CAP²·2 bytes, the int16 matrix's.  A
+        # wider window keeps none.  The slack is O(n): the order, the gain
+        # vector, the row being gathered and the source's out-list views.
+        g = gen_power_law(DENSE_SIMILARITY_CAP, 1.6, seed=7)
+        tracemalloc.start()
+        try:
+            greedy_order(g, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= DENSE_SIMILARITY_CAP ** 2 * 2 + 40 * g.n * 8, peak
 
 
 class TestBruteForce:

@@ -124,31 +124,37 @@ class TestOrder:
         assert captured.err == "dropped 2 self-loops, 1 duplicate arcs\n"
         assert captured.out.startswith("F=")
 
-    def test_go_builds_one_similarity_source(self, tmp_path, monkeypatch):
-        # Below the dense cap, GO and the printed F read one dense matrix.
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The n of every dense matrix and of every on-demand source built."""
+        built = {"dense": [], "on_demand": []}
+        dense, on_demand = locality.dense_similarity, locality.GraphSimilarity
+        monkeypatch.setattr(locality, "dense_similarity",
+                            lambda g: built["dense"].append(g.n) or dense(g))
+        monkeypatch.setattr(locality, "GraphSimilarity",
+                            lambda g: built["on_demand"].append(g.n) or on_demand(g))
+        return built
+
+    def test_go_builds_one_similarity_source(self, tmp_path, builds):
+        # Below the dense cap too, GO reads the graph through one on-demand
+        # source, and the printed F is the sum of its step gains: no dense
+        # matrix is built.
         path = tmp_path / "g.txt"
         path.write_text(format_edge_list(gen_power_law(300, 1.6, seed=7)))
-        builds = []
-        dense = locality.dense_similarity
-        monkeypatch.setattr(locality, "dense_similarity",
-                            lambda g: builds.append(g.n) or dense(g))
         assert main(["order", str(path), "--algo", "go", "--w", "5"]) == 0
-        assert builds == [300]
+        assert builds == {"dense": [], "on_demand": [300]}
 
     def test_merge_that_removes_nothing_builds_one_similarity_source(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, capsys, builds):
         path = tmp_path / "g.txt"
         path.write_text(format_edge_list(gen_power_law(300, 1.6, seed=7)))
         assert main(["order", str(path), "--algo", "go", "--w", "5",
                      "--out", str(tmp_path / "plain.txt")]) == 0
-        builds = []
-        dense = locality.dense_similarity
-        monkeypatch.setattr(locality, "dense_similarity",
-                            lambda g: builds.append(g.n) or dense(g))
+        builds["on_demand"].clear()
         assert main(["order", str(path), "--algo", "go", "--w", "5", "--merge",
                      "--out", str(tmp_path / "merged.txt")]) == 0
         assert "merged 300 -> 300 vertices" in capsys.readouterr().err
-        assert builds == [300]
+        assert builds == {"dense": [], "on_demand": [300]}
         assert (tmp_path / "merged.txt").read_text() == (tmp_path / "plain.txt").read_text()
 
     def test_merge_output_pinned(self, tmp_path, capsys):
