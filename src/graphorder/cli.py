@@ -61,6 +61,15 @@ def _setting(args, config: dict, name: str):
     return config.get(name, FALLBACKS.get(name))
 
 
+def _seed(args, config: dict) -> int:
+    """The seed setting, refused if negative: numpy's generators would refuse
+    it only once they are built, without naming it."""
+    seed = _setting(args, config, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
+    return seed
+
+
 def _load_graph(path: str) -> graph.Graph:
     result = graph.load_edge_list(Path(path).read_text())
     if result.self_loops_dropped or result.duplicates_dropped:
@@ -106,7 +115,7 @@ def _refuse(args, names, reader: str) -> None:
 
 
 def cmd_generate(args, config) -> int:
-    seed = _setting(args, config, "seed")
+    seed = _seed(args, config)
     _check_out_dirs(args.out)
     if args.kind == "er":
         _refuse(args, ["gamma_exp"], "--kind powerlaw")
@@ -126,7 +135,7 @@ def cmd_generate(args, config) -> int:
 def cmd_order(args, config) -> int:
     w = _setting(args, config, "w")
     locality._check_window_size(w, scorer.DECODE_MIN_WINDOW if args.algo == "don" else 1)
-    seed = _setting(args, config, "seed")
+    seed = _seed(args, config)
     if args.matrix and args.algo not in ("go", "brute"):
         raise ValueError("matrix input supports only --algo go or brute")
     if args.merge and args.matrix:
@@ -212,7 +221,7 @@ def cmd_train(args, config) -> int:
         scfg = _train_config(_SC, args, config, skip=DON_ONLY)
         rcfg = _train_config(_RL, args, config)
     w = _setting(args, config, "w")
-    seed = _setting(args, config, "seed")
+    seed = _seed(args, config)
     metrics = args.metrics or (args.out + ".metrics.csv")
     _check_out_dirs(args.out, metrics)  # OUT.policy.npz and METRICS.don.csv sit beside them
     g = _load_graph(args.input)
@@ -257,7 +266,7 @@ def cmd_compress_cost(args, config) -> int:
 
 
 def cmd_partition(args, config) -> int:
-    seed = _setting(args, config, "seed")
+    seed = _seed(args, config)
     if args.method != "order":
         _refuse(args, ["perm"], "--method order")
     graph.check_positive(**{"--k": args.k})

@@ -1,4 +1,9 @@
-"""Minimal per-array optimizers used by both network trainers."""
+"""Minimal per-array optimizers used by both network trainers.
+
+A step takes ownership of ``grads``: it pops each gradient as it updates that
+parameter and overwrites it as scratch, so each gradient must be a writable
+array of its parameter's shape and dtype, and the dict is empty afterwards.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -19,31 +24,33 @@ class AdamState:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
-        """Descend each parameter array in place along its gradient.
+        """Descend each parameter array in place along its gradient, consuming
+        ``grads``.
 
         The update is ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, evaluated in
-        that order through two scratch arrays per parameter.  They are not
-        kept between steps: held, they would raise peak memory by two copies
-        of every parameter."""
+        that order through one scratch array per parameter and the spent
+        gradient, which takes ``v_hat``.  The scratch array is not kept
+        between steps: held, it would raise peak memory by a copy of every
+        parameter."""
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, p in params.items():
-            g = grads[name]
+            g = grads.pop(name)
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
             m, v = self.m[name], self.v[name]
-            a, b = np.empty_like(p), np.empty_like(p)
+            a = np.empty_like(p)
             m *= b1
             m += np.multiply(1 - b1, g, out=a)
             v *= b2
             np.multiply(1 - b2, g, out=a)
             v += np.multiply(a, g, out=a)
             np.divide(m, 1 - b1 ** self.t, out=a)  # m_hat
-            np.divide(v, 1 - b2 ** self.t, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += ADAM_EPS
+            np.divide(v, 1 - b2 ** self.t, out=g)  # v_hat
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
             a *= lr
-            p -= np.divide(a, b, out=a)
+            p -= np.divide(a, g, out=a)
 
 
 class RmspropState:
@@ -54,14 +61,17 @@ class RmspropState:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
-        """Ascend each parameter array in place along its gradient, through two
-        scratch arrays per parameter as in Adam."""
+        """Ascend each parameter array in place along its gradient, consuming
+        ``grads`` as Adam does: the denominator goes into one scratch array per
+        parameter and ``lr * g`` into the spent gradient."""
         for name, p in params.items():
-            g = grads[name]
-            c = self.cache.setdefault(name, np.zeros_like(p))
-            a, b = np.empty_like(p), np.empty_like(p)
+            g = grads.pop(name)
+            if name not in self.cache:
+                self.cache[name] = np.zeros_like(p)
+            c = self.cache[name]
+            a = np.empty_like(p)
             c *= RMSPROP_DECAY
             c += np.multiply(np.multiply(1 - RMSPROP_DECAY, g, out=a), g, out=a)
-            np.sqrt(c, out=b)
-            b += RMSPROP_EPS
-            p += np.divide(np.multiply(lr, g, out=a), b, out=a)
+            np.sqrt(c, out=a)
+            a += RMSPROP_EPS
+            p += np.divide(np.multiply(lr, g, out=g), a, out=g)

@@ -55,7 +55,7 @@ DECODE_MIN_WINDOW = 2
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training step produces a non-finite loss or gradient."""
+    """Raised when training produces a non-finite loss, gradient or RMSE."""
 
 
 def _check_rates(**rates: float) -> None:
@@ -118,7 +118,10 @@ class Network:
 
     def update(self, opt: AdamState | RmspropState, grads: dict[str, np.ndarray],
                lr: float) -> None:
-        """One optimizer step, refused with TrainingDiverged on a non-finite gradient."""
+        """One optimizer step, refused with TrainingDiverged on a non-finite
+        gradient.  The step consumes ``grads``: it pops each gradient and
+        reuses it as scratch, so no spent gradient outlives its parameter's
+        update and ``grads`` is empty afterwards."""
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):
                 raise TrainingDiverged(f"non-finite {self.KIND} gradient in {name}")
@@ -335,6 +338,7 @@ def _loss_and_grads(model: SetScorer, sets: np.ndarray,
     d_V2 = h2.T @ d_logits
     d_c2 = d_logits.sum(axis=0)
     d_z2 = (d_logits @ model.V2.T) * (z2 > 0)
+    del probs, d_logits  # the (B, n) block, freed before d_W1 is allocated
     d_V1 = pooled.T @ d_z2
     d_c1 = d_z2.sum(axis=0)
     d_pooled = d_z2 @ model.V1.T             # (B, hidden)
@@ -353,9 +357,13 @@ def _loss_and_grads(model: SetScorer, sets: np.ndarray,
 
 def train_step(model: SetScorer, batch: Sequence[TrainingExample],
                opt: AdamState, lr: float) -> float:
-    """One full backprop + Adam update on a batch; returns the mean loss."""
+    """One full backprop + Adam update on a batch; returns the mean loss.  An
+    overflow or invalid value in the passes is left to the finiteness checks
+    of the loss and the gradients, which raise TrainingDiverged."""
     sets, labels = stack_batch(batch)
-    loss, grads = _loss_and_grads(model, sets, labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = _loss_and_grads(model, sets, labels)
+    del sets, labels  # the stacked (B, n) copy, freed before the optimizer step
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss!r}; check inputs and learning rate")
     model.update(opt, grads, lr)
@@ -365,13 +373,15 @@ def train_step(model: SetScorer, batch: Sequence[TrainingExample],
 def rmse(model: SetScorer, sets: np.ndarray, labels: np.ndarray) -> float:
     """Root mean square error of the predictions for a (B, m) batch of sets
     against their (B, n) labels, over all rows and vector components; the
-    squared errors are averaged in float64."""
+    squared errors are averaged in float64.  A diverged model gives nan or inf,
+    without a warning."""
     if len(sets) == 0 or labels.shape != (len(sets), model.n):
         raise ValueError(f"expected a non-empty evaluation set with one {model.n}-wide "
                          f"label row per set, got {len(sets)} sets and labels {labels.shape}")
-    err = forward_batch(model, sets)
-    np.square(np.subtract(err, labels, out=err), out=err)
-    return float(np.sqrt(np.mean(err, dtype=np.float64)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = forward_batch(model, sets)
+        np.square(np.subtract(err, labels, out=err), out=err)
+        return float(np.sqrt(np.mean(err, dtype=np.float64)))
 
 
 def model_order(g: Graph, model: SetScorer, w: int) -> np.ndarray:
@@ -434,13 +444,18 @@ def fit(model: SetScorer, opt: AdamState, src: SimilaritySource,
     appending every loss to ``log``, and a (step, rmse) point on ``eval_set``,
     a pair of sets and labels, to ``log.rmse_points`` every ``eval_every``
     steps of this call and after its last; steps are numbered by
-    ``len(log.losses)``, so they stay global across calls sharing a log."""
+    ``len(log.losses)``, so they stay global across calls sharing a log.  A
+    non-finite RMSE point is logged and then raises TrainingDiverged."""
     for k in range(1, steps + 1):
         batch = sample_training_batch(src, prob, w, cfg.batch_size, rng)
         log.losses.append(train_step(model, batch, opt, cfg.don_learning_rate))
         # Free the batch's n-wide labels before the next batch or the RMSE
-        # allocates, so that two batches never coexist.
+        # allocates, so that two batches never coexist.  train_step has
+        # already dropped its stacked copy, its gradients and its scratch.
         del batch
         log.wall_times.append(time.perf_counter() - log.t0)
         if k % eval_every == 0 or k == steps:
             log.rmse_points.append((len(log.losses), rmse(model, *eval_set)))
+            if not np.isfinite(log.rmse_points[-1][1]):
+                raise TrainingDiverged(f"non-finite RMSE at step {len(log.losses)}; "
+                                       "check inputs and learning rate")

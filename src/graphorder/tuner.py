@@ -224,7 +224,9 @@ def reinforce_update(policy: TuningPolicy, states: Sequence[np.ndarray],
 
     Each step's advantage is its discounted suffix return minus the reward
     baseline as it stood before that step's reward was absorbed; gradients of
-    the Bernoulli log-likelihood are summed over the trajectory.
+    the Bernoulli log-likelihood are summed over the trajectory.  Each step's
+    gradient is scaled in place and dropped once summed, so besides the
+    parameters at most the sum and one step's gradient are held.
     """
     if not rewards:
         raise ValueError("empty trajectory")
@@ -234,8 +236,9 @@ def reinforce_update(policy: TuningPolicy, states: Sequence[np.ndarray],
         b = baseline.value if baseline.value is not None else reward
         advantage = ret - b
         _, grads = log_prob_grad(policy, state, action)
-        for name in total:
-            total[name] += advantage * grads[name]
+        for name, acc in total.items():
+            acc += np.multiply(grads[name], advantage, out=grads[name])
+        del grads
         baseline.update(reward)
     policy.update(opt, total, alpha)
 

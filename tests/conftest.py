@@ -2,6 +2,7 @@
 builders, and naive reference oracles the fast paths are checked against."""
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -103,3 +104,15 @@ def numeric_gradient(loss, params: dict[str, np.ndarray], step: float = 1e-4):
             g[i] = (up - down) / (2 * step)
         grads[name] = g.reshape(arr.shape)
     return grads
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` holds at its peak above what was held before it,
+    as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -663,6 +664,46 @@ def test_refuses_flags_before_reading_any_file(argv, message, small_graph_file,
     assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
     assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
     assert [f.name for f in tmp_path.iterdir()] == ["graph.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    "generate --kind er --n 6 --p 0.5 --seed -1 --out {dir}/g.txt",
+    "order {graph} --merge --seed -1",
+    "train {graph} --seed -1 --out {dir}/m.npz",
+    "partition {graph} --method random --k 2 --seed -1",
+    "train {graph} --config {dir}/seed.cfg --out {dir}/m.npz",
+], ids=["generate", "order", "train", "partition", "train-config-key"])
+def test_negative_seed_refused_before_any_input(argv, small_graph_file, tmp_path, capsys,
+                                                monkeypatch):
+    # numpy's generators refuse it too, but later and without naming it.
+    def no_read(*args):
+        raise AssertionError("read an input before checking the seed")
+
+    monkeypatch.setattr(cli, "_load_source", no_read)
+    monkeypatch.setattr(cli, "_load_graph", no_read)
+    (tmp_path / "seed.cfg").write_text("seed = -1\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(argv.format(graph=small_graph_file, dir=tmp_path).split()) == 1
+    assert capsys.readouterr().err == "error: seed must not be negative, got -1\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("steps, message", [
+    (1, "error: non-finite RMSE at step 1; check inputs and learning rate"),
+    (3, "error: non-finite loss nan; check inputs and learning rate"),
+], ids=["rmse", "loss"])
+def test_diverging_training_is_one_error_line_under_warnings_as_errors(steps, message,
+                                                                       tmp_path, capsys):
+    # The forward passes overflow; with every warning an error, as tier-1
+    # runs, that must still end in one error line, exit 1 and no checkpoint.
+    (tmp_path / "g.txt").write_text(format_edge_list(gen_power_law(2000, 1.6, seed=7)))
+    argv = (f"train {tmp_path}/g.txt --algo don --w 5 --global-steps {steps} --eval-size 8 "
+            f"--batch-size 8 --don-learning-rate 1e38 --out {tmp_path}/m.npz")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.split()) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["g.txt"]
 
 
 @pytest.mark.parametrize("argv, code, out, err", [

@@ -18,7 +18,7 @@ from graphorder.scorer import (DTYPE, ScorerConfig, SetScorer, TrainingDiverged,
                                save_scorer, soft_label, stack_batch, train_step)
 from graphorder.tuner import initial_prob, train_scorer
 
-from conftest import float64_copy, numeric_gradient, random_digraph
+from conftest import float64_copy, numeric_gradient, random_digraph, traced_peak
 
 
 class TestConfig:
@@ -349,7 +349,7 @@ class TestTrainStep:
         opt = AdamState()
         for t in range(1, 6):
             grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
-            opt.step(params, grads, lr=1e-2)
+            opt.step(params, {k: g.copy() for k, g in grads.items()}, lr=1e-2)  # consumed
             for k, g in grads.items():
                 m[k] = 0.9 * m[k] + (1 - 0.9) * g
                 v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
@@ -369,12 +369,50 @@ class TestTrainStep:
         opt = RmspropState()
         for t in range(5):
             grads = {k: rng.standard_normal(s).astype(DTYPE) for k, s in shapes.items()}
-            opt.step(params, grads, lr=1e-2)
+            opt.step(params, {k: g.copy() for k, g in grads.items()}, lr=1e-2)  # consumed
             for k, g in grads.items():
                 cache[k] = 0.9 * cache[k] + (1 - 0.9) * g * g
                 ref[k] += 1e-2 * g / (np.sqrt(cache[k]) + 1e-8)
             for k in shapes:
                 assert np.array_equal(params[k], ref[k]), (t, k)
+
+    @pytest.mark.parametrize("opt", [AdamState, RmspropState], ids=["adam", "rmsprop"])
+    def test_optimizer_step_consumes_grads(self, opt):
+        params = {"W": np.ones((3, 2), dtype=DTYPE), "b": np.ones(2, dtype=DTYPE)}
+        grads = {k: np.full_like(p, 0.5) for k, p in params.items()}
+        opt().step(params, grads, lr=1e-2)
+        assert grads == {}
+
+    @pytest.mark.parametrize("opt", [AdamState, RmspropState], ids=["adam", "rmsprop"])
+    def test_optimizer_step_holds_one_scratch_array(self, opt):
+        # The spent gradient serves as the second scratch array.  The first
+        # step, untraced, allocates the moments the optimizer keeps.
+        n, hidden = 2000, 64
+        rng = np.random.default_rng(3)
+        params = {"W1": rng.standard_normal((n, hidden)).astype(DTYPE)}
+        state = opt()
+        grads = [{"W1": rng.standard_normal((n, hidden)).astype(DTYPE)} for _ in range(2)]
+        state.step(params, grads[0], lr=1e-3)
+        peak = traced_peak(lambda: state.step(params, grads[1], lr=1e-3))
+        # One scratch array, plus the interpreter's small objects.
+        assert peak <= params["W1"].nbytes + 4096
+
+    def test_holds_at_most_four_label_blocks(self):
+        # At B = hidden, W1's and V2's gradients are each one (B, n) label
+        # block.  The stacked labels, the logits, cross_entropy's log of them
+        # and the forward's (B, m, hidden) intermediates peak below four
+        # blocks; through W1's update, the gradients and one scratch array
+        # are three.  Holding the stacked labels and two scratch arrays
+        # through that update, as well as every gradient, made it five.
+        n, size = 2000, 64
+        model = init_scorer(n, size, seed=1)
+        rng = np.random.default_rng(2)
+        batches = [[TrainingExample(rng.choice(n, 4, replace=False), rng.random(n, dtype=DTYPE))
+                    for _ in range(size)] for _ in range(2)]
+        opt = AdamState()
+        train_step(model, batches[0], opt, lr=1e-3)  # allocates Adam's moments
+        peak = traced_peak(lambda: train_step(model, batches[1], opt, lr=1e-3))
+        assert peak <= 4 * size * n * np.dtype(DTYPE).itemsize
 
     def test_diverged_loss_aborts(self):
         model = init_scorer(4, 4, seed=0)

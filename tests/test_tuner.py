@@ -24,7 +24,7 @@ from graphorder.tuner import (RewardBaseline, RlConfig, apply_action,
                               policy_forward, reinforce_update,
                               sample_action, train_scorer, train_scorer_rl)
 
-from conftest import float64_copy, numeric_gradient, random_digraph
+from conftest import float64_copy, numeric_gradient, random_digraph, traced_peak
 
 
 class TestInitialProb:
@@ -211,6 +211,26 @@ class TestReinforce:
             reinforce_update(policy, [state], [a], [reward],
                              gamma=0.95, alpha=0.05, baseline=baseline, opt=opt)
         assert 1.0 - policy_forward(policy, state)[0] > 0.9
+
+    def test_holds_the_sum_and_one_step_gradient(self):
+        # Each step's gradient is dropped once it is summed, and the RMSProp
+        # step reuses each summed gradient as scratch, so two copies of the
+        # parameters are live at the peak, with log_prob_grad's n-wide
+        # temporaries (8.4 float64 n-vectors measured).  Keeping the last
+        # step's gradient and two scratch arrays through the update made it
+        # three copies.
+        n, hidden, steps = 2000, 64, 5
+        policy = init_policy(n, hidden, seed=2)
+        rng = np.random.default_rng(3)
+        states = [np.full(n, 1 / n) for _ in range(steps)]
+        actions = [sample_action(policy_forward(policy, s), rng) for s in states]
+        rewards = rng.random(steps).tolist()
+        opt = RmspropState()
+        reinforce_update(policy, states, actions, rewards, 0.9, 1e-3, RewardBaseline(), opt)
+        peak = traced_peak(lambda: reinforce_update(policy, states, actions, rewards, 0.9,
+                                                    1e-3, RewardBaseline(), opt))
+        params_bytes = sum(p.nbytes for p in policy.params().values())
+        assert peak <= 2 * params_bytes + 16 * n * np.dtype(np.float64).itemsize
 
     def test_rejects_empty_trajectory(self):
         policy = init_policy(3, hidden=4, seed=1)
