@@ -107,12 +107,11 @@ def numeric_gradient(loss, params: dict[str, np.ndarray], step: float = 1e-4):
 
 
 def traced_peak(call) -> int:
-    """Bytes that ``call()`` holds at its peak above what was held before it,
-    as tracemalloc counts them."""
+    """Peak bytes held during ``call()`` by the blocks it allocates, as
+    tracemalloc counts them: it traces only blocks allocated once started."""
     tracemalloc.start()
     try:
-        held = tracemalloc.get_traced_memory()[0]
         call()
-        return tracemalloc.get_traced_memory()[1] - held
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -16,7 +15,7 @@ from graphorder.graph import Graph, gen_erdos_renyi, gen_power_law
 from graphorder.locality import (DENSE_SIMILARITY_CAP, GraphSimilarity, MatrixSimilarity,
                                  as_similarity, dense_similarity, locality_score)
 
-from conftest import digraphs, naive_locality_score, random_digraph
+from conftest import digraphs, naive_locality_score, random_digraph, traced_peak
 
 
 def naive_best_order(source, w):
@@ -218,13 +217,7 @@ class TestKeptRows:
         # The source, and its out-list views, are built before the count.
         monkeypatch.setattr(baselines, "DENSE_SIMILARITY_CAP", cap)
         src = GraphSimilarity(graph)
-        tracemalloc.start()
-        try:
-            greedy_order(src, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        rows = peak / (graph.n * 8) - 2
+        rows = traced_peak(lambda: greedy_order(src, 5)) / (graph.n * 8) - 2
         assert least <= rows <= most, rows
 
     @pytest.mark.parametrize("w", [5, 500, 1000, 1999, 2500])
@@ -234,12 +227,7 @@ class TestKeptRows:
         # wider window keeps none.  The slack is O(n): the order, the gain
         # vector, the row being gathered and the source's out-list views.
         g = gen_power_law(DENSE_SIMILARITY_CAP, 1.6, seed=7)
-        tracemalloc.start()
-        try:
-            greedy_order(g, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: greedy_order(g, w))
         assert peak <= DENSE_SIMILARITY_CAP ** 2 * 2 + 40 * g.n * 8, peak
 
 

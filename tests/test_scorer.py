@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,14 +485,7 @@ class TestRmse:
         rng = np.random.default_rng(2)
         sets = np.stack([rng.choice(n, 4, replace=False) for _ in range(size)])
         labels = rng.random((size, n), dtype=DTYPE)
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            rmse(model, sets, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - held <= 1.75 * labels.nbytes
+        assert traced_peak(lambda: rmse(model, sets, labels)) <= 1.75 * labels.nbytes
 
     @pytest.mark.parametrize("labels", [np.full((1, 3), 1 / 3), np.full((3, 3), 1 / 3),
                                         np.full((2, 4), 0.25), np.full(3, 1 / 3)],
